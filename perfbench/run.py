@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload exchange-fl12345 --seed 0 --seconds 40 --trace 0
-    python3 perfbench/run.py --workload all --seed 0 --seconds 40 --trace 1
+    python3 perfbench/run.py --workload exchange-fl12345 --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 0 --seconds 20 --trace 1
 
 Every measured invocation is one fresh single-threaded interpreter
 (``perfbench/child.py``) running ``quiverqh.cli.main(argv)`` once: a
@@ -11,12 +11,13 @@ closed loop with one client, one process at a time.
 
 ``--trace 0`` reports the end-to-end metrics: ``solve_s`` (the fastest wall
 time of ``main`` among the run's invocations), ``setup_s`` (the fastest time
-from process start until ``quiverqh.cli`` is imported, among at least
-``SETUP_RUNS`` fresh interpreters) and ``peak_rss_mb`` (median peak resident
-set of an invocation).  ``--trace 1`` runs the workload once untraced and
-once under ``tracer.Tracer`` and reports the per-layer metrics named in
-``BENCHMARK.json``.  Human-readable lines come first; the last line of
-standard output is one JSON object with ``correct``, ``attempted``,
+from process start until ``quiverqh.cli`` is imported, among the run's
+interpreters: ``SETUPS_PER_SOLVE`` set-up-only ones before each solve and
+after the last, and the solves' own) and ``peak_rss_mb`` (median peak
+resident set of an invocation).  ``--trace 1`` runs the workload twice
+untraced and twice under ``tracer.Tracer`` and reports the per-layer metrics
+named in ``BENCHMARK.json``.  Human-readable lines come first; the last line
+of standard output is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  ``failed / attempted`` is the error rate.
 
 Every run is checked: exit code 0, ``"ok": true``, the label-invariant
@@ -55,20 +56,29 @@ import sys
 import time
 from pathlib import Path
 
-import tracer
-
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import tracer  # noqa: E402
+from quiverqh.polycore import _label_key  # noqa: E402  (the order node labels sort in)
+
 WORK = HERE / ".work"
 
-SETUP_RUNS = 5        # set-up-only interpreters per measured run
+SETUPS_PER_SOLVE = 4  # set-up-only interpreters before each solve and after
+                      # the last, so that set-up samples spread over the run
 MIN_INVOCATIONS = 2   # solves per measured run, however long one takes
+TRACE_PAIRS = 2       # untraced and traced solves per traced run, each
 TIME_LIMIT_S = 170.0  # per workload, children included
 
 WORKLOADS = {
     "exchange-fl12345": {
         "fixture": "perfbench/fixtures/fl12345.json",
         "argv": ["verify", "exchange", "{quiver}", "--jobs", "1", "--json"],
+    },
+    "typea-fl245-eq": {
+        "fixture": "quivers/fl245.json",
+        "argv": ["verify", "type-a", "{quiver}", "--equivariant", "--json"],  # no --jobs: one process
     },
     "qde-fl234": {
         "fixture": "quivers/fl234.json",
@@ -86,11 +96,6 @@ class SetupError(RuntimeError):
 
 
 # -- inputs ---------------------------------------------------------------------------
-
-
-def _label_key(label: str) -> tuple:
-    # the order quiverqh sorts node labels in: by length, then lexicographically
-    return (len(label), label)
 
 
 def relabelled(data: dict, seed: int) -> dict:
@@ -298,17 +303,23 @@ def _note_failures(name: str, runs: list) -> None:
             print(f"{name}: run {i} failed: {p}", file=sys.stderr)
 
 
+def set_ups(n: int, deadline: float) -> list:
+    """setup_s of ``n`` fresh interpreters that import quiverqh.cli and exit."""
+    out = []
+    for _ in range(n):
+        res = spawn({}, deadline)
+        if "error" in res:
+            raise SetupError(res["error"])
+        out.append(res["setup_s"])
+    return out
+
+
 def measured_run(name: str, seed: int, seconds: float, expected: dict,
                  deadline: float) -> tuple:
     """Untraced invocations for about ``seconds``, and at least
     MIN_INVOCATIONS of them; (metrics, attempted, failed)."""
     quiver = quiver_input(name, seed)
     setups = []
-    for _ in range(SETUP_RUNS):
-        res = spawn({}, deadline)
-        if "error" in res:
-            raise SetupError(res["error"])
-        setups.append(res["setup_s"])
     # closed loop: the next invocation starts when the last one has ended,
     # as long as one more of median length still fits in ``seconds``
     runs, took = [], []
@@ -318,8 +329,10 @@ def measured_run(name: str, seed: int, seconds: float, expected: dict,
         began = time.monotonic()
         if runs and began + 2 * max(took) > deadline:
             break
+        setups += set_ups(SETUPS_PER_SOLVE, deadline)
         runs.append(solve(name, quiver, seed, expected, f"s{len(runs)}", deadline))
         took.append(time.monotonic() - began)
+    setups += set_ups(SETUPS_PER_SOLVE, deadline)
     _note_failures(name, runs)
     failed = sum(1 for r in runs if r["problems"])
     setups += [r["setup_s"] for r in runs if "setup_s" in r]
@@ -343,21 +356,29 @@ def measured_run(name: str, seed: int, seconds: float, expected: dict,
 
 
 def traced_run(name: str, seed: int, expected: dict, deadline: float) -> tuple:
-    """One untraced and one traced run; (metrics, attempted, failed)."""
+    """Two untraced and two traced runs, alternating; (metrics, attempted, failed).
+
+    The layer metrics come from the faster traced run.  ``trace.overhead_s``
+    is the faster traced solve_s minus the faster untraced one: minima, for
+    the reason the measured runs use them, yet still only two samples a side,
+    so on a loaded machine it can stray by a second or more either way.
+    """
     quiver = quiver_input(name, seed)
-    res = spawn({}, deadline)  # warm start, as in a measured run
-    if "error" in res:
-        raise SetupError(res["error"])
-    plain = solve(name, quiver, seed, expected, "plain", deadline)
-    traced = solve(name, quiver, seed, expected, "traced", deadline, trace=True)
-    runs = [plain, traced]
+    set_ups(1, deadline)  # warm start, as in a measured run
+    runs = []
+    for i in range(TRACE_PAIRS):
+        runs.append(solve(name, quiver, seed, expected, f"plain{i}", deadline))
+        runs.append(solve(name, quiver, seed, expected, f"traced{i}", deadline, trace=True))
     _note_failures(name, runs)
     failed = sum(1 for r in runs if r["problems"])
-    if "solve_s" not in plain or "trace" not in traced:
+    plain = [r for r in runs[0::2] if "solve_s" in r]
+    traced = [r for r in runs[1::2] if "trace" in r]
+    if not plain or not traced:
         raise SetupError(f"{name}: the traced run did not finish")
-    overhead = traced["solve_s"] - plain["solve_s"]
-    metrics = layer_metrics(traced["trace"], traced["report_bytes"], overhead)
-    print(f"{name} seed {seed}: traced run, {failed} of 2 runs failed")
+    best = min(traced, key=lambda r: r["solve_s"])
+    overhead = best["solve_s"] - min(r["solve_s"] for r in plain)
+    metrics = layer_metrics(best["trace"], best["report_bytes"], overhead)
+    print(f"{name} seed {seed}: traced runs, {failed} of {len(runs)} runs failed")
     for key, val in metrics.items():
         print(f"  {key:42s} {val:.6g}")
     return metrics, len(runs), failed
@@ -367,7 +388,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))

@@ -176,6 +176,24 @@ def test_tampered_report_counts_as_failed_run(monkeypatch, tmp_path, text, faile
     assert metrics["solve_s"] == 1.0
 
 
+def test_trace_overhead_uses_the_faster_run_of_each_kind(monkeypatch):
+    times = {"plain0": 5.0, "traced0": 7.5, "plain1": 4.0, "traced1": 6.0}
+
+    def solve(name, quiver, seed, expected, tag, deadline, trace=False):
+        res = {"solve_s": times[tag], "problems": [], "report_bytes": 10}
+        if trace:
+            spans = [("cli.main", 0, int(times[tag] * 1e9), -1)]
+            res["trace"] = {"spans": spans, "observations": {k: [] for k in tracer.OBSERVERS}}
+        return res
+
+    monkeypatch.setattr(run, "spawn", lambda job, deadline: {"setup_s": 0.1, "exit": 0})
+    monkeypatch.setattr(run, "solve", solve)
+    metrics, attempted, failed = run.traced_run("qde-fl234", 0, EXPECTED, 1e12)
+    assert (attempted, failed) == (2 * run.TRACE_PAIRS, 0)
+    assert metrics["trace.overhead_s"] == 2.0
+    assert metrics["cli.main.self_s"] == 6.0
+
+
 # -- seeded inputs --------------------------------------------------------------------
 
 
