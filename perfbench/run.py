@@ -2,8 +2,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload exchange-fl12345 --seed 0 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 0 --seconds 20 --trace 1
+    python3 perfbench/run.py --workload typea-fl245-eq --seed 0 --seconds 60 --trace 0
+    python3 perfbench/run.py --workload all --seed 0 --seconds 60 --trace 1
+
+``BENCHMARK.json`` declares two of the four workloads below, typea-fl245-eq
+and qde-fl234: between them they reach every layer, and with only two the
+time limit on all runs leaves each run time for three or four invocations of
+the type-a solve, which alone takes more than ten seconds.  exchange-fl12345
+(one basis rebuilt per gauge node) and enumerate-a7 (cluster mutation at
+volume) stay runnable by name, with the same checks.
 
 Every measured invocation is one fresh single-threaded interpreter
 (``perfbench/child.py``) running ``quiverqh.cli.main(argv)`` once: a
@@ -32,13 +39,12 @@ the label order (new ids are sorted random integers), so the variable order,
 and with it the Groebner computation, is the same for every seed.
 
 Why the times are minima: on a small shared machine, other tenants slow
-every core by up to 1.7x in phases lasting from seconds to minutes, and they
-only ever add time.  The median of a run's samples then jumps between a fast
-and a slow mode, and its spread over seeds does not shrink with longer runs;
-the fastest sample estimates the uncontended time and does.  Each run
-therefore makes at least ``MIN_INVOCATIONS`` invocations, even of a workload
-whose single invocation outlasts ``--seconds``.  The medians are printed
-alongside.
+every core by up to 1.7x, in phases from seconds to minutes long, and they
+only ever add time.  The fastest sample of a run filters out the short
+phases; a long one moves every sample of a run together, so the spread over
+seeds narrows only as a run's samples cover more time.  Each run therefore
+makes at least ``MIN_INVOCATIONS`` invocations, even of a workload whose
+single invocation outlasts ``--seconds``.  The medians are printed alongside.
 """
 
 from __future__ import annotations
@@ -61,7 +67,11 @@ ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import tracer  # noqa: E402
-from quiverqh.polycore import _label_key  # noqa: E402  (the order node labels sort in)
+
+try:
+    from quiverqh.polycore import _label_key  # the order node labels sort in
+except ImportError as exc:
+    sys.exit(f"perfbench: not a quiverqh checkout: {exc}")
 
 WORK = HERE / ".work"
 
@@ -388,7 +398,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=60.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
