@@ -28,6 +28,7 @@ from .polycore import LaurentViolationError, MultiPoly, poly_to_text
 from .quiver import (
     QuiverFormatError,
     build_table,
+    default_pmax,
     load_quiver,
     quiver_to_dict,
     validate,
@@ -111,10 +112,6 @@ class RunConfig:
         return Budget(max_steps=self.budget_steps)
 
 
-def _default_pmax(q) -> int:
-    return max(q.dim(n.id) for n in q.gauge_nodes) + 2
-
-
 # -- report emission ----------------------------------------------------------------
 
 
@@ -186,7 +183,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_present(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
-    pmax = cfg.pmax or _default_pmax(q)
+    pmax = cfg.pmax or default_pmax(q)
     ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
     gens = [poly_to_text(g) for g in ideal.generators]
     report = {
@@ -208,7 +205,7 @@ def _cmd_present(cfg: RunConfig) -> int:
 
 def _cmd_groebner(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
-    pmax = cfg.pmax or _default_pmax(q)
+    pmax = cfg.pmax or default_pmax(q)
     ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
     order = MonomialOrder(cfg.order or "grevlex")
     gb = buchberger(ideal.generators, order, cfg.budget())
@@ -230,7 +227,7 @@ def _cmd_groebner(cfg: RunConfig) -> int:
 def _cmd_verify_exchange(cfg: RunConfig) -> int:
     path = cfg.quiver[0]
     q = load_quiver(path)
-    pmax = cfg.pmax or _default_pmax(q)
+    pmax = cfg.pmax or default_pmax(q)
     nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
     args = [(path, k, pmax, cfg.equivariant, cfg.classical) for k in nodes]
     if cfg.jobs > 1:
@@ -271,7 +268,7 @@ def _cmd_verify_type_a(cfg: RunConfig) -> int:
 def _cmd_verify_vgit(cfg: RunConfig) -> int:
     qa = load_quiver(cfg.quiver[0])
     qb = load_quiver(cfg.quiver[1])
-    pmax = cfg.pmax or max(_default_pmax(qa), _default_pmax(qb))
+    pmax = cfg.pmax or max(default_pmax(qa), default_pmax(qb))
     ia = build_ideal(qa, pmax, equivariant=cfg.equivariant)
     ib = build_ideal(qb, pmax, equivariant=cfg.equivariant)
     gens_b = [g.convert(ia.table) for g in ib.generators]
@@ -416,7 +413,7 @@ def _cmd_cluster_enumerate(cfg: RunConfig) -> int:
 def _cmd_embed(cfg: RunConfig) -> int:
     path = cfg.quiver[0]
     q = load_quiver(path)
-    pmax = cfg.pmax or _default_pmax(q)
+    pmax = cfg.pmax or default_pmax(q)
     eq = cfg.equivariant
     rows: list = []
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]

@@ -28,6 +28,7 @@ from .quiver import (
     Quiver,
     _chain_order,
     build_table,
+    default_pmax,
     exchange_matrices,
     validate,
 )
@@ -347,7 +348,7 @@ def verify_type_a(
     dims = [q.dim(nid) for nid in chain]
     n = len(chain) - 1
     if p_max is None:
-        p_max = max(q.dim(g.id) for g in q.gauge_nodes) + 2
+        p_max = default_pmax(q)
     report = TypeAReport()
 
     # Kaehler-side ideal for the quotient identities.

@@ -13,9 +13,44 @@ Pair criteria: the product criterion (coprime leading monomials) and the
 chain criterion (a third leading monomial divides the pair lcm and both
 mixed pairs were already treated).
 
+Packed monomials: the engine works on one Python int per monomial, after
+Monagan & Pearce ("Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  For n variables and a field width
+of w bits the int holds, from the most significant end:
+
+* n order fields of w bits: for grevlex the total degree, then the
+  partial sums e1+...+e(n-1), ..., e1 of the exponents taken in the
+  order's variable order (first = largest); for lex the exponents in
+  that order.  Each field is a linear form with nonnegative
+  coefficients, so comparing packed ints compares monomials in the order
+  and adding packed ints multiplies monomials.
+* n + 1 low fields of w + 1 bits: the total degree, then the exponents
+  in table order, each topped by a guard bit that is 0 in every packed
+  monomial.  With G the mask of the guard bits, ``lead`` divides ``m``
+  exactly when ``((m | G) - lead) & G == G``: a field of ``m`` smaller
+  than the one of ``lead`` borrows its guard bit and the borrow stops
+  there.
+
+No field exceeds the total degree, so nothing carries between fields
+while every degree stays below 2**w.  The width is derived from the
+input degrees, with room for four times the largest.  Degrees are
+checked before they are formed: each lcm when its pair is made, each
+S-polynomial, and each reduction step whose reducer has a tail of
+higher degree than its lead (possible under lex).  A degree that does
+not fit raises an internal overflow and the computation is restarted
+at a wider width, so a carry can never pass unnoticed.  ``normal_form``
+widens the packed rows of its basis the same way.
+
+Packing is a bijection that preserves order, products and divisibility,
+the reducer visits the same terms with the same reducers in the same
+sequence as a tuple-keyed one, and results are unpacked to exponent
+tuples before the basis elements are built and fingerprinted, so
+bases, fingerprints, step counts and reports do not depend on it.
+
 Laurent variables are handled by adjoining an explicit inverse variable
 with the relation v * inv - 1 and clearing denominators, never by
-fractional arithmetic inside the basis computation.
+fractional arithmetic inside the basis computation.  Negative exponents
+are rejected by ``buchberger`` and ``normal_form`` alike.
 
 Membership in the ring of Weyl-symmetric polynomials is tested in the full
 polynomial ring: for a symmetric polynomial p and symmetric generators,
@@ -69,36 +104,287 @@ class MonomialOrder:
     kind: str = "grevlex"
     variables: tuple = ()  # names, first = largest; empty = table order
 
+    def permutation(self, table: VarTable) -> tuple:
+        """Table indices of the variables, largest first."""
+        if self.kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        if not self.variables:
+            return tuple(range(table.nvars))
+        perm = tuple(table.index(n) for n in self.variables)
+        if sorted(perm) != list(range(table.nvars)):
+            raise ContextError("order must list every table variable exactly once")
+        return perm
+
     def key_fn(self, table: VarTable) -> Callable:
-        if self.variables:
-            perm = tuple(table.index(n) for n in self.variables)
-            if sorted(perm) != list(range(table.nvars)):
-                raise ContextError("order must list every table variable exactly once")
-        else:
-            perm = tuple(range(table.nvars))
-        identity = perm == tuple(range(table.nvars))
+        perm = self.permutation(table)
         if self.kind == "grevlex":
-            if identity:
-                def key(e: tuple) -> tuple:
-                    out = [sum(e)]
-                    out.extend(-x for x in reversed(e))
-                    return tuple(out)
-            else:
-                def key(e: tuple) -> tuple:
-                    pe = [e[i] for i in perm]
-                    out = [sum(pe)]
-                    out.extend(-x for x in reversed(pe))
-                    return tuple(out)
+            def key(e: tuple) -> tuple:
+                pe = [e[i] for i in perm]
+                out = [sum(pe)]
+                out.extend(-x for x in reversed(pe))
+                return tuple(out)
             return key
-        if self.kind == "lex":
-            if identity:
-                return lambda e: e
-            return lambda e: tuple(e[i] for i in perm)
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        return lambda e: tuple(e[i] for i in perm)
 
     def describe(self) -> str:
         vs = ",".join(self.variables) if self.variables else "<table>"
         return f"{self.kind}({vs})"
+
+
+# -- packed monomials -----------------------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A monomial degree does not fit the current field width."""
+
+    def __init__(self, degree: int):
+        super().__init__(degree)
+        self.degree = degree
+
+
+def _width_for(degree: int) -> int:
+    """Field width with room for degrees up to four times the given one."""
+    return max(4 * degree, 15).bit_length()
+
+
+class _Packer:
+    """Packed encoding of exponent tuples for one order, table and width."""
+
+    __slots__ = ("nvars", "perm", "grevlex", "width", "vmax", "deg_shift",
+                 "low_bits", "guards")
+
+    def __init__(self, order: MonomialOrder, table: VarTable, width: int):
+        self.perm = order.permutation(table)
+        self.grevlex = order.kind == "grevlex"
+        self.nvars = n = table.nvars
+        self.width = width
+        self.vmax = (1 << width) - 1
+        step = width + 1
+        self.deg_shift = n * step
+        self.low_bits = (n + 1) * step
+        self.guards = sum(1 << (i * step + width) for i in range(n + 1))
+
+    def pack(self, e: tuple) -> int:
+        if e and min(e) < 0:
+            raise ValueError("negative exponent: clear denominators first")
+        d = sum(e)
+        if d > self.vmax:
+            raise _Overflow(d)
+        w = self.width
+        step = w + 1
+        low = d << self.deg_shift
+        for i, x in enumerate(e):
+            low |= x << (i * step)
+        pe = [e[i] for i in self.perm]
+        if self.grevlex:
+            high = s = d
+            for x in reversed(pe[1:]):
+                s -= x
+                high = (high << w) | s
+        else:
+            high = 0
+            for x in pe:
+                high = (high << w) | x
+        return (high << self.low_bits) | low
+
+    def unpack(self, m: int) -> tuple:
+        step = self.width + 1
+        mask = self.vmax
+        return tuple((m >> (i * step)) & mask for i in range(self.nvars))
+
+    def degree(self, m: int) -> int:
+        return (m >> self.deg_shift) & self.vmax
+
+    def divides(self, lead: int, m: int) -> bool:
+        g = self.guards
+        return ((m | g) - lead) & g == g
+
+    def row(self, lead: int, tail: list) -> tuple:
+        """Reducer row (lead, tail, excess): excess is how far the tail's
+        top degree exceeds the lead's, 0 when it does not."""
+        top = max((self.degree(m) for m, _ in tail), default=0)
+        return lead, tail, max(top - self.degree(lead), 0)
+
+
+class _PackedBasis:
+    """Reducer rows of a basis at one packing."""
+
+    __slots__ = ("packer", "rows")
+
+    def __init__(self, packer: _Packer, rows: list):
+        self.packer = packer
+        self.rows = rows
+
+    def widen(self, gb: "GroebnerBasis", degree: int) -> None:
+        """Re-pack the basis elements at a width that fits the degree."""
+        top = max(sum(e) for g in gb.elements for e in g.terms)
+        pk = _Packer(gb.order, gb.table, _width_for(max(degree, top)))
+        rows = []
+        for g in gb.elements:
+            terms = {pk.pack(e): c for e, c in g.terms.items()}
+            lead = max(terms)
+            rows.append(pk.row(lead, [(m, c) for m, c in terms.items() if m != lead]))
+        self.packer, self.rows = pk, rows
+
+
+def _reduce(terms: dict, rows: Sequence, pk: _Packer, steps: list, budget: Budget) -> dict:
+    """Full normal form of a packed term dict against monic reducer rows,
+    each reduced by its first divisor in row order.  Returns the
+    irreducible remainder, largest monomial first."""
+    out: dict = {}
+    if not terms:
+        return out
+    work = dict(terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    get = work.get
+    pop = work.pop
+    guards = pk.guards
+    dshift = pk.deg_shift
+    vmax = pk.vmax
+    max_steps = budget.max_steps
+    while heap:
+        m = -heappop(heap)
+        c = pop(m, None)
+        if c is None:
+            continue
+        mg = m | guards
+        for row in rows:
+            if (mg - row[0]) & guards == guards:
+                break
+        else:
+            out[m] = c
+            continue
+        steps[0] += 1
+        if steps[0] > max_steps:
+            raise BudgetError(f"reduction budget exceeded ({max_steps} steps)")
+        lead, tail, excess = row
+        if excess and ((m >> dshift) & vmax) + excess > vmax:
+            raise _Overflow(((m >> dshift) & vmax) + excess)
+        shift = m - lead
+        for te, tc in tail:
+            ne = te + shift
+            old = get(ne)
+            if old is None:
+                s = -c * tc
+                work[ne] = s if type(s) is int else _coeff(s)
+                heappush(heap, -ne)
+            else:
+                s = old - c * tc
+                if s:
+                    work[ne] = s if type(s) is int else _coeff(s)
+                else:
+                    del work[ne]
+    return out
+
+
+def _monic(terms: dict) -> tuple:
+    """(lead, tail list) after dividing by the lead coeff."""
+    lead = max(terms)
+    lc = terms[lead]
+    if lc != 1:
+        inv = Fraction(1, lc) if isinstance(lc, int) else 1 / lc
+        terms = {m: _coeff(c * inv) for m, c in terms.items()}
+    return lead, [(m, c) for m, c in terms.items() if m != lead]
+
+
+def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
+    """Reduced basis of packed term dicts as (lead, reduced tail dict)
+    pairs, sorted by increasing lead."""
+    steps = [0]
+    rows: list = []       # monic reducer rows (lead, tail, excess)
+    exps: list = []       # leading exponent tuples, for lcms
+
+    def add_poly(terms: dict) -> None:
+        lead, tail = _monic(terms)
+        rows.append(pk.row(lead, tail))
+        exps.append(pk.unpack(lead))
+
+    # seed with interreduced input, in input order
+    for terms in polys:
+        r = _reduce(terms, rows, pk, steps, budget)
+        if r:
+            add_poly(r)
+
+    pairs: list = []
+    pending: set = set()
+
+    def push_pairs(j: int) -> None:
+        ej = exps[j]
+        for i in range(j):
+            l = tuple(x if x > y else y for x, y in zip(exps[i], ej))
+            heapq.heappush(pairs, (sum(l), i, j, pk.pack(l)))
+            pending.add((i, j))
+
+    for j in range(len(rows)):
+        push_pairs(j)
+
+    processed = 0
+    while pairs:
+        dl, i, j, l = heapq.heappop(pairs)
+        pending.discard((i, j))
+        processed += 1
+        if budget.exceeded_pairs(processed):
+            raise BudgetError(f"pair budget exceeded ({budget.max_pairs} pairs)")
+        # product criterion: coprime leads have an lcm of summed degree
+        if dl == pk.degree(rows[i][0]) + pk.degree(rows[j][0]):
+            continue
+        # chain criterion
+        skip = False
+        for k, row in enumerate(rows):
+            if k == i or k == j:
+                continue
+            if pk.divides(row[0], l):
+                p1 = (i, k) if i < k else (k, i)
+                p2 = (j, k) if j < k else (k, j)
+                if p1 not in pending and p2 not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        # S-polynomial of monic rows: the leading terms cancel at l
+        top = dl + max(rows[i][2], rows[j][2])
+        if top > pk.vmax:
+            raise _Overflow(top)
+        si = l - rows[i][0]
+        sj = l - rows[j][0]
+        s = {m + si: c for m, c in rows[i][1]}
+        for m, c in rows[j][1]:
+            ne = m + sj
+            v = s.get(ne, 0) - c
+            if v:
+                s[ne] = v
+            else:
+                s.pop(ne, None)
+        if not s:
+            continue
+        r = _reduce(s, rows, pk, steps, budget)
+        if not r:
+            continue
+        add_poly(r)
+        if budget.exceeded_basis(len(rows)):
+            raise BudgetError(f"basis budget exceeded ({budget.max_basis} elements)")
+        push_pairs(len(rows) - 1)
+
+    # minimalize: drop rows whose lead is divisible by another surviving lead
+    leads = [row[0] for row in rows]
+    keep = [
+        idx for idx, lead in enumerate(leads)
+        if not any(
+            pk.divides(lead2, lead) and (lead2 != lead or jdx < idx)
+            for jdx, lead2 in enumerate(leads) if jdx != idx
+        )
+    ]
+
+    # inter-reduce tails
+    final = []
+    for idx in keep:
+        others = [rows[k] for k in keep if k != idx]
+        final.append((leads[idx], _reduce(dict(rows[idx][1]), others, pk, steps, budget)))
+    final.sort(key=lambda t: t[0])
+    return final
 
 
 @dataclass(frozen=True)
@@ -107,91 +393,14 @@ class GroebnerBasis:
     order: MonomialOrder
     elements: tuple  # reduced, monic, sorted by increasing leading monomial
     fingerprint: str
+    # reducer rows of the elements, packed once per basis
+    packed: _PackedBasis = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-
-def _neg(key: tuple) -> tuple:
-    return tuple(-k for k in key)
-
-
-def _as_term_list(p: MultiPoly) -> list:
-    return list(p.terms.items())
-
-
-def _reduce_full(
-    terms: dict,
-    basis: Sequence,
-    key: Callable,
-    steps: list,
-    budget: Budget,
-) -> dict:
-    """Full normal form of a term dict against monic basis rows
-    (lead_exp, tail term list).  Returns the irreducible remainder."""
-    if not terms:
-        return {}
-    work = dict(terms)
-    out: dict = {}
-    keymap = {_neg(key(e)): e for e in work}
-    heap = list(keymap)
-    heapq.heapify(heap)
-    while heap:
-        nk = heapq.heappop(heap)
-        e = keymap.pop(nk, None)
-        if e is None:
-            continue
-        c = work.get(e)
-        if not c:
-            continue
-        del work[e]
-        reducer = None
-        for lead, tail in basis:
-            ok = True
-            for a, b in zip(e, lead):
-                if a < b:
-                    ok = False
-                    break
-            if ok:
-                reducer = (lead, tail)
-                break
-        if reducer is None:
-            out[e] = c
-            continue
-        steps[0] += 1
-        if steps[0] > budget.max_steps:
-            raise BudgetError(
-                f"reduction budget exceeded ({budget.max_steps} steps)"
-            )
-        lead, tail = reducer
-        shift = tuple(map(int.__sub__, e, lead))
-        any_shift = any(shift)
-        for te, tc in tail:
-            ne = tuple(map(int.__add__, te, shift)) if any_shift else te
-            s = work.get(ne, 0) - c * tc
-            if s:
-                work[ne] = _coeff(s) if isinstance(s, Fraction) else s
-                nk2 = _neg(key(ne))
-                if nk2 not in keymap:
-                    keymap[nk2] = ne
-                    heapq.heappush(heap, nk2)
-            else:
-                work.pop(ne, None)
-    return out
-
-
-def _monic(terms: dict, key: Callable) -> tuple:
-    """(lead_exp, tail list, full dict) after dividing by the lead coeff."""
-    lead = max(terms, key=key)
-    lc = terms[lead]
-    if lc != 1:
-        inv = Fraction(1, lc) if isinstance(lc, int) else 1 / lc
-        terms = {e: _coeff(c * inv) for e, c in terms.items()}
-    tail = [(e, c) for e, c in terms.items() if e != lead]
-    return lead, tail, terms
 
 
 def buchberger(
@@ -207,132 +416,32 @@ def buchberger(
     for g in gens:
         if g.table is not table:
             raise ContextError("generators bound to different tables")
-        for e in g.terms:
-            if any(x < 0 for x in e):
-                raise ValueError("Laurent generator: clear denominators first")
     order = order or MonomialOrder()
     budget = budget or Budget()
-    key = order.key_fn(table)
-    steps = [0]
+    degree = max(sum(e) for g in gens for e in g.terms)
+    while True:
+        pk = _Packer(order, table, _width_for(degree))
+        try:
+            polys = [{pk.pack(e): c for e, c in g.terms.items()} for g in gens]
+            final = _packed_basis(polys, pk, budget)
+            break
+        except _Overflow as exc:
+            degree = exc.degree
 
-    basis: list = []      # rows (lead_exp, tail, full terms dict)
-    lead_keys: list = []
-
-    def add_poly(terms: dict) -> None:
-        lead, tail, full = _monic(terms, key)
-        basis.append((lead, tail, full))
-        lead_keys.append(key(lead))
-
-    # seed with interreduced input, in input order
-    for g in gens:
-        rows = [(lead, tail) for lead, tail, _ in basis]
-        r = _reduce_full(g.terms, rows, key, steps, budget)
-        if r:
-            add_poly(r)
-
-    def lcm_exp(a: tuple, b: tuple) -> tuple:
-        return tuple(x if x > y else y for x, y in zip(a, b))
-
-    pairs: list = []
-    pending: set = set()
-
-    def push_pairs(j: int) -> None:
-        lj = basis[j][0]
-        for i in range(j):
-            li = basis[i][0]
-            l = lcm_exp(li, lj)
-            heapq.heappush(pairs, (sum(l), i, j, l))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    processed = 0
-    while pairs:
-        _, i, j, l = heapq.heappop(pairs)
-        pending.discard((i, j))
-        li = basis[i][0]
-        lj = basis[j][0]
-        # stale lcm (basis may have grown but rows never change)
-        processed += 1
-        if budget.exceeded_pairs(processed):
-            raise BudgetError(f"pair budget exceeded ({budget.max_pairs} pairs)")
-        # product criterion
-        if all(a + b == c for a, b, c in zip(li, lj, l)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            lk = basis[k][0]
-            if all(x <= y for x, y in zip(lk, l)):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pending and p2 not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        # S-polynomial of monic rows
-        si = tuple(map(int.__sub__, l, li))
-        sj = tuple(map(int.__sub__, l, lj))
-        s: dict = {}
-        for e, c in basis[i][2].items():
-            ne = tuple(map(int.__add__, e, si))
-            s[ne] = s.get(ne, 0) + c
-        for e, c in basis[j][2].items():
-            ne = tuple(map(int.__add__, e, sj))
-            v = s.get(ne, 0) - c
-            if v:
-                s[ne] = v
-            else:
-                s.pop(ne, None)
-        s = {e: c for e, c in s.items() if c}
-        if not s:
-            continue
-        rows = [(lead, tail) for lead, tail, _ in basis]
-        r = _reduce_full(s, rows, key, steps, budget)
-        if not r:
-            continue
-        add_poly(r)
-        if budget.exceeded_basis(len(basis)):
-            raise BudgetError(f"basis budget exceeded ({budget.max_basis} elements)")
-        push_pairs(len(basis) - 1)
-
-    # minimalize: drop rows whose lead is divisible by another surviving lead
-    keep = []
-    for idx, (lead, _, _) in enumerate(basis):
-        redundant = False
-        for jdx, (lead2, _, _) in enumerate(basis):
-            if idx == jdx:
-                continue
-            if all(x <= y for x, y in zip(lead2, lead)):
-                if any(x < y for x, y in zip(lead2, lead)) or jdx < idx:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(idx)
-
-    # inter-reduce tails
-    final: list = []
-    kept = [basis[i] for i in keep]
-    for idx in range(len(kept)):
-        lead, tail, full = kept[idx]
-        others = [(l, t) for jdx, (l, t, _) in enumerate(kept) if jdx != idx]
-        r = _reduce_full(dict(tail), others, key, steps, budget)
-        terms = dict(r)
-        terms[lead] = 1
-        final.append(terms)
-
-    final.sort(key=lambda terms: key(max(terms, key=key)))
-    elements = tuple(MultiPoly(table, terms) for terms in final)
+    rows = []
+    elements = []
+    for lead, tail in final:
+        rows.append(pk.row(lead, list(tail.items())))
+        terms = {pk.unpack(m): c for m, c in tail.items()}
+        terms[pk.unpack(lead)] = 1
+        elements.append(MultiPoly(table, terms))
     fp = hashlib.sha256()
     fp.update(order.describe().encode())
     for p in elements:
         fp.update(poly_to_text(p).encode())
         fp.update(b"\n")
-    return GroebnerBasis(table, order, elements, fp.hexdigest())
+    return GroebnerBasis(table, order, tuple(elements), fp.hexdigest(),
+                         _PackedBasis(pk, rows))
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -> MultiPoly:
@@ -340,14 +449,16 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -
     if p.table is not gb.table:
         raise ContextError("polynomial and basis bound to different tables")
     budget = budget or Budget()
-    key = gb.order.key_fn(gb.table)
-    rows = []
-    for g in gb.elements:
-        lead = max(g.terms, key=key)
-        rows.append((lead, [(e, c) for e, c in g.terms.items() if e != lead]))
-    steps = [0]
-    r = _reduce_full(p.terms, rows, key, steps, budget)
-    return MultiPoly(p.table, r)
+    packed = gb.packed
+    while True:
+        pk = packed.packer
+        try:
+            terms = {pk.pack(e): c for e, c in p.terms.items()}
+            r = _reduce(terms, packed.rows, pk, [0], budget)
+            break
+        except _Overflow as exc:
+            packed.widen(gb, exc.degree)
+    return MultiPoly(p.table, {pk.unpack(m): c for m, c in r.items()})
 
 
 def ideal_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = None) -> bool:

@@ -29,6 +29,11 @@ class QuiverFormatError(ValueError):
     """Malformed quiver description (structure, kinds, dims, stability)."""
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -57,10 +62,10 @@ class Quiver:
         for n in self.nodes:
             if n.kind not in ("gauge", "frozen"):
                 raise QuiverFormatError(f"node {n.id!r}: unknown kind {n.kind!r}")
-            if not isinstance(n.dim, int) or n.dim < 1:
+            if not _is_int(n.dim) or n.dim < 1:
                 raise QuiverFormatError(f"node {n.id!r}: dim must be a positive integer")
             if n.kind == "gauge":
-                if not isinstance(n.theta, int) or n.theta == 0:
+                if not _is_int(n.theta) or n.theta == 0:
                     raise QuiverFormatError(
                         f"gauge node {n.id!r}: theta must be a nonzero integer"
                     )
@@ -72,7 +77,7 @@ class Quiver:
                 raise QuiverFormatError(f"edge {e.src!r}->{e.dst!r}: unknown endpoint")
             if e.src == e.dst:
                 raise QuiverFormatError(f"self-loop at node {e.src!r}")
-            if not isinstance(e.count, int) or e.count < 1:
+            if not _is_int(e.count) or e.count < 1:
                 raise QuiverFormatError(f"edge {e.src!r}->{e.dst!r}: count must be >= 1")
             if (e.src, e.dst) in arrows:
                 raise QuiverFormatError(
@@ -139,6 +144,11 @@ def quiver_from_dict(data: Mapping) -> Quiver:
         raw_edges = data.get("edges", [])
     except (TypeError, KeyError) as exc:
         raise QuiverFormatError(f"missing field: {exc}") from None
+    for name, raw in (("nodes", raw_nodes), ("edges", raw_edges)):
+        if not isinstance(raw, list):
+            raise QuiverFormatError(f"{name} must be a list")
+        if not all(isinstance(x, Mapping) for x in raw):
+            raise QuiverFormatError(f"every entry of {name} must be an object")
     nodes = []
     for nd in raw_nodes:
         extra = set(nd) - {"id", "kind", "dim", "theta"}
@@ -158,6 +168,13 @@ def quiver_from_dict(data: Mapping) -> Quiver:
         except KeyError as exc:
             raise QuiverFormatError(f"edge missing field {exc}") from None
     return Quiver(tuple(nodes), tuple(edges))
+
+
+def default_pmax(q: Quiver) -> int:
+    """Default truncation degree: the largest gauge dimension plus 2."""
+    if not q.gauge_nodes:
+        raise QuiverFormatError("quiver has no gauge node")
+    return max(n.dim for n in q.gauge_nodes) + 2
 
 
 def quiver_to_dict(q: Quiver) -> dict:

@@ -50,6 +50,34 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"nodes": [5], "edges": []},
+    {"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1}], "edges": None},
+    {"nodes": [{"id": "a", "kind": "gauge", "dim": True, "theta": 1}], "edges": []},
+    {"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": True}], "edges": []},
+    {"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1},
+               {"id": "b", "kind": "frozen", "dim": 2}],
+     "edges": [{"src": "b", "dst": "a", "count": True}]},
+], ids=["node-not-object", "edges-null", "dim-bool", "theta-bool", "count-bool"])
+@pytest.mark.parametrize("command", ["validate", "groebner"])
+def test_malformed_quiver_is_one_line_input_error(capsys, tmp_path, data, command):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["groebner"], ["embed"], ["verify", "exchange"]])
+def test_no_gauge_node_is_one_line_input_error(capsys, tmp_path, command):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"nodes": [{"id": "a", "kind": "frozen", "dim": 1}]}))
+    code, _, err = run(capsys, *command, str(path))
+    assert code == EXIT_INPUT
+    assert err == "input error: quiver has no gauge node\n"
+
+
 def test_budget_exhaustion_exit(capsys, quivers):
     code, _, err = run(
         capsys, "groebner", quivers.path("fl234"), "--pmax", "5",

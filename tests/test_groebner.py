@@ -26,6 +26,8 @@ from quiverqh.groebner import (
     laurent_extension,
     normal_form,
 )
+from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for
+from quiverqh.presentation import build_ideal
 
 T = VarTable([Variable.xi("1", 1), Variable.xi("1", 2), Variable.q("1")])
 X = MultiPoly.variable(T, "xi[1][1]")
@@ -192,3 +194,103 @@ def test_random_members_reduce_to_zero(spec):
         mono = MultiPoly.monomial(T, {"xi[1][1]": a, "xi[1][2]": b, "Q[1]": c}, coef)
         member = member + mono * gens[(a + b) % 2]
     assert normal_form(member, gb).is_zero()
+
+
+# -- packed monomials ---------------------------------------------------------------
+
+T4 = VarTable([Variable.xi("1", j) for j in range(1, 5)])
+ORDERS = [
+    MonomialOrder("grevlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("grevlex", ("xi[1][3]", "xi[1][1]", "xi[1][4]", "xi[1][2]")),
+    MonomialOrder("lex", ("xi[1][2]", "xi[1][4]", "xi[1][1]", "xi[1][3]")),
+]
+_exp = st.tuples(*[st.integers(0, 40)] * 4)
+
+
+def _packer(order):
+    # fields hold degrees up to 1023; a product of two exponents has degree <= 320
+    return _Packer(order, T4, _width_for(160))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exp, _exp, st.sampled_from(ORDERS))
+def test_packed_comparison_matches_key_fn(a, b, order):
+    pk = _packer(order)
+    key = order.key_fn(T4)
+    assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b))
+    assert (pk.pack(a) == pk.pack(b)) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exp, _exp, st.sampled_from(ORDERS))
+def test_packed_divisibility_matches_componentwise(a, b, order):
+    pk = _packer(order)
+    assert pk.divides(pk.pack(a), pk.pack(b)) == _divides(a, b)
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pk.divides(pk.pack(a), pk.pack(ab))
+    assert pk.divides(pk.pack(ab), pk.pack(a)) == (a == ab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exp, _exp, st.sampled_from(ORDERS))
+def test_packed_product_and_round_trip(a, b, order):
+    pk = _packer(order)
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
+    assert pk.unpack(pk.pack(a)) == a
+    assert pk.unpack(pk.pack(ab)) == ab
+
+
+def test_degree_past_the_field_width_widens():
+    # lex with x > y: reducing x^8 - 1 by x - y^d raises the degree to 8d,
+    # past the width chosen from the input degree d
+    tv = VarTable([Variable.xi("1", 1), Variable.xi("1", 2)])
+    x = MultiPoly.variable(tv, "xi[1][1]")
+    y = MultiPoly.variable(tv, "xi[1][2]")
+    d = 2 ** 15 + 3
+    gb = buchberger([x - y ** d, x ** 8 - 1], MonomialOrder("lex"))
+    assert list(gb.elements) == [y ** (8 * d) - 1, x - y ** d]
+    assert gb.packed.packer.width > _width_for(d)
+    # normal_form widens again for an input beyond the basis width
+    big = 2 ** 23
+    assert big > gb.packed.packer.vmax
+    assert normal_form(y ** big + x, gb) == y ** (big % (8 * d)) + y ** d
+
+
+def test_s_polynomial_past_the_field_width_overflows():
+    # lex with x > y at 4-bit fields (degrees up to 15): the S-polynomial
+    # of x*y - y^15 and x^4 - 1 is y - x^3*y^15, of degree 18, and must be
+    # refused before it is formed
+    pk = _Packer(MonomialOrder("lex"), T4.drop(["xi[1][3]", "xi[1][4]"]), 4)
+    polys = [
+        {pk.pack((1, 1)): 1, pk.pack((0, 15)): -1},
+        {pk.pack((4, 0)): 1, pk.pack((0, 0)): -1},
+    ]
+    with pytest.raises(_Overflow) as exc:
+        _packed_basis(polys, pk, Budget())
+    assert exc.value.degree == 18
+
+
+def test_normal_form_rejects_negative_exponents():
+    tl = VarTable([Variable.zeta("a"), Variable.xi("1", 1)])
+    z = MultiPoly.variable(tl, "zeta[a]")
+    x = MultiPoly.variable(tl, "xi[1][1]")
+    gb = buchberger([x * z - 1])
+    with pytest.raises(ValueError):
+        buchberger([x - z ** -1])
+    with pytest.raises(ValueError):
+        normal_form(x - z ** -1, gb)
+
+
+@pytest.mark.parametrize("name,pmax,equivariant,kind,steps", [
+    ("fl234", 5, True, "grevlex", 1247),
+    ("fl123", 4, True, "lex", 344),
+])
+def test_reduction_step_count_is_pinned(quivers, name, pmax, equivariant, kind, steps):
+    # the tuple-keyed reducer this engine replaced took exactly these steps
+    gens = build_ideal(quivers(name), pmax, equivariant=equivariant).generators
+    order = MonomialOrder(kind)
+    buchberger(gens, order, Budget(max_steps=steps))
+    with pytest.raises(BudgetError):
+        buchberger(gens, order, Budget(max_steps=steps - 1))

@@ -11,6 +11,7 @@ from quiverqh.quiver import (
     QuiverFormatError,
     build_table,
     cocharacter,
+    default_pmax,
     exchange_matrices,
     in_effective_cone,
     load_quiver,
@@ -48,12 +49,31 @@ def test_malformed_json_reports_position(tmp_path):
       "edges": [{"src": "a", "dst": "b"}, {"src": "b", "dst": "a"}]}, "2-cycle"),
     ({"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1}],
       "edges": [{"src": "a", "dst": "zz"}]}, "unknown endpoint"),
+    ({"nodes": [5], "edges": []}, "nodes must be an object"),
+    ({"nodes": {"a": 1}, "edges": []}, "nodes must be a list"),
+    ({"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1}],
+      "edges": None}, "edges must be a list"),
+    ({"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1}],
+      "edges": ["a"]}, "edges must be an object"),
+    ({"nodes": [{"id": "a", "kind": "gauge", "dim": True, "theta": 1}]}, "dim"),
+    ({"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": True}]}, "theta"),
+    ({"nodes": [{"id": "a", "kind": "gauge", "dim": 1, "theta": 1},
+                {"id": "b", "kind": "frozen", "dim": 2}],
+      "edges": [{"src": "b", "dst": "a", "count": True}]}, "count"),
 ], ids=["dup-id", "bad-kind", "bad-dim", "zero-theta", "frozen-theta",
-        "self-loop", "two-cycle", "bad-edge"])
+        "self-loop", "two-cycle", "bad-edge", "node-not-object", "nodes-not-list",
+        "edges-null", "edge-not-object", "dim-bool", "theta-bool", "count-bool"])
 def test_format_rejections(data, fragment):
     with pytest.raises(QuiverFormatError) as e:
         quiver_from_dict(data)
     assert fragment in str(e.value)
+
+
+def test_default_pmax(quivers):
+    assert default_pmax(quivers("fl245")) == 6
+    frozen_only = quiver_from_dict({"nodes": [{"id": "a", "kind": "frozen", "dim": 1}]})
+    with pytest.raises(QuiverFormatError, match="no gauge node"):
+        default_pmax(frozen_only)
 
 
 def test_validation_flags(quivers):
