@@ -11,15 +11,18 @@ Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
 error (bad file, malformed JSON, bad flags), 3 resource budget exceeded.
 
 `--jobs N` distributes independent verification rows (QDE pairs, exchange
-nodes) over N worker processes.  Workers receive primitive arguments and
-rebuild their own state, results are collected in submission order, so
-reports do not depend on scheduling.
+nodes) over N worker processes, N clamped to the number of work items and
+to the CPU count.  Workers receive picklable arguments and rebuild their
+own state, results are collected in submission order, so reports do not
+depend on scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,7 +45,7 @@ from .groebner import (
     buchberger,
     ideal_equal_laurent,
 )
-from .ifunction import qde_box_pairs, qde_box_sweep, qde_check
+from .ifunction import qde_box_pairs, qde_rows
 from .cluster import (
     LaurentPhenomenonError,
     MutationPath,
@@ -132,15 +135,10 @@ def _flag(ok: bool) -> str:
 
 
 def _qde_chunk(args):
-    path, equivariant, pairs = args
-    q = load_quiver(path)
+    q, equivariant, pairs = args
     w = weights(q, build_table(q, equivariant=equivariant, with_h=True),
                 equivariant=equivariant)
-    out = []
-    for d, dp in pairs:
-        r = qde_check(w, d, dp)
-        out.append((r.ok, r.skipped, r.notice, r.witness))
-    return out
+    return qde_rows(w, pairs)
 
 
 def _exchange_one(args):
@@ -148,6 +146,22 @@ def _exchange_one(args):
     q = load_quiver(path)
     ideal = build_ideal(q, pmax, equivariant=equivariant)
     return verify_exchange_image(q, node, ideal, classical_slice=classical)
+
+
+def clamp_jobs(requested: int, items: int) -> int:
+    """Worker count for `items` independent work items: at most one per
+    item and one per CPU, at least one."""
+    return max(1, min(requested, items, os.cpu_count() or 1))
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """fn over items in order: in this process for one job, else over
+    freshly spawned worker processes."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+        return list(pool.map(fn, items))
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -230,11 +244,7 @@ def _cmd_verify_exchange(cfg: RunConfig) -> int:
     pmax = cfg.pmax or default_pmax(q)
     nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
     args = [(path, k, pmax, cfg.equivariant, cfg.classical) for k in nodes]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_exchange_one, args))
-    else:
-        results = [_exchange_one(a) for a in args]
+    results = _map(_exchange_one, args, clamp_jobs(cfg.jobs, len(args)))
     rows = [
         {"node": k, "ok": ok, "witness": wit}
         for k, (ok, wit) in zip(nodes, results)
@@ -294,34 +304,22 @@ def _cmd_verify_vgit(cfg: RunConfig) -> int:
     return EXIT_OK if cmp.equal else EXIT_FAIL
 
 
+def _qde_box_rows(q, equivariant: bool, box: int, jobs: int) -> list:
+    """Report rows of the degree box in pair order, computed in one
+    contiguous chunk of pairs per job.  The pairs are freed on return,
+    before the report is serialised (about 2 MB for fl234 at box 3)."""
+    pairs = qde_box_pairs(q, box)
+    jobs = clamp_jobs(jobs, len(pairs))
+    size = -(-len(pairs) // jobs)
+    chunks = [(q, equivariant, pairs[i:i + size]) for i in range(0, len(pairs), size)]
+    return [r for out in _map(_qde_chunk, chunks, jobs) for r in out]
+
+
 def _cmd_verify_qde(cfg: RunConfig) -> int:
     path = cfg.quiver[0]
     q = load_quiver(path)
     box = cfg.qorder if cfg.qorder is not None else 2
-    if cfg.jobs > 1:
-        pairs = qde_box_pairs(q, box)
-        chunks = [pairs[i::cfg.jobs] for i in range(cfg.jobs)]
-        args = [(path, cfg.equivariant, c) for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunk_results = list(pool.map(_qde_chunk, args))
-        # chunk i holds pairs[i::jobs]; stitch back into enumeration order
-        results: list = [None] * len(pairs)
-        live = [i for i in range(cfg.jobs) if chunks[i]]
-        for which, out in zip(live, chunk_results):
-            for j, r in enumerate(out):
-                results[which + j * cfg.jobs] = r
-        rows = [
-            {
-                "d": {k: list(v) for k, v in d.items()},
-                "dprime": {k: list(v) for k, v in dp.items()},
-                "ok": r[0], "skipped": r[1], "notice": r[2], "witness": r[3],
-            }
-            for (d, dp), r in zip(pairs, results)
-        ]
-    else:
-        w = weights(q, build_table(q, equivariant=cfg.equivariant, with_h=True),
-                    equivariant=cfg.equivariant)
-        rows = qde_box_sweep(w, box)
+    rows = _qde_box_rows(q, cfg.equivariant, box, cfg.jobs)
     ok = all(r["ok"] for r in rows)
     checked = sum(1 for r in rows if not r["skipped"])
     report = {"ok": ok, "box": box, "checked": checked, "rows": rows}

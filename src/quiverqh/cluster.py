@@ -35,7 +35,7 @@ from .polycore import (
     product,
 )
 from .groebner import BudgetError
-from .quiver import Quiver, exchange_matrices
+from .quiver import Quiver, exchange_matrices, require_gauge_nodes
 
 
 class LaurentPhenomenonError(ArithmeticError):
@@ -256,8 +256,9 @@ def seed_from_quiver(q: Quiver) -> tuple[Seed, tuple[str, ...]]:
     frozen nodes the generators x[n+1..n+m]; the returned tuple of node
     ids follows that numbering.
     """
+    n = len(require_gauge_nodes(q))
     _, btilde, rows = exchange_matrices(q)
-    return seed_from_matrix(btilde, len(q.gauge_nodes)), tuple(rows)
+    return seed_from_matrix(btilde, n), tuple(rows)
 
 
 def is_principal(seed: Seed) -> bool:

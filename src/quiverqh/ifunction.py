@@ -13,6 +13,15 @@ as multisets of linear forms, which both speeds up and sharpens the
 difference-equation check: common factors cancel exactly and only the
 residual products are expanded and compared.
 
+A factor is named by a pair (weight index i, shift s) and stands for the
+linear form w_i + s h.  Each name is built and canonicalised (the text of
+its sign- and scale-normalized form, plus the scalar it was divided by)
+once per WeightData and kept in the ``WeightData.factors`` memo, so a sweep
+over thousands of (d, d') pairs canonicalises only the few dozen distinct
+factors it meets and each check just counts names.  An empty numerator or
+denominator stands as the single factor 1, which takes part in the
+cancellation like any other factor.
+
 The difference equation along a degree shift d' states
 
     prod_{<w,d'> > 0} prod_{m=0}^{<w,d'>-1} (w + <w,d> h - m h) * c_d
@@ -48,7 +57,13 @@ from .polycore import (
     poly_to_text,
     product,
 )
-from .quiver import Quiver, WeightData, cocharacter, in_effective_cone
+from .quiver import (
+    Quiver,
+    WeightData,
+    cocharacter,
+    in_effective_cone,
+    require_gauge_nodes,
+)
 from .symfun import BlockStructure, positive_root_pairing
 
 
@@ -72,26 +87,63 @@ def _degree_key(d: Mapping[str, Sequence[int]]) -> tuple:
     return tuple(sorted((nid, tuple(vec)) for nid, vec in d.items()))
 
 
+def _coeff_factors(pairings: Sequence[int]) -> tuple:
+    """(numerator, denominator) of a coefficient as lists of factor names
+    (weight index i, shift s), each naming w_i + s h, given the pairing a
+    of every weight with the degree: the ladder l = 1..a in the
+    denominator when a > 0, shifts -l for l = 0..-a-1 in the numerator
+    when a < 0."""
+    num: list = []
+    den: list = []
+    for i, a in enumerate(pairings):
+        if a > 0:
+            den.extend((i, l) for l in range(1, a + 1))
+        elif a < 0:
+            num.extend((i, -l) for l in range(-a))
+    return num, den
+
+
+# an empty numerator or denominator stands as the single factor 1
+_PAD = [None]
+
+
+def _canon_factor(p: MultiPoly) -> tuple:
+    """(canonical text of the sign-normalized form, scalar, p) with
+    p = scalar * normalized form; leading canonical coefficient 1.  The
+    zero polynomial is ("0", 0, p)."""
+    if p.is_zero():
+        return "0", 0, p
+    _, lc = p.leading()
+    scaled = p * (Fraction(1, lc) if isinstance(lc, int) else 1 / lc)
+    return poly_to_text(scaled), lc, p
+
+
+def _factor(w: WeightData, name) -> tuple:
+    """Canonical factor of a name (i, s), or of the padding name None;
+    computed once per WeightData and kept in ``w.factors``."""
+    f = w.factors.get(name)
+    if f is None:
+        if name is None:
+            p = MultiPoly.const(w.table, 1)
+        else:
+            i, s = name
+            p = w.weights[i].form + s * MultiPoly.variable(w.table, "h")
+        f = w.factors[name] = _canon_factor(p)
+    return f
+
+
+def _polys(w: WeightData, names: list) -> tuple:
+    return tuple(_factor(w, n)[2] for n in (names or _PAD))
+
+
 def ifun_coeff(w: WeightData, d: Mapping[str, Sequence[int]]) -> IfunCoeff:
     """Finite telescoped coefficient at degree d (must lie in the cone)."""
     q = w.quiver
     if not in_effective_cone(q, d):
         raise ValueError("degree outside the effective cone has zero coefficient")
-    table = w.table
-    h = MultiPoly.variable(table, "h")
     dmap = cocharacter(q, d)
-    num: list = []
-    den: list = []
-    for wt in w.weights:
-        a = wt.pair(dmap)
-        if a > 0:
-            for l in range(1, a + 1):
-                den.append(wt.form + l * h)
-        elif a < 0:
-            for l in range(0, -a):
-                num.append(wt.form - l * h)
-    one = MultiPoly.const(table, 1)
-    return IfunCoeff(_degree_key(d), tuple(num) or (one,), tuple(den) or (one,))
+    num, den = _coeff_factors([wt.pair(dmap) for wt in w.weights])
+    return IfunCoeff(_degree_key(d), _polys(w, num), _polys(w, den))
 
 
 def _sub_degree(d: Mapping, dp: Mapping) -> dict:
@@ -101,14 +153,6 @@ def _sub_degree(d: Mapping, dp: Mapping) -> dict:
         for j, v in enumerate(vec):
             cur[j] -= v
     return out
-
-
-def _canon_factor(p: MultiPoly):
-    """(canonical text of the sign-normalized form, scalar) with
-    p = scalar * normalized form; leading canonical coefficient 1."""
-    lead, lc = p.leading()
-    scaled = p * (Fraction(1, lc) if isinstance(lc, int) else 1 / lc)
-    return poly_to_text(scaled), Fraction(lc)
 
 
 @dataclass(frozen=True)
@@ -141,46 +185,38 @@ def qde_check(
     if not in_effective_cone(q, dm):
         return QdeResult(True, True, "d - d' leaves the effective cone")
     table = w.table
-    h = MultiPoly.variable(table, "h")
     dmap = cocharacter(q, d)
     dmmap = cocharacter(q, dm)
     dpmap = cocharacter(q, dprime)
+    ad = [wt.pair(dmap) for wt in w.weights]
+    am = [wt.pair(dmmap) for wt in w.weights]
 
     lhs: list = []
     rhs: list = []
-    for wt in w.weights:
+    for i, wt in enumerate(w.weights):
         ap = wt.pair(dpmap)
         if ap > 0:
-            ad = wt.pair(dmap)
-            for m in range(ap):
-                lhs.append(wt.form + (ad - m) * h)
+            lhs.extend((i, ad[i] - m) for m in range(ap))
         elif ap < 0:
-            am = wt.pair(dmmap)
-            for m in range(-ap):
-                rhs.append(wt.form + (am - m) * h)
-    cd = ifun_coeff(w, d)
-    cdm = ifun_coeff(w, dm)
+            rhs.extend((i, am[i] - m) for m in range(-ap))
+    cd_num, cd_den = _coeff_factors(ad)
+    cdm_num, cdm_den = _coeff_factors(am)
     # lhs_factors * cd = rhs_factors * cdm, cross-multiplied:
-    left = list(lhs) + list(cd.num_factors) + list(cdm.den_factors)
-    right = list(rhs) + list(cdm.num_factors) + list(cd.den_factors)
+    left = lhs + (cd_num or _PAD) + (cdm_den or _PAD)
+    right = rhs + (cdm_num or _PAD) + (cd_den or _PAD)
 
+    memo = w.factors
     counts: dict = {}
-    scalar = Fraction(1)
+    scalar = 1
     reps: dict = {}
-    for p in left:
-        if p.is_zero():
-            key, s = "0", Fraction(0)
-        else:
-            key, s = _canon_factor(p)
+    for n in left:
+        key, s, p = memo.get(n) or _factor(w, n)
         scalar *= s
         counts[key] = counts.get(key, 0) + 1
         reps.setdefault(key, p)
-    rscalar = Fraction(1)
-    for p in right:
-        if p.is_zero():
-            key, s = "0", Fraction(0)
-        else:
-            key, s = _canon_factor(p)
+    rscalar = 1
+    for n in right:
+        key, s, p = memo.get(n) or _factor(w, n)
         rscalar *= s
         counts[key] = counts.get(key, 0) - 1
         reps.setdefault(key, p)
@@ -204,8 +240,10 @@ def qde_box_pairs(q: Quiver, box: int) -> list:
     and d' running over coordinate generators, in deterministic order."""
     from itertools import product as iproduct
 
+    if box < 0:
+        raise ValueError(f"degree box bound must be >= 0, got {box}")
     slots = []
-    for n in q.gauge_nodes:
+    for n in require_gauge_nodes(q):
         s = 1 if n.theta > 0 else -1
         for j in range(n.dim):
             slots.append((n.id, j, s))
@@ -221,14 +259,10 @@ def qde_box_pairs(q: Quiver, box: int) -> list:
     return pairs
 
 
-def qde_box_sweep(
-    w: WeightData,
-    box: int,
-) -> list:
-    """All (d, d') checks with coordinates 0..box (sign-adjusted by theta)
-    and d' running over coordinate generators; returns report rows."""
+def qde_rows(w: WeightData, pairs: Sequence) -> list:
+    """Report rows of qde_check for the given (d, d') pairs, in order."""
     rows = []
-    for d, dp in qde_box_pairs(w.quiver, box):
+    for d, dp in pairs:
         res = qde_check(w, d, dp)
         rows.append({
             "d": {k: list(v) for k, v in d.items()},
@@ -239,6 +273,12 @@ def qde_box_sweep(
             "witness": res.witness,
         })
     return rows
+
+
+def qde_box_sweep(w: WeightData, box: int) -> list:
+    """All (d, d') checks with coordinates 0..box (sign-adjusted by theta)
+    and d' running over coordinate generators; returns report rows."""
+    return qde_rows(w, qde_box_pairs(w.quiver, box))
 
 
 def root_shift_sign(

@@ -170,11 +170,17 @@ def quiver_from_dict(data: Mapping) -> Quiver:
     return Quiver(tuple(nodes), tuple(edges))
 
 
-def default_pmax(q: Quiver) -> int:
-    """Default truncation degree: the largest gauge dimension plus 2."""
+def require_gauge_nodes(q: Quiver) -> tuple:
+    """The gauge nodes of q; a quiver without one is an input error, since
+    every check on it would be vacuous."""
     if not q.gauge_nodes:
         raise QuiverFormatError("quiver has no gauge node")
-    return max(n.dim for n in q.gauge_nodes) + 2
+    return q.gauge_nodes
+
+
+def default_pmax(q: Quiver) -> int:
+    """Default truncation degree: the largest gauge dimension plus 2."""
+    return max(n.dim for n in require_gauge_nodes(q)) + 2
 
 
 def quiver_to_dict(q: Quiver) -> dict:
@@ -358,6 +364,10 @@ class WeightData:
     # per gauge node: multisets of Chern roots flowing in / out
     roots_in: Mapping
     roots_out: Mapping
+    # canonicalised linear factors w_i + s*h, filled lazily by ifunction:
+    # (weight index, shift) -> (canonical text, scalar, polynomial).  Not an
+    # init field, so dataclasses.replace never carries it to other weights.
+    factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def xi_names(self, nid: str) -> tuple:
         return tuple(f"xi[{nid}][{j}]" for j in range(1, self.quiver.dim(nid) + 1))

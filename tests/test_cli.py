@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, clamp_jobs, main
 
 
 def run(capsys, *argv):
@@ -69,13 +69,23 @@ def test_malformed_quiver_is_one_line_input_error(capsys, tmp_path, data, comman
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["groebner"], ["embed"], ["verify", "exchange"]])
+@pytest.mark.parametrize("command", [
+    ["groebner"], ["embed"], ["verify", "exchange"], ["verify", "qde"],
+    ["cluster", "enumerate"], ["cluster", "mutate"], ["verify", "type-a"],
+])
 def test_no_gauge_node_is_one_line_input_error(capsys, tmp_path, command):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"nodes": [{"id": "a", "kind": "frozen", "dim": 1}]}))
     code, _, err = run(capsys, *command, str(path))
     assert code == EXIT_INPUT
     assert err == "input error: quiver has no gauge node\n"
+
+
+def test_negative_qde_box_is_input_error(capsys, quivers):
+    code, out, err = run(capsys, "verify", "qde", quivers.path("p2"), "--qorder", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: degree box bound must be >= 0, got -1\n"
 
 
 def test_budget_exhaustion_exit(capsys, quivers):
@@ -108,13 +118,28 @@ def test_groebner_report_is_byte_identical(capsys, quivers):
     assert first == second
 
 
-def test_qde_rows_independent_of_jobs(capsys, quivers):
-    code1, rep1, _ = jrun(capsys, "verify", "qde", quivers.path("p2"), "--qorder", "3")
+def test_qde_rows_independent_of_jobs(capsys, monkeypatch, quivers):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # two workers on any machine
+    code1, rep1, _ = jrun(capsys, "verify", "qde", quivers.path("gr24"), "--qorder", "3")
     code2, rep2, _ = jrun(
-        capsys, "verify", "qde", quivers.path("p2"), "--qorder", "3", "--jobs", "3"
+        capsys, "verify", "qde", quivers.path("gr24"), "--qorder", "3", "--jobs", "2"
     )
     assert code1 == code2 == EXIT_OK
-    assert rep1["rows"] == rep2["rows"]
+    assert (rep1["config"].pop("jobs"), rep2["config"].pop("jobs")) == (1, 2)
+    assert rep1 == rep2
+
+
+@pytest.mark.parametrize("requested,items,cpus,expected", [
+    (1, 10, 4, 1),
+    (3, 10, 4, 3),
+    (8, 10, 4, 4),
+    (8, 2, 4, 2),
+    (8, 0, 4, 1),
+    (5, 5, None, 1),
+])
+def test_clamp_jobs(monkeypatch, requested, items, cpus, expected):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert clamp_jobs(requested, items) == expected
 
 
 def test_json_schema_and_config_echo(capsys, quivers):
