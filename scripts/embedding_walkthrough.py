@@ -16,7 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from quiverqh.polycore import poly_to_text
-from quiverqh.quiver import build_table, load_quiver, validate
+from quiverqh.quiver import build_table, load_quiver, resolve_pmax, validate
 from quiverqh.presentation import build_ideal
 from quiverqh.groebner import buchberger
 from quiverqh.embed import (
@@ -38,7 +38,7 @@ def main() -> int:
 
     q = load_quiver(args.quiver)
     rep = validate(q)
-    pmax = args.pmax or max(q.dim(n.id) for n in q.gauge_nodes) + 2
+    pmax = resolve_pmax(q, args.pmax)
     eq = args.equivariant
 
     print(f"== {args.quiver} (p_max={pmax}, equivariant={eq}) ==")
@@ -72,12 +72,10 @@ def main() -> int:
 
     print("\n-- exchange relations modulo the ideal --")
     failures = 0
-    for n in q.gauge_nodes:
-        if q.theta(n.id) <= 0:
-            continue
-        ok, witness = verify_exchange_image(q, n.id, ideal)
-        link = transformation_link_check(q, n.id, equivariant=eq)
-        print(f"  node {n.id}: membership={'ok' if ok else 'FAIL'} "
+    nodes = [n.id for n in q.gauge_nodes if q.theta(n.id) > 0]
+    for k, (ok, witness) in zip(nodes, verify_exchange_image(q, ideal, nodes)):
+        link = transformation_link_check(q, k, equivariant=eq)
+        print(f"  node {k}: membership={'ok' if ok else 'FAIL'} "
               f"link={'ok' if link else 'FAIL'}"
               + (f"  [{witness}]" if witness else ""))
         failures += (not ok) + (not link)

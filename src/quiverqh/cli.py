@@ -10,11 +10,12 @@ consumers can pin the layout; text reports are for humans.
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
 error (bad file, malformed JSON, bad flags), 3 resource budget exceeded.
 
-`--jobs N` distributes independent verification rows (QDE pairs, exchange
-nodes) over N worker processes, N clamped to the number of work items and
-to the CPU count.  Workers receive picklable arguments and rebuild their
-own state, results are collected in submission order, so reports do not
-depend on scheduling.
+`verify qde --jobs N` distributes the QDE pairs over N worker processes,
+N clamped to the number of pairs and to the CPU count.  Workers receive
+picklable arguments and rebuild their own state, results are collected in
+submission order, so reports do not depend on scheduling.  `verify
+exchange` and `embed` check every gauge node against one Groebner basis
+in this process.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .polycore import LaurentViolationError, MultiPoly, poly_to_text
 from .quiver import (
     QuiverFormatError,
     build_table,
-    default_pmax,
     load_quiver,
     quiver_to_dict,
+    resolve_pmax,
     validate,
     weights,
 )
@@ -103,7 +104,7 @@ class RunConfig:
             "path", "at", "type_a", "jobs", "budget_steps",
         ):
             val = getattr(self, key)
-            if val not in (None, False):
+            if val is not None and val is not False:
                 out[key] = val
         if self.node:
             out["node"] = list(self.node)
@@ -141,13 +142,6 @@ def _qde_chunk(args):
     return qde_rows(w, pairs)
 
 
-def _exchange_one(args):
-    path, node, pmax, equivariant, classical = args
-    q = load_quiver(path)
-    ideal = build_ideal(q, pmax, equivariant=equivariant)
-    return verify_exchange_image(q, node, ideal, classical_slice=classical)
-
-
 def clamp_jobs(requested: int, items: int) -> int:
     """Worker count for `items` independent work items: at most one per
     item and one per CPU, at least one."""
@@ -173,12 +167,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     ok = rep.acyclic and rep.feasible
     report = {
         "ok": ok,
-        "flags": rep.as_dict() if hasattr(rep, "as_dict") else {
-            "acyclic": rep.acyclic,
-            "feasible": rep.feasible,
-            "quiver_flag": rep.quiver_flag,
-            "type_a": rep.type_a,
-        },
+        "flags": rep.as_dict(),
         "notes": list(rep.notes),
         "quiver": quiver_to_dict(q),
     }
@@ -197,7 +186,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_present(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
-    pmax = cfg.pmax or default_pmax(q)
+    pmax = resolve_pmax(q, cfg.pmax)
     ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
     gens = [poly_to_text(g) for g in ideal.generators]
     report = {
@@ -219,7 +208,7 @@ def _cmd_present(cfg: RunConfig) -> int:
 
 def _cmd_groebner(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
-    pmax = cfg.pmax or default_pmax(q)
+    pmax = resolve_pmax(q, cfg.pmax)
     ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
     order = MonomialOrder(cfg.order or "grevlex")
     gb = buchberger(ideal.generators, order, cfg.budget())
@@ -241,10 +230,12 @@ def _cmd_groebner(cfg: RunConfig) -> int:
 def _cmd_verify_exchange(cfg: RunConfig) -> int:
     path = cfg.quiver[0]
     q = load_quiver(path)
-    pmax = cfg.pmax or default_pmax(q)
+    pmax = resolve_pmax(q, cfg.pmax)
     nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
-    args = [(path, k, pmax, cfg.equivariant, cfg.classical) for k in nodes]
-    results = _map(_exchange_one, args, clamp_jobs(cfg.jobs, len(args)))
+    ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
+    results = verify_exchange_image(
+        q, ideal, nodes, budget=cfg.budget(), classical_slice=cfg.classical
+    )
     rows = [
         {"node": k, "ok": ok, "witness": wit}
         for k, (ok, wit) in zip(nodes, results)
@@ -278,7 +269,7 @@ def _cmd_verify_type_a(cfg: RunConfig) -> int:
 def _cmd_verify_vgit(cfg: RunConfig) -> int:
     qa = load_quiver(cfg.quiver[0])
     qb = load_quiver(cfg.quiver[1])
-    pmax = cfg.pmax or max(default_pmax(qa), default_pmax(qb))
+    pmax = max(resolve_pmax(qa, cfg.pmax), resolve_pmax(qb, cfg.pmax))
     ia = build_ideal(qa, pmax, equivariant=cfg.equivariant)
     ib = build_ideal(qb, pmax, equivariant=cfg.equivariant)
     gens_b = [g.convert(ia.table) for g in ib.generators]
@@ -411,9 +402,8 @@ def _cmd_cluster_enumerate(cfg: RunConfig) -> int:
 def _cmd_embed(cfg: RunConfig) -> int:
     path = cfg.quiver[0]
     q = load_quiver(path)
-    pmax = cfg.pmax or default_pmax(q)
+    pmax = resolve_pmax(q, cfg.pmax)
     eq = cfg.equivariant
-    rows: list = []
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
 
     tz = build_table(q, equivariant=eq, with_t=True, with_zeta=True)
@@ -437,14 +427,13 @@ def _cmd_embed(cfg: RunConfig) -> int:
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
     ideal = build_ideal(q, pmax, equivariant=eq)
+    nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
     checks = []
-    for n in q.gauge_nodes:
-        if n.theta <= 0:
-            continue
-        ok, wit = verify_exchange_image(q, n.id, ideal, budget=cfg.budget())
-        checks.append({"check": "exchange-image", "node": n.id, "ok": ok, "witness": wit})
-        linked = transformation_link_check(q, n.id, equivariant=eq)
-        checks.append({"check": "transformation-link", "node": n.id, "ok": linked,
+    results = verify_exchange_image(q, ideal, nodes, budget=cfg.budget())
+    for k, (ok, wit) in zip(nodes, results):
+        checks.append({"check": "exchange-image", "node": k, "ok": ok, "witness": wit})
+        linked = transformation_link_check(q, k, equivariant=eq)
+        checks.append({"check": "transformation-link", "node": k, "ok": linked,
                        "witness": None})
     witness = [
         {"node": nid, "zeta": z, "t_degree": m}
@@ -497,7 +486,7 @@ def _cmd_embed(cfg: RunConfig) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, pmax=False, equivariant=False,
-                jobs=False, budget=False) -> None:
+                budget=False) -> None:
     p.add_argument("--json", action="store_true", dest="json_out",
                    help="machine-readable JSON report (schema %d)" % SCHEMA)
     if pmax:
@@ -506,9 +495,6 @@ def _add_common(p: argparse.ArgumentParser, *, pmax=False, equivariant=False,
     if equivariant:
         p.add_argument("--equivariant", action="store_true",
                        help="keep frozen-node equivariant parameters")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent rows (default 1)")
     if budget:
         p.add_argument("--budget-steps", type=int, default=None,
                        help="reduction-step budget for basis computations")
@@ -544,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gauge node id (repeatable; default: all with theta>0)")
     p.add_argument("--classical", action="store_true",
                    help="check the Kaehler-free slice instead")
-    _add_common(p, pmax=True, equivariant=True, jobs=True, budget=True)
+    _add_common(p, pmax=True, equivariant=True, budget=True)
 
     p = vsub.add_parser("type-a", help="chain closed forms and quotient identities")
     p.add_argument("quiver")
@@ -558,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quiver")
     p.add_argument("--qorder", type=int, default=2,
                    help="degree-box coordinate bound (default 2)")
-    _add_common(p, equivariant=True, jobs=True)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the QDE pairs (default 1)")
+    _add_common(p, equivariant=True)
 
     p = vsub.add_parser("separation",
                         help="principal-coefficient separation identity")
@@ -588,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster position for --path (default: last step)")
     p.add_argument("--type-a", action="store_true", dest="type_a",
                    help="include the chain closed-form suite")
-    p.add_argument("--report", choices=("text", "json"), default=None,
-                   help="report format (same as --json)")
     _add_common(p, pmax=True, equivariant=True, budget=True)
 
     return ap
@@ -602,9 +588,6 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     elif command == "cluster":
         command = f"cluster {ns.cluster_command}"
     quiver = ns.quiver if isinstance(ns.quiver, list) else [ns.quiver]
-    json_out = getattr(ns, "json_out", False)
-    if getattr(ns, "report", None) == "json":
-        json_out = True
     return RunConfig(
         command=command,
         quiver=tuple(quiver),
@@ -618,7 +601,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         path=getattr(ns, "path", None),
         at=getattr(ns, "at", None),
         type_a=getattr(ns, "type_a", False),
-        json_out=json_out,
+        json_out=ns.json_out,
         jobs=max(1, getattr(ns, "jobs", 1) or 1),
         budget_steps=getattr(ns, "budget_steps", None),
     )

@@ -21,21 +21,22 @@ the cluster variable's Laurent normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .polycore import MultiPoly, VarTable, poly_to_text, product
 from .quiver import (
     Quiver,
     _chain_order,
     build_table,
-    default_pmax,
     exchange_matrices,
+    resolve_pmax,
     validate,
 )
 from .presentation import (
     IdealPresentation,
     build_ideal,
     chern_poly,
+    exchange_lhs_rhs,
     inflow_roots,
     node_chern_quotient,
     node_roots,
@@ -184,7 +185,8 @@ def psi_of_cluster_variable(
 def exchange_image_diff(
     q: Quiver, k: str, table: VarTable, *, equivariant: bool = False
 ) -> MultiPoly:
-    """Unified exchange relation at gauge node k as a single difference:
+    """Unified exchange relation at gauge node k as a single difference,
+    rhs - lhs of `exchange_lhs_rhs`:
 
         c_t(V_k) (delta^- + s Q_k delta^+) - prod_in c_t - s Q_k prod_out c_t
 
@@ -192,61 +194,47 @@ def exchange_image_diff(
     """
     if q.theta(k) <= 0:
         raise ValueError("unified exchange form implemented for theta > 0 only")
-    sign = -1 if (q.vminus(k) - q.dim(k)) % 2 else 1
-    qk = MultiPoly.variable(table, f"Q[{k}]")
-    roots_k = node_roots(q, table, k, equivariant)
-    dminus = truncated_chern_quotient(table, inflow_roots(q, k, table, equivariant), roots_k)
-    dplus = truncated_chern_quotient(table, outflow_roots(q, k, table, equivariant), roots_k)
-    ct_k = chern_poly(q, k, table, equivariant=equivariant)
-    prod_in = product(
-        table,
-        (
-            chern_poly(q, e.src, table, equivariant=equivariant) ** e.count
-            for e in q.in_edges(k)
-        ),
-    )
-    prod_out = product(
-        table,
-        (
-            chern_poly(q, e.dst, table, equivariant=equivariant) ** e.count
-            for e in q.out_edges(k)
-        ),
-    )
-    return ct_k * (dminus + sign * qk * dplus) - prod_in - sign * qk * prod_out
+    lhs, rhs = exchange_lhs_rhs(q, k, table, equivariant=equivariant)
+    return rhs - lhs
 
 
 def verify_exchange_image(
     q: Quiver,
-    k: str,
     ideal: IdealPresentation,
+    nodes: Sequence[str],
     *,
-    gb: GroebnerBasis | None = None,
     budget: Budget | None = None,
     classical_slice: bool = False,
-) -> tuple[bool, str | None]:
-    """Every t-coefficient of the unified exchange difference must reduce
-    to zero modulo the ideal; Q -> 0 gives the classical Whitney slice."""
-    table = build_table(
-        q, equivariant=ideal.equivariant, with_t=True, with_q=True
-    )
+) -> list[tuple[bool, str | None]]:
+    """One (ok, witness) per node: every t-coefficient of the unified
+    exchange difference at the node must reduce to zero modulo the ideal,
+    all nodes against one Groebner basis; Q -> 0 gives the classical
+    Whitney slice."""
+    eq = ideal.equivariant
+    table = build_table(q, equivariant=eq, with_t=True, with_q=True)
+    diffs = [exchange_image_diff(q, k, table, equivariant=eq) for k in nodes]
+    if not diffs:
+        return []
     gens = [g.convert(table) for g in ideal.generators]
-    diff = exchange_image_diff(q, k, table, equivariant=ideal.equivariant)
     if classical_slice:
         zero_q = {
             f"Q[{n.id}]": MultiPoly.zero(table) for n in q.gauge_nodes
         }
         gens = [g.substitute(zero_q) for g in gens]
-        gens = [g for g in gens if not g.is_zero()]
-        diff = diff.substitute(zero_q)
-    if gb is None:
-        gb = buchberger(gens, budget=budget)
-    for power, coeff in diff.coefficients_in("t"):
-        if not normal_form(coeff, gb, budget).is_zero():
-            return False, "t^%d coefficient does not reduce: %s" % (
-                power,
-                poly_to_text(coeff),
-            )
-    return True, None
+        diffs = [d.substitute(zero_q) for d in diffs]
+    gb = buchberger(gens, budget=budget)
+    out = []
+    for diff in diffs:
+        witness = None
+        for power, coeff in diff.coefficients_in("t"):
+            if not normal_form(coeff, gb, budget).is_zero():
+                witness = "t^%d coefficient does not reduce: %s" % (
+                    power,
+                    poly_to_text(coeff),
+                )
+                break
+        out.append((witness is None, witness))
+    return out
 
 
 def transformation_link_check(
@@ -347,8 +335,7 @@ def verify_type_a(
     chain = _chain_order(q)
     dims = [q.dim(nid) for nid in chain]
     n = len(chain) - 1
-    if p_max is None:
-        p_max = default_pmax(q)
+    p_max = resolve_pmax(q, p_max)
     report = TypeAReport()
 
     # Kaehler-side ideal for the quotient identities.

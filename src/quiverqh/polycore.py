@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Expvec = "tuple[int, ...]"
@@ -276,14 +276,6 @@ class MultiPoly:
         i = self.table.index(name)
         return max(e[i] for e in self.terms)
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    used.add(i)
-        return tuple(self.table.names[i] for i in sorted(used))
-
     def coeff_of(self, exps: Mapping[str, int]) -> Coeff:
         exp = [0] * self.table.nvars
         for name, e in exps.items():
@@ -404,12 +396,6 @@ class MultiPoly:
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
-    def monomials(self) -> Iterator[dict]:
-        """Sparse views {name: exponent} of the monomials, canonical order."""
-        names = self.table.names
-        for e, _ in self.sorted_terms():
-            yield {names[i]: p for i, p in enumerate(e) if p}
-
     def coefficients_in(self, name: str) -> list:
         """Slice by one variable: [(power, coefficient poly)], power descending.
 
@@ -504,27 +490,6 @@ class MultiPoly:
             _check_exp(new_table, net)
             out[net] = c
         return MultiPoly(new_table, out)
-
-    def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            nc = _coeff(fn(c))
-            if nc:
-                out[e] = nc
-        return MultiPoly(self.table, out)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num = gcd(num, abs(f.numerator))
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Fraction(num, den)
 
     # -- Laurent helpers ---------------------------------------------------
 
@@ -637,15 +602,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
-
-    def cancel(self) -> "RationalFunction":
-        """Remove an exactly dividing denominator when possible."""
-        try:
-            q = exact_divide(self.num, self.den)
-            one = MultiPoly.const(self.num.table, 1)
-            return RationalFunction(q, one)
-        except DivisibilityError:
-            return self
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -68,9 +68,6 @@ class IdealPresentation:
     def __iter__(self):
         return iter(self.generators)
 
-    def generator_texts(self) -> tuple:
-        return tuple(str(g) for g in self.generators)
-
 
 def abelian_relation(w: WeightData, d: Mapping[str, Sequence[int]]) -> MultiPoly:
     """Quasimap relation of the abelianized theory for a cocharacter d:

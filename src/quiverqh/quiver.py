@@ -183,6 +183,16 @@ def default_pmax(q: Quiver) -> int:
     return max(n.dim for n in require_gauge_nodes(q)) + 2
 
 
+def resolve_pmax(q: Quiver, p_max: int | None) -> int:
+    """The truncation degree to use: p_max as given (0 included), else the
+    default; a negative p_max is an input error."""
+    if p_max is None:
+        return default_pmax(q)
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
+    return p_max
+
+
 def quiver_to_dict(q: Quiver) -> dict:
     nodes = []
     for n in q.nodes:

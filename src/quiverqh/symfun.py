@@ -48,22 +48,6 @@ class BlockStructure:
                 return names
         raise KeyError(node)
 
-    def all_names(self) -> tuple:
-        return tuple(n for _, names in self.blocks for n in names)
-
-    def group_order(self) -> int:
-        out = 1
-        for _, names in self.blocks:
-            out *= _factorial(len(names))
-        return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
 
 def _as_forms(table: VarTable, forms: Sequence) -> list:
     out = []

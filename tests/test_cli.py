@@ -88,13 +88,32 @@ def test_negative_qde_box_is_input_error(capsys, quivers):
     assert err == "input error: degree box bound must be >= 0, got -1\n"
 
 
-def test_budget_exhaustion_exit(capsys, quivers):
+@pytest.mark.parametrize("command", [["groebner"], ["verify", "exchange"], ["embed"]],
+                         ids=["groebner", "verify-exchange", "embed"])
+def test_budget_exhaustion_exit(capsys, quivers, command):
     code, _, err = run(
-        capsys, "groebner", quivers.path("fl234"), "--pmax", "5",
+        capsys, *command, quivers.path("fl234"), "--pmax", "5",
         "--budget-steps", "10",
     )
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command,names", [
+    (["present"], ["gr24"]),
+    (["groebner"], ["gr24"]),
+    (["verify", "exchange"], ["gr24"]),
+    (["verify", "type-a"], ["gr24"]),
+    (["verify", "vgit"], ["vgit312_plus", "vgit312_minus"]),
+    (["embed"], ["gr24"]),
+], ids=["present", "groebner", "verify-exchange", "verify-type-a", "verify-vgit", "embed"])
+def test_negative_pmax_is_input_error(capsys, quivers, command, names):
+    code, out, err = run(
+        capsys, *command, *map(quivers.path, names), "--pmax", "-1"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: p_max must be >= 0, got -1\n"
 
 
 def test_unknown_command_exits_two(capsys):
@@ -140,6 +159,50 @@ def test_qde_rows_independent_of_jobs(capsys, monkeypatch, quivers):
 def test_clamp_jobs(monkeypatch, requested, items, cpus, expected):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     assert clamp_jobs(requested, items) == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["present"], ["groebner"], ["verify", "exchange"], ["embed"],
+], ids=["present", "groebner", "verify-exchange", "embed"])
+def test_pmax_zero_is_used_and_echoed(capsys, quivers, command):
+    code, rep, _ = jrun(capsys, *command, quivers.path("gr24"), "--pmax", "0")
+    assert code in (EXIT_OK, EXIT_FAIL)
+    assert rep["p_max"] == 0
+    assert rep["config"]["pmax"] == 0
+
+
+def test_qorder_zero_is_echoed(capsys, quivers):
+    code, rep, _ = jrun(capsys, "verify", "qde", quivers.path("gr24"), "--qorder", "0")
+    assert code == EXIT_OK
+    assert rep["box"] == 0
+    assert rep["config"]["qorder"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "exchange", "fl234"],
+    ["verify", "exchange", "fl234", "--classical"],
+    ["embed", "fl234"],
+], ids=["verify-exchange", "verify-exchange-classical", "embed"])
+def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, argv):
+    # fl234 has two gauge nodes with theta > 0; both share one basis
+    import quiverqh.embed
+
+    calls = []
+    real = quiverqh.embed.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quiverqh.embed, "buchberger", counting)
+    argv = [quivers.path(a) if a == "fl234" else a for a in argv]
+    code, rep, _ = jrun(capsys, *argv)
+    assert code == EXIT_OK
+    rows = rep["rows"] if "rows" in rep else [
+        c for c in rep["checks"] if c["check"] == "exchange-image"
+    ]
+    assert [r["node"] for r in rows] == ["1", "2"]
+    assert len(calls) == 1
 
 
 def test_json_schema_and_config_echo(capsys, quivers):

@@ -115,17 +115,30 @@ def test_exchange_image_diff_requires_positive_stability(quivers):
 def test_verify_exchange_image_one_node(quivers):
     q = quivers("gr24")
     ideal = build_ideal(q, 3, equivariant=False)
-    ok, witness = verify_exchange_image(q, "1", ideal)
-    assert ok and witness is None
-    ok, witness = verify_exchange_image(q, "1", ideal, classical_slice=True)
-    assert ok and witness is None
+    assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
+    assert verify_exchange_image(q, ideal, ["1"], classical_slice=True) == [(True, None)]
 
 
 def test_verify_exchange_image_equivariant(quivers):
     q = quivers("gr24")
     ideal = build_ideal(q, 3, equivariant=True)
-    ok, witness = verify_exchange_image(q, "1", ideal)
-    assert ok and witness is None
+    assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
+
+
+def test_verify_exchange_image_one_row_per_node(quivers):
+    q = quivers("fl234")
+    ideal = build_ideal(q, 5, equivariant=False)
+    assert verify_exchange_image(q, ideal, ["2", "1", "2"]) == [(True, None)] * 3
+    assert verify_exchange_image(q, ideal, []) == []
+
+
+def test_verify_exchange_image_witness(quivers):
+    # p_max = 0 truncates the ideal below the exchange relation's degree
+    q = quivers("gr24")
+    ideal = build_ideal(q, 0, equivariant=False)
+    [(ok, witness)] = verify_exchange_image(q, ideal, ["1"])
+    assert not ok
+    assert witness.startswith("t^")
 
 
 @pytest.mark.parametrize("name,node", [
