@@ -26,9 +26,9 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .polycore import LaurentViolationError, MultiPoly, poly_to_text
+from .polycore import LaurentViolationError, poly_to_text
 from .quiver import (
     QuiverFormatError,
     build_table,
@@ -62,7 +62,6 @@ from .embed import (
     psi_adjacent,
     psi_initial,
     psi_of_cluster_variable,
-    psi_yhat_qfactor,
     transformation_link_check,
     verify_exchange_image,
     verify_type_a,

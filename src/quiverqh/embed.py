@@ -46,7 +46,6 @@ from .presentation import (
 from .groebner import (
     Budget,
     GroebnerBasis,
-    MonomialOrder,
     buchberger,
     laurent_basis,
     laurent_contains,
@@ -292,24 +291,27 @@ class TypeAReport:
 
 def _substituted_ideal(
     q: Quiver,
-    p_max: int,
+    gb_q: GroebnerBasis,
     *,
     equivariant: bool,
-    order: MonomialOrder | None,
     budget: Budget | None,
 ) -> tuple[GroebnerBasis, VarTable, tuple[str, ...]]:
-    """Groebner data for the ideal after Kaehler-to-zeta elimination."""
+    """Groebner data for the ideal after Kaehler-to-zeta elimination.
+
+    The zeta-side ideal is generated by the substituted elements of the
+    Kaehler basis gb_q.  That is exact: Q[k] -> +-zeta-monomial is a ring
+    homomorphism into the Laurent ring, so any two generating sets of the
+    Kaehler ideal map to generating sets of the same extended ideal, and
+    laurent_basis reaches the same reduced basis from either.
+    """
     t_qz = build_table(
         q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
     )
     t_z = build_table(q, equivariant=equivariant, with_t=True, with_zeta=True)
     sub = zeta_substitution(q, t_qz)
-    gens = [
-        g.substitute(sub).convert(t_z)
-        for g in build_ideal(q, p_max, equivariant=equivariant, table=t_qz).generators
-    ]
+    gens = [g.convert(t_qz).substitute(sub).convert(t_z) for g in gb_q]
     znames = t_z.of_class("zeta")
-    return laurent_basis(gens, znames, order, budget), t_z, znames
+    return laurent_basis(gens, znames, budget=budget), t_z, znames
 
 
 def verify_type_a(
@@ -328,6 +330,11 @@ def verify_type_a(
     (b) The two quotient identities behind that closed form are verified
     per t-coefficient against the Kaehler-side ideal, with V_(n+1) the
     zero bundle.
+
+    The ideal is built and reduced once, on the Kaehler side; the
+    zeta-substituted ideal of (a) is generated by the substituted elements
+    of that basis, which is exact because the substitution is a ring
+    homomorphism (see _substituted_ideal).
     """
     rep = validate(q)
     if not rep.type_a:
@@ -338,10 +345,11 @@ def verify_type_a(
     p_max = resolve_pmax(q, p_max)
     report = TypeAReport()
 
-    # Kaehler-side ideal for the quotient identities.
+    # Kaehler-side ideal: the quotient identities, and the generators of
+    # the zeta side.
     t_qt = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
     gb_q = buchberger(
-        [g for g in build_ideal(q, p_max, equivariant=equivariant, table=t_qt).generators],
+        build_ideal(q, p_max, equivariant=equivariant, table=t_qt).generators,
         budget=budget,
     )
 
@@ -373,7 +381,7 @@ def verify_type_a(
 
     # zeta-side closed forms.
     gb_z, t_z, znames = _substituted_ideal(
-        q, p_max, equivariant=equivariant, order=None, budget=budget
+        q, gb_q, equivariant=equivariant, budget=budget
     )
 
     def delta_z(a: int, b: int) -> MultiPoly:

@@ -49,7 +49,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polycore import (
-    DivisibilityError,
     MultiPoly,
     RationalFunction,
     VarTable,
@@ -108,14 +107,14 @@ _PAD = [None]
 
 
 def _canon_factor(p: MultiPoly) -> tuple:
-    """(canonical text of the sign-normalized form, scalar, p) with
-    p = scalar * normalized form; leading canonical coefficient 1.  The
-    zero polynomial is ("0", 0, p)."""
+    """(canonical text of the normalized form, scalar, p, normalized form)
+    with p = scalar * normalized form; leading canonical coefficient 1.
+    The zero polynomial is ("0", 0, p, p)."""
     if p.is_zero():
-        return "0", 0, p
+        return "0", 0, p, p
     _, lc = p.leading()
     scaled = p * (Fraction(1, lc) if isinstance(lc, int) else 1 / lc)
-    return poly_to_text(scaled), lc, p
+    return poly_to_text(scaled), lc, p, scaled
 
 
 def _factor(w: WeightData, name) -> tuple:
@@ -210,23 +209,24 @@ def qde_check(
     scalar = 1
     reps: dict = {}
     for n in left:
-        key, s, p = memo.get(n) or _factor(w, n)
+        key, s, _, unit = memo.get(n) or _factor(w, n)
         scalar *= s
         counts[key] = counts.get(key, 0) + 1
-        reps.setdefault(key, p)
+        reps[key] = unit
     rscalar = 1
     for n in right:
-        key, s, p = memo.get(n) or _factor(w, n)
+        key, s, _, unit = memo.get(n) or _factor(w, n)
         rscalar *= s
         counts[key] = counts.get(key, 0) - 1
-        reps.setdefault(key, p)
+        reps[key] = unit
 
     residual = {k: n for k, n in counts.items() if n}
     if not residual:
         if scalar == rscalar:
             return QdeResult(True, False)
         return QdeResult(False, False, witness=f"scalar mismatch {scalar} vs {rscalar}")
-    # expand whatever did not cancel and compare exactly
+    # expand whatever did not cancel and compare exactly; the scalars are
+    # already in scalar/rscalar, so the residual is built from normalized forms
     lres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(n, 0))])
     rres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(-n, 0))])
     diff = scalar * lres - rscalar * rres

@@ -23,10 +23,9 @@ name.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
 Expvec = "tuple[int, ...]"

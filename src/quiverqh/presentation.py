@@ -30,10 +30,10 @@ in descending powers of t; the remainder has t-degree below s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .polycore import MultiPoly, VarTable, product
+from .polycore import MultiPoly, VarTable
 from .quiver import (
     Quiver,
     WeightData,
@@ -44,7 +44,6 @@ from .quiver import (
     weights,
 )
 from .symfun import (
-    BlockStructure,
     antisymmetrize,
     chern_from_roots,
     complete,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .polycore import MultiPoly, VarTable, exact_divide, product
 

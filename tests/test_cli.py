@@ -4,11 +4,16 @@ Everything runs in-process through main(argv); stdout is captured with
 capsys so byte-level determinism of --json reports can be asserted.
 """
 
+import hashlib
 import json
+import os
+import sys
 
 import pytest
 
 from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, clamp_jobs, main
+
+REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def run(capsys, *argv):
@@ -203,6 +208,48 @@ def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, argv):
     ]
     assert [r["node"] for r in rows] == ["1", "2"]
     assert len(calls) == 1
+
+
+def count_calls(monkeypatch, func):
+    """Replace every quiverqh module attribute bound to func by a counter."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("quiverqh"):
+            for attr, val in list(vars(mod).items()):
+                if val is func:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
+    # the zeta-side basis starts from the Kaehler basis: one build_ideal,
+    # one buchberger for the Kaehler side and one inside laurent_basis
+    import quiverqh.groebner
+    import quiverqh.presentation
+
+    ideals = count_calls(monkeypatch, quiverqh.presentation.build_ideal)
+    bases = count_calls(monkeypatch, quiverqh.groebner.buchberger)
+    code, rep, _ = jrun(
+        capsys, "verify", "type-a", quivers.path("fl245"), "--equivariant"
+    )
+    assert code == EXIT_OK and rep["ok"]
+    assert (len(ideals), len(bases)) == (1, 2)
+
+
+def test_type_a_report_golden(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    code, _, raw = jrun(
+        capsys, "verify", "type-a", "quivers/fl245.json", "--equivariant"
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(raw.encode()).hexdigest() == (
+        "e0d2b4acaa130d6830fff3cfeec6ec7a29a70b4e615ae1c35c46149562ac0c2b"
+    )
 
 
 def test_json_schema_and_config_echo(capsys, quivers):

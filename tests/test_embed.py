@@ -11,10 +11,12 @@ Hand-derived goldens:
 import pytest
 
 from quiverqh.polycore import MultiPoly, poly_to_text
-from quiverqh.quiver import build_table
+from quiverqh.quiver import build_table, resolve_pmax
 from quiverqh.presentation import build_ideal, chern_poly
+from quiverqh.groebner import buchberger, laurent_basis, laurent_contains
 from quiverqh.embed import (
     PsiImage,
+    _substituted_ideal,
     exchange_image_diff,
     injectivity_witness,
     psi_adjacent,
@@ -73,14 +75,17 @@ def test_path_image_golden(quivers):
     assert img.den_poly() == psi_initial(q, "1", table).num
 
 
+def kaehler_basis(q, p_max, equivariant):
+    table = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
+    return buchberger(build_ideal(q, p_max, equivariant=equivariant, table=table).generators)
+
+
 def test_single_step_path_matches_adjacent_mod_ideal(quivers):
     # the mutation-path image and the closed-form adjacent image are
     # different polynomials but agree as fractions modulo the relations
-    from quiverqh.embed import _substituted_ideal
-    from quiverqh.groebner import laurent_contains
-
     q = quivers("gr24")
-    gb, t_z, znames = _substituted_ideal(q, 3, equivariant=False, order=None, budget=None)
+    gb_q = kaehler_basis(q, 3, False)
+    gb, t_z, znames = _substituted_ideal(q, gb_q, equivariant=False, budget=None)
     path_img = psi_of_cluster_variable(q, (1,), 1, t_z)
     adj_img = psi_adjacent(q, "1", t_z)
     assert path_img.den == adj_img.den
@@ -169,6 +174,40 @@ def test_type_a_equivariant(quivers):
 def test_type_a_rejects_failing_chain(quivers):
     with pytest.raises(ValueError, match="type-A"):
         verify_type_a(quivers("fl123"))
+
+
+def raw_generator_laurent_basis(q, p_max, equivariant):
+    """Oracle: the zeta-side basis from the substituted raw generators of
+    build_ideal, with no Kaehler basis in between."""
+    t_qz = build_table(
+        q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
+    )
+    t_z = build_table(q, equivariant=equivariant, with_t=True, with_zeta=True)
+    sub = zeta_substitution(q, t_qz)
+    ideal = build_ideal(q, p_max, equivariant=equivariant, table=t_qz)
+    gens = [g.substitute(sub).convert(t_z) for g in ideal.generators]
+    return laurent_basis(gens, t_z.of_class("zeta"))
+
+
+# fingerprints of the Kaehler and zeta-side bases of fl245, equivariant
+FL245_EQ_FINGERPRINTS = (
+    "042b633498bb8808f29c1af71cf68db3287ba92eec95a851b6271b652a9fadf2",
+    "f31a594bd116eacfd703d33dd51ac4cdd2f942b9ee6b98fbe66811dbc274919b",
+)
+
+
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
+@pytest.mark.parametrize("name", ["fl234", "fl245"])
+def test_zeta_basis_from_kaehler_basis_matches_raw_generators(quivers, name, equivariant):
+    q = quivers(name)
+    p_max = resolve_pmax(q, None)
+    gb_q = kaehler_basis(q, p_max, equivariant)
+    gb_z = _substituted_ideal(q, gb_q, equivariant=equivariant, budget=None)[0]
+    want = raw_generator_laurent_basis(q, p_max, equivariant)
+    assert gb_z.fingerprint == want.fingerprint
+    assert [poly_to_text(g) for g in gb_z] == [poly_to_text(g) for g in want]
+    if (name, equivariant) == ("fl245", True):
+        assert (gb_q.fingerprint, gb_z.fingerprint) == FL245_EQ_FINGERPRINTS
 
 
 @pytest.mark.parametrize("name,node", [

@@ -47,11 +47,12 @@ def oracle_coeff(w, dmap) -> tuple:
 
 
 def oracle_canon(p: MultiPoly) -> tuple:
+    """(text, scalar, normalized form) with p = scalar * normalized form."""
     if p.is_zero():
-        return "0", Fraction(0)
+        return "0", Fraction(0), p
     _, lc = p.leading()
     scaled = p * (Fraction(1, lc) if isinstance(lc, int) else 1 / lc)
-    return poly_to_text(scaled), Fraction(lc)
+    return poly_to_text(scaled), Fraction(lc), scaled
 
 
 def oracle_sub_degree(d, dp) -> dict:
@@ -97,22 +98,23 @@ def oracle_qde_check(w, d, dprime) -> QdeResult:
     reps: dict = {}
     scalar = Fraction(1)
     for p in left:
-        key, s = oracle_canon(p)
+        key, s, unit = oracle_canon(p)
         scalar *= s
         counts[key] = counts.get(key, 0) + 1
-        reps.setdefault(key, p)
+        reps.setdefault(key, unit)
     rscalar = Fraction(1)
     for p in right:
-        key, s = oracle_canon(p)
+        key, s, unit = oracle_canon(p)
         rscalar *= s
         counts[key] = counts.get(key, 0) - 1
-        reps.setdefault(key, p)
+        reps.setdefault(key, unit)
 
     residual = {k: n for k, n in counts.items() if n}
     if not residual:
         if scalar == rscalar:
             return QdeResult(True, False)
         return QdeResult(False, False, witness=f"scalar mismatch {scalar} vs {rscalar}")
+    # both sides are scalar * product of normalized factors
     lres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(n, 0))])
     rres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(-n, 0))])
     diff = scalar * lres - rscalar * rres
@@ -211,3 +213,16 @@ def test_factor_memo_is_small_and_outside_equality(quivers):
     assert 0 < len(w.factors) < 100
     assert dataclasses.replace(w) == w and not dataclasses.replace(w).factors
     assert "factors" not in repr(w)
+
+
+def test_residual_witness_counts_each_scalar_once(quivers):
+    # first form doubled, pairing offset +1: the left side is
+    # 2(x+h) (2x+h)^2 (x+h)^2 and the right side 2(x+h)^3 (2x+h), x = xi[1][1]
+    # (padding 1s dropped); after cancelling normalized factors the left
+    # keeps x + h/2 with scalar 2*2*2 and the right keeps scalar 2*2
+    q = quivers("p2")
+    w = corrupted(qweights(q, False), 1, 2, 0)
+    d, dp = {"1": [1]}, {"1": [1]}
+    want = QdeResult(False, False, witness="8*xi[1][1] + 4*h - 4")
+    assert qde_check(w, d, dp) == want
+    assert oracle_qde_check(w, d, dp) == want
