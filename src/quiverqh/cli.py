@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .polycore import LaurentViolationError, poly_to_text
@@ -152,6 +150,10 @@ def _map(fn, items: list, jobs: int) -> list:
     freshly spawned worker processes."""
     if jobs <= 1:
         return [fn(x) for x in items]
+    # imported here, so runs without workers never load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
         return list(pool.map(fn, items))

@@ -12,6 +12,11 @@ Laurent zeta variables.  No image is ever inverted: identities about
 fractions are cross-multiplied into polynomial form and decided by ideal
 membership (zeta inverses are adjoined as explicit auxiliary variables).
 
+Each formula has one definition: the sign is `quiver.kaehler_sign`, the
+column b_(.k) is `quiver.btilde_column`, the node image zeta_i * c_t(V_i)
+is `node_image`, and every t-coefficient membership check with its
+witness goes through `_t_witness`.
+
 Images of general cluster variables are carried as PsiImage fractions: a
 polynomial numerator and a denominator recorded as a product of node
 images (zeta_i * c_t(V_i))^mult, coming from the monomial denominator of
@@ -27,8 +32,9 @@ from .polycore import MultiPoly, VarTable, poly_to_text, product
 from .quiver import (
     Quiver,
     _chain_order,
+    btilde_column,
     build_table,
-    exchange_matrices,
+    kaehler_sign,
     resolve_pmax,
     validate,
 )
@@ -56,16 +62,10 @@ from .cluster import mutate_path, seed_from_quiver
 
 def zeta_substitution(q: Quiver, table: VarTable) -> dict[str, MultiPoly]:
     """Kaehler-to-zeta elimination map, one signed monomial per gauge node."""
-    _, btilde, rows = exchange_matrices(q)
     out = {}
-    for col, n in enumerate(q.gauge_nodes):
-        sign = -1 if (q.vminus(n.id) - n.dim) % 2 else 1
-        exps = {
-            f"zeta[{rows[i]}]": -btilde[i][col]
-            for i in range(len(rows))
-            if btilde[i][col]
-        }
-        out[f"Q[{n.id}]"] = MultiPoly.monomial(table, exps, sign)
+    for n in q.gauge_nodes:
+        exps = {f"zeta[{i}]": -b for i, b in btilde_column(q, n.id)}
+        out[f"Q[{n.id}]"] = MultiPoly.monomial(table, exps, kaehler_sign(q, n.id))
     return out
 
 
@@ -87,32 +87,32 @@ class PsiImage:
             raise ValueError("denominator multiplicities must be nonnegative")
 
     def den_poly(self) -> MultiPoly:
-        factors = []
-        for nid, m in self.den:
-            zc = MultiPoly.variable(self.table, f"zeta[{nid}]") * chern_poly(
-                self.quiver, nid, self.table, equivariant=self.equivariant
-            )
-            factors.append(zc ** m)
-        return product(self.table, factors)
+        return product(self.table, (
+            node_image(self.quiver, nid, self.table, self.equivariant) ** m
+            for nid, m in self.den
+        ))
+
+
+def node_image(q: Quiver, i: str, table: VarTable, equivariant: bool) -> MultiPoly:
+    """zeta_i * c_t(V_i), the image of the initial variable at node i."""
+    return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(
+        q, i, table, equivariant=equivariant
+    )
 
 
 def psi_initial(
     q: Quiver, i: str, table: VarTable, *, equivariant: bool = False
 ) -> PsiImage:
-    num = MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(
-        q, i, table, equivariant=equivariant
-    )
-    return PsiImage(q, table, equivariant, num)
+    return PsiImage(q, table, equivariant, node_image(q, i, table, equivariant))
 
 
 def _zeta_column_parts(
     q: Quiver, k: str, table: VarTable
 ) -> tuple[MultiPoly, MultiPoly]:
     """(prod_{b_ik>0} zeta_i^b_ik, prod_{b_ik<0} zeta_i^-b_ik) for node k."""
-    _, btilde, rows = exchange_matrices(q)
-    col = [n.id for n in q.gauge_nodes].index(k)
-    pos = {f"zeta[{rows[i]}]": btilde[i][col] for i in range(len(rows)) if btilde[i][col] > 0}
-    neg = {f"zeta[{rows[i]}]": -btilde[i][col] for i in range(len(rows)) if btilde[i][col] < 0}
+    column = btilde_column(q, k)
+    pos = {f"zeta[{i}]": b for i, b in column if b > 0}
+    neg = {f"zeta[{i}]": -b for i, b in column if b < 0}
     return MultiPoly.monomial(table, pos), MultiPoly.monomial(table, neg)
 
 
@@ -168,12 +168,10 @@ def psi_of_cluster_variable(
     cleared = x * MultiPoly.monomial(x.table, shift) if shift else x
 
     mix = table.extend(x.table.var(nm) for nm in slot_names)
-    bindings = {}
-    for pos, nm in enumerate(slot_names):
-        nid = node_order[pos]
-        bindings[nm] = MultiPoly.variable(mix, f"zeta[{nid}]") * chern_poly(
-            q, nid, mix, equivariant=equivariant
-        )
+    bindings = {
+        nm: node_image(q, node_order[pos], mix, equivariant)
+        for pos, nm in enumerate(slot_names)
+    }
     num = cleared.convert(mix).substitute(bindings).convert(table)
     return PsiImage(q, table, equivariant, num, tuple(sorted(den)))
 
@@ -224,16 +222,22 @@ def verify_exchange_image(
     gb = buchberger(gens, budget=budget)
     out = []
     for diff in diffs:
-        witness = None
-        for power, coeff in diff.coefficients_in("t"):
-            if not normal_form(coeff, gb, budget).is_zero():
-                witness = "t^%d coefficient does not reduce: %s" % (
-                    power,
-                    poly_to_text(coeff),
-                )
-                break
+        witness = _t_witness(
+            diff,
+            lambda c: normal_form(c, gb, budget).is_zero(),
+            "t^%d coefficient does not reduce: %s",
+        )
         out.append((witness is None, witness))
     return out
+
+
+def _t_witness(poly: MultiPoly, member, fmt: str) -> str | None:
+    """fmt % (power, text) for the first coefficient of poly in t that
+    member rejects, None when member accepts every coefficient."""
+    for power, coeff in poly.coefficients_in("t"):
+        if not member(coeff):
+            return fmt % (power, poly_to_text(coeff))
+    return None
 
 
 def transformation_link_check(
@@ -246,25 +250,14 @@ def transformation_link_check(
     table = build_table(
         q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
     )
-    _, btilde, rows = exchange_matrices(q)
-    col = [n.id for n in q.gauge_nodes].index(k)
+    column = btilde_column(q, k)
 
     adj = psi_adjacent(q, k, table, equivariant=equivariant)
     prod_pos = product(
-        table,
-        (
-            psi_initial(q, rows[i], table, equivariant=equivariant).num ** btilde[i][col]
-            for i in range(len(rows))
-            if btilde[i][col] > 0
-        ),
+        table, (node_image(q, i, table, equivariant) ** b for i, b in column if b > 0)
     )
     prod_neg = product(
-        table,
-        (
-            psi_initial(q, rows[i], table, equivariant=equivariant).num ** -btilde[i][col]
-            for i in range(len(rows))
-            if btilde[i][col] < 0
-        ),
+        table, (node_image(q, i, table, equivariant) ** -b for i, b in column if b < 0)
     )
     cluster_image = adj.num - prod_pos - prod_neg
 
@@ -340,7 +333,6 @@ def verify_type_a(
     if not rep.type_a:
         raise ValueError("quiver is not a type-A chain for this suite: %s" % (rep.notes,))
     chain = _chain_order(q)
-    dims = [q.dim(nid) for nid in chain]
     n = len(chain) - 1
     p_max = resolve_pmax(q, p_max)
     report = TypeAReport()
@@ -365,16 +357,14 @@ def verify_type_a(
 
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            sgn = -1 if (dims[l - 1] - dims[l]) % 2 else 1
+            sgn = kaehler_sign(q, chain[l])
             ql = MultiPoly.variable(t_qt, f"Q[{chain[l]}]")
             id1 = ct(l) * delta(k - 1, l) - ct(k - 1) - sgn * ql * delta(k - 1, l - 1) * ct(l + 1)
             id2 = delta(k - 1, l) * delta(l, l + 1) - delta(k - 1, l + 1) - sgn * ql * delta(k - 1, l - 1)
             for tag, poly in (("quotient-product", id1), ("quotient-chain", id2)):
-                witness = None
-                for power, coeff in poly.coefficients_in("t"):
-                    if not normal_form(coeff, gb_q, budget).is_zero():
-                        witness = "t^%d: %s" % (power, poly_to_text(coeff))
-                        break
+                witness = _t_witness(
+                    poly, lambda c: normal_form(c, gb_q, budget).is_zero(), "t^%d: %s"
+                )
                 report.rows.append(
                     {"kind": tag, "k": k, "l": l, "ok": witness is None, "witness": witness}
                 )
@@ -407,11 +397,9 @@ def verify_type_a(
                 q, path, l, t_z, equivariant=equivariant
             )
             diff = img.num - rhs * img.den_poly()
-            witness = None
-            for power, coeff in diff.coefficients_in("t"):
-                if not laurent_contains(gb_z, coeff, znames, budget):
-                    witness = "t^%d: %s" % (power, poly_to_text(coeff))
-                    break
+            witness = _t_witness(
+                diff, lambda c: laurent_contains(gb_z, c, znames, budget), "t^%d: %s"
+            )
             report.rows.append(
                 {"kind": "image", "k": k, "l": l, "ok": witness is None, "witness": witness}
             )
@@ -450,8 +438,7 @@ def psi_yhat_qfactor(q: Quiver, k: str) -> bool:
 
     image = zeta_substitution(q, table)[f"Q[{k}]"]
     rhs = image.invert_monomial()
-    sign = -1 if (q.vminus(k) - q.dim(k)) % 2 else 1
-    return lhs == sign * rhs
+    return lhs == kaehler_sign(q, k) * rhs
 
 
 def injectivity_witness(q: Quiver, table: VarTable | None = None) -> list[tuple[str, str, int]]:

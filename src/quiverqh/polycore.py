@@ -11,10 +11,9 @@ variables.  Variables carry a class tag (``xi``, ``u``, ``t``, ``h``, ``Q``,
 rank, then node label, then inner index.  That order is the canonical
 display order and the default variable order for monomial orders.
 
-Some variables are Laurent: they may carry negative exponents (``zeta``,
-cluster ``x`` variables, and Kaehler variables in contexts that invert
-them).  Negative exponents on a non-Laurent variable are rejected at every
-entry point that could introduce them.
+Some variables are Laurent: they may carry negative exponents (``zeta``
+and cluster ``x`` variables).  Negative exponents on a non-Laurent variable
+are rejected at every entry point that could introduce them.
 
 Two polynomials interoperate only if they share the same table object;
 :meth:`MultiPoly.convert` moves a polynomial between tables by variable
@@ -95,12 +94,12 @@ class Variable:
         return Variable("h", (), False, "h")
 
     @staticmethod
-    def q(node: str, laurent: bool = False) -> "Variable":
-        return Variable("Q", (_label_key(node),), laurent, f"Q[{node}]")
+    def q(node: str) -> "Variable":
+        return Variable("Q", (_label_key(node),), False, f"Q[{node}]")
 
     @staticmethod
-    def qt(node: str, j: int, laurent: bool = False) -> "Variable":
-        return Variable("Qt", (_label_key(node), j), laurent, f"Qt[{node}][{j}]")
+    def qt(node: str, j: int) -> "Variable":
+        return Variable("Qt", (_label_key(node), j), False, f"Qt[{node}][{j}]")
 
     @staticmethod
     def zeta(node: str, laurent: bool = True) -> "Variable":
@@ -171,10 +170,6 @@ class VarTable:
 def grevlex_key(exp: tuple[int, ...]) -> tuple:
     """Total order key: graded reverse lexicographic, first variable largest."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-def lex_key(exp: tuple[int, ...]) -> tuple:
-    return exp
 
 
 def _check_exp(table: VarTable, exp: tuple[int, ...]) -> None:
@@ -261,12 +256,6 @@ class MultiPoly:
 
     def constant_coeff(self) -> Coeff:
         return self.terms.get(self.table.zero_exp(), 0)
-
-    def total_degree(self):
-        """Top total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
 
     def degree(self, name: str):
         """Top exponent of one variable; -inf for the zero polynomial."""

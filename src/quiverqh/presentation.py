@@ -14,6 +14,9 @@ antisymmetrization and the Kaehler normalization Q_sharp = (-1)^(v-1) Q:
       = Q_k * sum_{m=0}^{v+} (-1)^m e_{v+ - m}(nu) h_{m+p-v+1}(xi)
 
 with h_i = 0 for i < 0.  Generators are returned as left minus right.
+The root multisets mu and nu come only from `inflow_roots` and
+`outflow_roots`, and the sign (-1)^(v- - v) of the exchange relation only
+from `quiver.kaehler_sign`.
 
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
@@ -40,8 +43,8 @@ from .quiver import (
     build_table,
     cocharacter,
     gauge_blocks,
+    kaehler_sign,
     node_roots,
-    weights,
 )
 from .symfun import (
     antisymmetrize,
@@ -141,10 +144,9 @@ def node_relation(
         table = build_table(q, equivariant=equivariant, with_q=True)
     v = q.dim(k)
     theta = q.theta(k)
-    w = weights(q, table, equivariant=equivariant)
-    mu = w.roots_in[k]
-    nu = w.roots_out[k]
-    xi = [MultiPoly.variable(table, nm) for nm in w.xi_names(k)]
+    mu = inflow_roots(q, k, table, equivariant)
+    nu = outflow_roots(q, k, table, equivariant)
+    xi = node_roots(q, table, k, equivariant)
     vm, vp = len(mu), len(nu)
 
     def side(roots, count, alt_from_top: bool) -> MultiPoly:
@@ -282,16 +284,17 @@ def exchange_lhs_rhs(
 
     Positive stability:
       lhs = c_t(inflow) - delta_t(inflow, V_k) c_t(V_k)
-      rhs = (-1)^(v- - v + 1) Q_k (c_t(outflow) - delta_t(outflow, V_k) c_t(V_k))
+      rhs = -s Q_k (c_t(outflow) - delta_t(outflow, V_k) c_t(V_k))
 
     Negative stability keeps the same two sides but clears the inverse
     Kaehler variable to the other side:
-      lhs = (-1)^(v- - v + 1) (c_t(inflow) - delta_t(inflow, V_k) c_t(V_k))
+      lhs = -s (c_t(inflow) - delta_t(inflow, V_k) c_t(V_k))
       rhs = Q_k (c_t(outflow) - delta_t(outflow, V_k) c_t(V_k))
+
+    with s = (-1)^(v- - v) the Kaehler sign of `quiver.kaehler_sign`.
     """
     if table is None:
         table = build_table(q, equivariant=equivariant, with_q=True, with_t=True)
-    v = q.dim(k)
     mu = inflow_roots(q, k, table, equivariant)
     nu = outflow_roots(q, k, table, equivariant)
     vk = node_roots(q, table, k, True)
@@ -301,7 +304,7 @@ def exchange_lhs_rhs(
     d_in = truncated_chern_quotient(table, mu, vk)
     d_out = truncated_chern_quotient(table, nu, vk)
     qk = MultiPoly.variable(table, f"Q[{k}]")
-    sign = -1 if (len(mu) - v + 1) % 2 else 1
+    sign = -kaehler_sign(q, k)
     left = c_in - d_in * c_k
     right = c_out - d_out * c_k
     if q.theta(k) > 0:

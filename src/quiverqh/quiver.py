@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .polycore import MultiPoly, Variable, VarTable, _label_key
 from .symfun import BlockStructure
@@ -339,14 +339,24 @@ def exchange_matrices(q: Quiver) -> tuple:
     below it; entry (i, k) is arrows i->k minus arrows k->i.
     """
     gauge = [n.id for n in q.gauge_nodes]
-    frozen = [n.id for n in q.frozen_nodes]
-    rows = gauge + frozen
-    btilde = [
-        [q.arrow_count(i, k) - q.arrow_count(k, i) for k in gauge]
-        for i in rows
-    ]
+    rows = gauge + [n.id for n in q.frozen_nodes]
+    cols = [dict(btilde_column(q, k)) for k in gauge]
+    btilde = [[col.get(i, 0) for col in cols] for i in rows]
     b = [row[:] for row in btilde[: len(gauge)]]
     return b, btilde, rows
+
+
+def btilde_column(q: Quiver, k: str) -> list:
+    """Nonzero entries of column k of Btilde as (row label, b_ik), rows in
+    matrix order; b_ik is arrows i->k minus arrows k->i."""
+    rows = [n.id for n in q.gauge_nodes + q.frozen_nodes]
+    return [(i, b) for i in rows if (b := q.arrow_count(i, k) - q.arrow_count(k, i))]
+
+
+def kaehler_sign(q: Quiver, k: str) -> int:
+    """(-1)^(vminus_k - v_k), the sign of the Kaehler elimination
+    Q[k] -> (-1)^(vminus_k - v_k) * prod_i zeta_i^(-b_ik)."""
+    return -1 if (q.vminus(k) - q.dim(k)) % 2 else 1
 
 
 # -- weight data -----------------------------------------------------------------
@@ -371,16 +381,11 @@ class WeightData:
     table: VarTable
     equivariant: bool
     weights: tuple  # tuple[Weight]
-    # per gauge node: multisets of Chern roots flowing in / out
-    roots_in: Mapping
-    roots_out: Mapping
     # canonicalised linear factors w_i + s*h, filled lazily by ifunction:
-    # (weight index, shift) -> (canonical text, scalar, polynomial).  Not an
-    # init field, so dataclasses.replace never carries it to other weights.
+    # (weight index, shift) -> (key, scalar, p, normalized), see
+    # ifunction._canon_factor.  Not an init field, so dataclasses.replace
+    # never carries it to other weights.
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def xi_names(self, nid: str) -> tuple:
-        return tuple(f"xi[{nid}][{j}]" for j in range(1, self.quiver.dim(nid) + 1))
 
 
 def node_roots(q: Quiver, table: VarTable, nid: str, equivariant: bool) -> list:
@@ -401,19 +406,17 @@ def build_table(
     with_t: bool = False,
     with_h: bool = False,
     with_q: bool = False,
-    laurent_q: bool = False,
     with_qtilde: bool = False,
     with_zeta: bool = False,
-    extra: Iterable[Variable] = (),
 ) -> VarTable:
     """Variable table for a quiver context; include only what is needed."""
     vs: list[Variable] = []
     for n in q.gauge_nodes:
         vs.extend(Variable.xi(n.id, j) for j in range(1, n.dim + 1))
         if with_q:
-            vs.append(Variable.q(n.id, laurent=laurent_q))
+            vs.append(Variable.q(n.id))
         if with_qtilde:
-            vs.extend(Variable.qt(n.id, j, laurent=laurent_q) for j in range(1, n.dim + 1))
+            vs.extend(Variable.qt(n.id, j) for j in range(1, n.dim + 1))
     if equivariant:
         for n in q.frozen_nodes:
             vs.extend(Variable.u(n.id, j) for j in range(1, n.dim + 1))
@@ -423,7 +426,6 @@ def build_table(
         vs.append(Variable.h())
     if with_zeta:
         vs.extend(Variable.zeta(n.id) for n in q.nodes)
-    vs.extend(extra)
     return VarTable(vs)
 
 
@@ -437,16 +439,10 @@ def weights(q: Quiver, table: VarTable | None = None, *, equivariant: bool = Tru
     if table is None:
         table = build_table(q, equivariant=equivariant)
     ws: list[Weight] = []
-    roots_in: dict[str, list] = {n.id: [] for n in q.gauge_nodes}
-    roots_out: dict[str, list] = {n.id: [] for n in q.gauge_nodes}
     for e in q.edges:
         src_roots = node_roots(q, table, e.src, equivariant)
         dst_roots = node_roots(q, table, e.dst, equivariant)
         for _ in range(e.count):
-            if e.dst in roots_in:
-                roots_in[e.dst].extend(src_roots)
-            if e.src in roots_out:
-                roots_out[e.src].extend(dst_roots)
             for a, ra in enumerate(src_roots, start=1):
                 for b, rb in enumerate(dst_roots, start=1):
                     form = rb - ra
@@ -456,7 +452,7 @@ def weights(q: Quiver, table: VarTable | None = None, *, equivariant: bool = Tru
                     if q.node(e.src).kind == "gauge":
                         gauge_part.append((f"xi[{e.src}][{a}]", -1))
                     ws.append(Weight(form, tuple(gauge_part)))
-    return WeightData(q, table, equivariant, tuple(ws), roots_in, roots_out)
+    return WeightData(q, table, equivariant, tuple(ws))
 
 
 def gauge_blocks(q: Quiver, table: VarTable) -> BlockStructure:

@@ -94,9 +94,9 @@ def complete(table: VarTable, forms: Sequence, i: int) -> MultiPoly:
     return row[i]
 
 
-def chern_from_roots(table: VarTable, roots: Sequence, tname: str = "t") -> MultiPoly:
+def chern_from_roots(table: VarTable, roots: Sequence) -> MultiPoly:
     """Total Chern polynomial prod (t + root)."""
-    t = MultiPoly.variable(table, tname)
+    t = MultiPoly.variable(table, "t")
     return product(table, (t + r for r in _as_forms(table, roots)))
 
 

@@ -7,11 +7,14 @@ capsys so byte-level determinism of --json reports can be asserted.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, clamp_jobs, main
+from quiverqh.presentation import build_ideal
+from quiverqh.quiver import default_pmax
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -241,15 +244,57 @@ def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
     assert (len(ideals), len(bases)) == (1, 2)
 
 
-def test_type_a_report_golden(capsys, monkeypatch):
+def test_build_ideal_builds_no_weights(monkeypatch, quivers):
+    # node relations read inflow and outflow roots from the quiver, not
+    # from a full set of torus weights per (node, p)
+    import quiverqh.quiver
+
+    q = quivers("fl245")
+    calls = count_calls(monkeypatch, quiverqh.quiver.weights)
+    build_ideal(q, default_pmax(q), equivariant=True)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("argv, exit_code, sha", [
+    pytest.param(
+        ("verify", "type-a", "quivers/fl245.json", "--equivariant"), EXIT_OK,
+        "e0d2b4acaa130d6830fff3cfeec6ec7a29a70b4e615ae1c35c46149562ac0c2b",
+        id="type-a-fl245-eq",
+    ),
+    pytest.param(
+        ("embed", "quivers/fl245.json", "--type-a", "--equivariant"), EXIT_OK,
+        "3e2f98739e1ad3f66b7a4dda1713a0eecfebb619a0d452e1c827e6759b48987e",
+        id="embed-type-a-fl245-eq",
+    ),
+    pytest.param(
+        ("verify", "exchange", "quivers/fl245.json", "--pmax", "2", "--equivariant"),
+        EXIT_FAIL,
+        "3a8d52a7a26e34dcca72da97d4bcbfa7b19637431acf7063a10566f03acf534c",
+        id="exchange-fl245-p2-eq",
+    ),
+    pytest.param(
+        ("verify", "type-a", "quivers/fl234.json", "--pmax", "0", "--equivariant"),
+        EXIT_FAIL,
+        "536ec32232f026755609a808b93a8f68ae74dac82077ce917b863201214320c8",
+        id="type-a-fl234-p0-eq",
+    ),
+])
+def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha):
     monkeypatch.chdir(REPO_ROOT)
-    code, _, raw = jrun(
-        capsys, "verify", "type-a", "quivers/fl245.json", "--equivariant"
+    code, _, raw = jrun(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(raw.encode()).hexdigest() == sha
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `verify qde --jobs N` with N > 1 needs multiprocessing
+    probe = "import sys, quiverqh.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert code == EXIT_OK
-    assert hashlib.sha256(raw.encode()).hexdigest() == (
-        "e0d2b4acaa130d6830fff3cfeec6ec7a29a70b4e615ae1c35c46149562ac0c2b"
-    )
+    assert out.stdout.strip() == "False"
 
 
 def test_json_schema_and_config_echo(capsys, quivers):
