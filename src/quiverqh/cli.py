@@ -36,7 +36,7 @@ from .quiver import (
     validate,
     weights,
 )
-from .presentation import build_ideal
+from .presentation import build_ideal, spanning_ideal
 from .groebner import (
     Budget,
     BudgetError,
@@ -210,7 +210,7 @@ def _cmd_present(cfg: RunConfig) -> int:
 def _cmd_groebner(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
     pmax = resolve_pmax(q, cfg.pmax)
-    ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
+    ideal = spanning_ideal(q, pmax, equivariant=cfg.equivariant)
     order = MonomialOrder(cfg.order or "grevlex")
     gb = buchberger(ideal.generators, order, cfg.budget())
     elems = [poly_to_text(g) for g in gb.elements]
@@ -233,7 +233,7 @@ def _cmd_verify_exchange(cfg: RunConfig) -> int:
     q = load_quiver(path)
     pmax = resolve_pmax(q, cfg.pmax)
     nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
-    ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
+    ideal = spanning_ideal(q, pmax, equivariant=cfg.equivariant)
     results = verify_exchange_image(
         q, ideal, nodes, budget=cfg.budget(), classical_slice=cfg.classical
     )
@@ -427,7 +427,7 @@ def _cmd_embed(cfg: RunConfig) -> int:
     lines.append("  images:")
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
-    ideal = build_ideal(q, pmax, equivariant=eq)
+    ideal = spanning_ideal(q, pmax, equivariant=eq)
     nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
     checks = []
     results = verify_exchange_image(q, ideal, nodes, budget=cfg.budget())

@@ -40,13 +40,13 @@ from .quiver import (
 )
 from .presentation import (
     IdealPresentation,
-    build_ideal,
     chern_poly,
     exchange_lhs_rhs,
     inflow_roots,
     node_chern_quotient,
     node_roots,
     outflow_roots,
+    spanning_ideal,
     truncated_chern_quotient,
 )
 from .groebner import (
@@ -341,7 +341,7 @@ def verify_type_a(
     # the zeta side.
     t_qt = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
     gb_q = buchberger(
-        build_ideal(q, p_max, equivariant=equivariant, table=t_qt).generators,
+        spanning_ideal(q, p_max, equivariant=equivariant, table=t_qt).generators,
         budget=budget,
     )
 

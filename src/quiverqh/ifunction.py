@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .groebner import Budget, BudgetError
 from .polycore import (
     MultiPoly,
     RationalFunction,
@@ -237,7 +238,9 @@ def qde_check(
 
 def qde_box_pairs(q: Quiver, box: int) -> list:
     """All (d, d') pairs with d-coordinates 0..box (sign-adjusted by theta)
-    and d' running over coordinate generators, in deterministic order."""
+    and d' running over coordinate generators, in deterministic order.
+    Raises BudgetError before building any pair when their number,
+    (box+1)^s * s for s coordinates, exceeds the default pair budget."""
     from itertools import product as iproduct
 
     if box < 0:
@@ -247,6 +250,13 @@ def qde_box_pairs(q: Quiver, box: int) -> list:
         s = 1 if n.theta > 0 else -1
         for j in range(n.dim):
             slots.append((n.id, j, s))
+    budget = Budget()
+    count = (box + 1) ** len(slots) * len(slots)
+    if budget.exceeded_pairs(count):
+        raise BudgetError(
+            f"degree box {box} has {count} pairs, over the pair budget "
+            f"({budget.max_pairs} pairs)"
+        )
 
     pairs = []
     for vec in iproduct(range(box + 1), repeat=len(slots)):

@@ -18,6 +18,22 @@ The root multisets mu and nu come only from `inflow_roots` and
 `outflow_roots`, and the sign (-1)^(v- - v) of the exchange relation only
 from `quiver.kaehler_sign`.
 
+Spanning relations: write g_p for the generator at node k with insertion
+power p and v = dim V_k.  It reads g_p = sum_m c_m h_(m+p-v+1)(xi), with
+coefficients c_m (signed e_j(mu), and Q_k times signed e_j(nu)) that do
+not depend on p.  Since sum_{i=0}^{v} (-1)^i e_i(xi) h_(n-i)(xi) = 0 for
+every n >= 1 (Macdonald, Symmetric Functions and Hall Polynomials, I.2:
+H(t) E(-t) = 1 with e_i(xi) = 0 for i > v), every p >= v gives, as
+expanded polynomials,
+
+    sum_{i=0}^{v} (-1)^i e_i(xi) g_(p-i) = 0,
+
+so g_p lies in the ideal of g_(p-v), ..., g_(p-1) and, by induction, in
+the ideal of g_0, ..., g_(v-1).  `spanning_ideal` builds only those, for
+the callers that compute a Groebner basis: the ideal and so its reduced
+basis are the ones of `build_ideal`, whose full list `present` and
+`verify vgit` keep for their reports.
+
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
 route directly and the two are cross-checked in the test suite.
@@ -34,7 +50,7 @@ in descending powers of t; the remainder has t-degree below s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .polycore import MultiPoly, VarTable
 from .quiver import (
@@ -188,13 +204,37 @@ def build_ideal(
     coordinate cocharacter; negative-stability relations are already
     normalized to polynomials in Q.
     """
+    return _node_ideal(q, p_max, lambda v: p_max, equivariant, table)
+
+
+def spanning_ideal(
+    q: Quiver,
+    p_max: int,
+    *,
+    equivariant: bool = False,
+    table: VarTable | None = None,
+) -> IdealPresentation:
+    """The ideal of `build_ideal`, generated by the relations with
+    insertion powers 0..min(p_max, v-1) at each node of dimension v; the
+    others are redundant (see the module docstring)."""
+    return _node_ideal(q, p_max, lambda v: min(p_max, v - 1), equivariant, table)
+
+
+def _node_ideal(
+    q: Quiver,
+    p_max: int,
+    top: Callable[[int], int],
+    equivariant: bool,
+    table: VarTable | None,
+) -> IdealPresentation:
+    """Nonzero node relations for insertion powers 0..top(v) per node."""
     if table is None:
         table = build_table(q, equivariant=equivariant, with_q=True)
     gens = []
     degrees = []
     for n in q.gauge_nodes:
         degrees.append((n.id, 1 if n.theta > 0 else -1))
-        for p in range(p_max + 1):
+        for p in range(top(n.dim) + 1):
             g = node_relation(q, n.id, p, table=table, equivariant=equivariant)
             if not g.is_zero():
                 gens.append(g)

@@ -96,6 +96,19 @@ def test_negative_qde_box_is_input_error(capsys, quivers):
     assert err == "input error: degree box bound must be >= 0, got -1\n"
 
 
+def test_qde_box_over_the_pair_budget_exits_before_building(capsys, quivers):
+    # a3_frozen has 22 coordinates: 3^22 * 22 pairs at the default box 2
+    import time
+
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "qde", quivers.path("a3_frozen"))
+    assert time.monotonic() - start < 5
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == ("budget exceeded: degree box 2 has 690383311398 pairs, "
+                   "over the pair budget (500000 pairs)\n")
+
+
 @pytest.mark.parametrize("command", [["groebner"], ["verify", "exchange"], ["embed"]],
                          ids=["groebner", "verify-exchange", "embed"])
 def test_budget_exhaustion_exit(capsys, quivers, command):
@@ -230,18 +243,20 @@ def count_calls(monkeypatch, func):
 
 
 def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
-    # the zeta-side basis starts from the Kaehler basis: one build_ideal,
-    # one buchberger for the Kaehler side and one inside laurent_basis
+    # the zeta-side basis starts from the Kaehler basis: one spanning_ideal
+    # and no full build_ideal, one buchberger for the Kaehler side and one
+    # inside laurent_basis
     import quiverqh.groebner
     import quiverqh.presentation
 
-    ideals = count_calls(monkeypatch, quiverqh.presentation.build_ideal)
+    full = count_calls(monkeypatch, quiverqh.presentation.build_ideal)
+    ideals = count_calls(monkeypatch, quiverqh.presentation.spanning_ideal)
     bases = count_calls(monkeypatch, quiverqh.groebner.buchberger)
     code, rep, _ = jrun(
         capsys, "verify", "type-a", quivers.path("fl245"), "--equivariant"
     )
     assert code == EXIT_OK and rep["ok"]
-    assert (len(ideals), len(bases)) == (1, 2)
+    assert (len(full), len(ideals), len(bases)) == (0, 1, 2)
 
 
 def test_build_ideal_builds_no_weights(monkeypatch, quivers):

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from quiverqh.groebner import MonomialOrder, buchberger  # noqa: E402
+from quiverqh.groebner import (  # noqa: E402
+    Budget,
+    BudgetError,
+    MonomialOrder,
+    buchberger,
+)
 from quiverqh.polycore import MultiPoly, VarTable, Variable  # noqa: E402
 from quiverqh.presentation import build_ideal  # noqa: E402
 
@@ -59,6 +64,23 @@ def test_fixture_bases_match_sympy(quivers, name, pmax, equivariant, kind):
 
 
 T3 = VarTable([Variable.xi("1", j) for j in range(1, 4)])
+
+
+def test_slow_lex_ideal_matches_sympy_in_pinned_steps():
+    # a draw of the random test below that takes more than 30 s when pairs
+    # are selected by lcm degree alone: 3 generators in 3 variables,
+    # 5-element lex basis
+    a, b, c = (MultiPoly.variable(T3, f"xi[1][{j}]") for j in (1, 2, 3))
+    gens = [
+        a**2 * b**3 * c - 2 * a * b**3 * c**2 + 2 * b * c,
+        3 * a * b**3 * c - 2 * a * b**2 * c**2 - 2 * b**3 * c**2,
+        -a**2 * c**2 + a * b**2 - 2 * b**3,
+    ]
+    _assert_same_basis(gens, "lex")
+    order = MonomialOrder("lex")
+    assert len(buchberger(gens, order, Budget(max_steps=736))) == 5
+    with pytest.raises(BudgetError):
+        buchberger(gens, order, Budget(max_steps=735))
 
 _term = st.tuples(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),

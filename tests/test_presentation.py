@@ -6,12 +6,13 @@ presentations, quotient values from expanding c_t(U)/c_t(U') as a series
 and truncating at nonnegative powers.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
 
 from quiverqh.polycore import MultiPoly, poly_to_text, product
-from quiverqh.quiver import build_table, validate, weights
+from quiverqh.quiver import build_table, default_pmax, load_quiver, validate, weights
 from quiverqh.presentation import (
     abelian_relation,
     build_ideal,
@@ -23,10 +24,21 @@ from quiverqh.presentation import (
     nonabelian_relation,
     node_relation,
     outflow_roots,
+    spanning_ideal,
     truncated_chern_quotient,
 )
-from quiverqh.symfun import complete
-from quiverqh.groebner import buchberger, normal_form
+from quiverqh.symfun import complete, elementary
+from quiverqh.groebner import MonomialOrder, buchberger, normal_form
+
+FL12345 = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "fixtures", "fl12345.json"
+)
+# every bundled fixture but a3_frozen (dims 10, 7, 5), whose node
+# relations alone take seconds to gigabytes to expand, plus the 4-step chain
+SPAN_FIXTURES = [
+    "a2", "fl123", "fl234", "fl245", "gr24", "p2", "principal_rank1",
+    "vgit312_minus", "vgit312_plus", "fl12345",
+]
 
 
 def xi(table, nid, j):
@@ -163,3 +175,50 @@ def test_inflow_outflow_roots(quivers):
     assert all(r.is_zero() for r in inflow_roots(q, "1", table, False))
     ue = build_table(q, equivariant=True, with_t=True)
     assert all(not r.is_zero() for r in inflow_roots(q, "1", ue, True))
+
+
+def _span_fixture(quivers, name):
+    return load_quiver(FL12345) if name == "fl12345" else quivers(name)
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", SPAN_FIXTURES)
+def test_node_relations_past_the_dimension_are_redundant(quivers, name, equivariant):
+    # sum_{i=0}^{v} (-1)^i e_i(xi_k) g_(p-i) = 0 for p >= v = dim V_k, as
+    # expanded polynomials, on theta > 0 and theta < 0 nodes alike
+    q = _span_fixture(quivers, name)
+    table = build_table(q, equivariant=equivariant, with_q=True)
+    for n in q.gauge_nodes:
+        v = n.dim
+        xi = node_roots(q, table, n.id, equivariant)
+        g = [node_relation(q, n.id, p, table=table, equivariant=equivariant)
+             for p in range(v + 2)]
+        for p in (v, v + 1):
+            total = MultiPoly.zero(table)
+            for i in range(v + 1):
+                term = elementary(table, xi, i) * g[p - i]
+                total = total + (term if i % 2 == 0 else -term)
+            assert total.is_zero(), (n.id, p)
+
+
+# lex bases of fl12345 and of the equivariant fl234 and fl245 take from
+# seconds to more than five minutes, so those are compared under grevlex only
+@pytest.mark.parametrize("name,equivariant,kind", [
+    (name, eq, kind)
+    for name in SPAN_FIXTURES
+    for eq in (False, True)
+    for kind in ("grevlex", "lex")
+    if kind == "grevlex" or not (name == "fl12345" or eq and name in ("fl234", "fl245"))
+])
+def test_spanning_ideal_has_the_full_basis(quivers, name, equivariant, kind):
+    q = _span_fixture(quivers, name)
+    pmax = default_pmax(q)
+    full = build_ideal(q, pmax, equivariant=equivariant)
+    span = spanning_ideal(q, pmax, equivariant=equivariant)
+    assert span.table.names == full.table.names
+    assert (span.p_max, span.degrees) == (full.p_max, full.degrees)
+    texts = {poly_to_text(g) for g in full.generators}
+    assert {poly_to_text(g) for g in span.generators} < texts
+    order = MonomialOrder(kind)
+    assert (buchberger(span.generators, order).fingerprint
+            == buchberger(full.generators, order).fingerprint)
