@@ -171,6 +171,12 @@ class Seed:
     def b(self, i: int, j: int) -> int:
         return self.btilde[i][j]
 
+    def position(self, k: int) -> MultiPoly:
+        """Cluster variable at position k (1-based)."""
+        if not 1 <= k <= self.n:
+            raise SeedError("cluster position %d out of range 1..%d" % (k, self.n))
+        return self.cluster[k - 1]
+
     def variable_texts(self) -> tuple[str, ...]:
         return tuple(poly_to_text(p) for p in self.cluster)
 
@@ -423,7 +429,7 @@ def f_polynomial_and_g_vector(
         raise SeedError("F-polynomials need principal coefficients")
     b0 = [row[: s0.n] for row in s0.btilde[: s0.n]]
     s = mutate_path(s0, path)
-    x = s.cluster[k - 1]
+    x = s.position(k)
     g = _multidegree(s0, b0, x)
     ones = {nm: MultiPoly.const(s0.table, 1) for nm in s0.xnames}
     f = x.substitute(ones)
@@ -457,7 +463,7 @@ def separation_check(s0: Seed, path: Iterable[int], k: int) -> bool:
         raise SeedError("separation check needs principal coefficients")
     path = tuple(path)
     s = mutate_path(s0, path)
-    x = s.cluster[k - 1]
+    x = s.position(k)
     f, g = f_polynomial_and_g_vector(s0, path, k)
 
     n = s0.n

@@ -153,7 +153,7 @@ def psi_of_cluster_variable(
     """
     seed, node_order = seed_from_quiver(q)
     s = mutate_path(seed, path)
-    x = s.cluster[k - 1]
+    x = s.position(k)
 
     slot_names = s.xnames + s.cnames
     idxs = {nm: x.table.index(nm) for nm in slot_names}

@@ -21,10 +21,11 @@ from `quiver.kaehler_sign`.
 Spanning relations: write g_p for the generator at node k with insertion
 power p and v = dim V_k.  It reads g_p = sum_m c_m h_(m+p-v+1)(xi), with
 coefficients c_m (signed e_j(mu), and Q_k times signed e_j(nu)) that do
-not depend on p.  Since sum_{i=0}^{v} (-1)^i e_i(xi) h_(n-i)(xi) = 0 for
-every n >= 1 (Macdonald, Symmetric Functions and Hall Polynomials, I.2:
-H(t) E(-t) = 1 with e_i(xi) = 0 for i > v), every p >= v gives, as
-expanded polynomials,
+not depend on p; `node_relations` builds the c_m and the list of
+h_i(xi) once per node and reads every g_0..g_top off them.  Since
+sum_{i=0}^{v} (-1)^i e_i(xi) h_(n-i)(xi) = 0 for every n >= 1 (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2: H(t) E(-t) = 1 with
+e_i(xi) = 0 for i > v), every p >= v gives, as expanded polynomials,
 
     sum_{i=0}^{v} (-1)^i e_i(xi) g_(p-i) = 0,
 
@@ -45,6 +46,11 @@ Truncated Chern quotients: for root multisets U (size r) and U' (size s),
 
 when r >= s, and 0 otherwise.  This is the polynomial part of the quotient
 in descending powers of t; the remainder has t-degree below s.
+`chern_division` computes both by one long division of c_t(U) by the
+monic c_t(U') in t, on the coefficient lists e_i(U) and e_j(U'):
+delta_t is its quotient, and the two sides of the exchange relation in
+`exchange_lhs_rhs` are its remainders c_t(U) - delta_t(U, V_k) c_t(V_k)
+for U the inflow and the outflow of node k.
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ from .quiver import (
 from .symfun import (
     antisymmetrize,
     chern_from_roots,
-    complete,
-    elementary,
+    completes,
+    elementaries,
     insertion_exponents,
     positive_root_pairing,
 )
@@ -146,49 +152,49 @@ def nonabelian_relation(
     return antisymmetrize(table, blocks, exps, prefactor)
 
 
-def node_relation(
+def node_relations(
     q: Quiver,
     k: str,
-    p: int,
+    top: int,
     *,
     table: VarTable | None = None,
     equivariant: bool = True,
-) -> MultiPoly:
-    """Relation generator for gauge node k with insertion power p (see
-    module docstring for both stability signs)."""
+) -> list:
+    """Relation generators [g_0, ..., g_top] of gauge node k, g_p with
+    insertion power p (see module docstring for both stability signs)."""
     if table is None:
         table = build_table(q, equivariant=equivariant, with_q=True)
     v = q.dim(k)
-    theta = q.theta(k)
-    mu = inflow_roots(q, k, table, equivariant)
-    nu = outflow_roots(q, k, table, equivariant)
-    xi = node_roots(q, table, k, equivariant)
-    vm, vp = len(mu), len(nu)
-
-    def side(roots, count, alt_from_top: bool) -> MultiPoly:
-        out = MultiPoly.zero(table)
-        for m in range(count + 1):
-            i = m + p - v + 1
-            if i < 0:
-                continue
-            h = complete(table, xi, i)
-            if h.is_zero():
-                continue
-            e = elementary(table, roots, count - m)
-            if e.is_zero():
-                continue
-            s = (count - m) if alt_from_top else m
-            term = e * h
-            out = out + (term if s % 2 == 0 else -term)
-        return out
-
-    left = side(mu, vm, alt_from_top=True)
-    right = side(nu, vp, alt_from_top=False)
+    e_in = elementaries(table, inflow_roots(q, k, table, equivariant))
+    e_out = elementaries(table, outflow_roots(q, k, table, equivariant))
+    vm, vp = len(e_in) - 1, len(e_out) - 1
     qk = MultiPoly.variable(table, f"Q[{k}]")
     vsign = -1 if (v - 1) % 2 else 1
-    if theta > 0:
-        return left - vsign * qk * right
-    return vsign * left - qk * right
+    # g_p = sum_m c_m h_(m+p-v+1)(xi) with
+    # c_m = ls (-1)^(v- - m) e_(v- - m)(mu) + rs (-1)^m Q_k e_(v+ - m)(nu)
+    ls, rs = (1, -vsign) if q.theta(k) > 0 else (vsign, -1)
+    coeffs = []
+    for m in range(max(vm, vp) + 1):
+        c = MultiPoly.zero(table)
+        if m <= vm and e_in[vm - m]:
+            c = _signed(ls * (-1) ** (vm - m), e_in[vm - m])
+        if m <= vp and e_out[vp - m]:
+            c = c + _signed(rs * (-1) ** m, qk * e_out[vp - m])
+        coeffs.append(c)
+    h = completes(table, node_roots(q, table, k, equivariant), len(coeffs) + top - v)
+    out = []
+    for p in range(top + 1):
+        g = MultiPoly.zero(table)
+        for m, c in enumerate(coeffs):
+            i = m + p - v + 1
+            if i >= 0 and c and h[i]:
+                g = g + c * h[i]
+        out.append(g)
+    return out
+
+
+def _signed(sign: int, p: MultiPoly) -> MultiPoly:
+    return p if sign > 0 else -p
 
 
 def build_ideal(
@@ -234,10 +240,11 @@ def _node_ideal(
     degrees = []
     for n in q.gauge_nodes:
         degrees.append((n.id, 1 if n.theta > 0 else -1))
-        for p in range(top(n.dim) + 1):
-            g = node_relation(q, n.id, p, table=table, equivariant=equivariant)
-            if not g.is_zero():
-                gens.append(g)
+        gens.extend(
+            g
+            for g in node_relations(q, n.id, top(n.dim), table=table, equivariant=equivariant)
+            if not g.is_zero()
+        )
     return IdealPresentation(q, table, tuple(gens), p_max, equivariant, tuple(degrees))
 
 
@@ -255,32 +262,46 @@ def chern_poly(
     return chern_from_roots(table, node_roots(q, table, nid, equivariant))
 
 
+def chern_division(
+    table: VarTable,
+    roots_num: Sequence,
+    roots_den: Sequence,
+) -> tuple:
+    """(delta_t(U, U'), remainder): c_t(U) = delta_t(U, U') c_t(U') +
+    remainder with t-degree below |U'|, by one long division in t by the
+    monic c_t(U').  U = roots_num, U' = roots_den."""
+    # coefficients of c_t(U), descending in t; the division overwrites
+    # a[0..r-s] with the quotient and a[r-s+1..r] with the remainder
+    a = elementaries(table, roots_num)
+    b = elementaries(table, roots_den)
+    r, s = len(a) - 1, len(b) - 1
+    for p in range(r - s + 1):
+        if a[p]:
+            for j in range(1, s + 1):
+                if b[j]:
+                    a[p + j] = a[p + j] - b[j] * a[p]
+    cut = max(r - s + 1, 0)
+    return _t_poly(table, a[:cut], r - s), _t_poly(table, a[cut:], min(r, s - 1))
+
+
+def _t_poly(table: VarTable, coeffs: Sequence, top: int) -> MultiPoly:
+    """sum_i coeffs[i] t^(top - i)."""
+    it = table.index("t")
+    out = MultiPoly.zero(table)
+    for i, c in enumerate(coeffs):
+        d = top - i
+        out = out + MultiPoly(table, {e[:it] + (e[it] + d,) + e[it + 1:]: x
+                                      for e, x in c.terms.items()})
+    return out
+
+
 def truncated_chern_quotient(
     table: VarTable,
     roots_num: Sequence,
     roots_den: Sequence,
 ) -> MultiPoly:
     """delta_t(U, U'): polynomial part of c_t(U)/c_t(U') in powers of t."""
-    r, s = len(roots_num), len(roots_den)
-    if r < s:
-        return MultiPoly.zero(table)
-    t = MultiPoly.variable(table, "t")
-    out = MultiPoly.zero(table)
-    for p in range(r - s + 1):
-        inner = MultiPoly.zero(table)
-        for m in range(p + 1):
-            e = elementary(table, roots_num, m)
-            if e.is_zero():
-                continue
-            h = complete(table, roots_den, p - m)
-            if h.is_zero():
-                continue
-            inner = inner + (e * h if m % 2 == 0 else -(e * h))
-        if inner.is_zero():
-            continue
-        term = t ** (r - s - p) * inner
-        out = out + (term if p % 2 == 0 else -term)
-    return out
+    return chern_division(table, roots_num, roots_den)[0]
 
 
 def node_chern_quotient(
@@ -335,18 +356,11 @@ def exchange_lhs_rhs(
     """
     if table is None:
         table = build_table(q, equivariant=equivariant, with_q=True, with_t=True)
-    mu = inflow_roots(q, k, table, equivariant)
-    nu = outflow_roots(q, k, table, equivariant)
-    vk = node_roots(q, table, k, True)
-    c_in = chern_from_roots(table, mu)
-    c_out = chern_from_roots(table, nu)
-    c_k = chern_from_roots(table, vk)
-    d_in = truncated_chern_quotient(table, mu, vk)
-    d_out = truncated_chern_quotient(table, nu, vk)
+    vk = node_roots(q, table, k, equivariant)
+    left = chern_division(table, inflow_roots(q, k, table, equivariant), vk)[1]
+    right = chern_division(table, outflow_roots(q, k, table, equivariant), vk)[1]
     qk = MultiPoly.variable(table, f"Q[{k}]")
     sign = -kaehler_sign(q, k)
-    left = c_in - d_in * c_k
-    right = c_out - d_out * c_k
     if q.theta(k) > 0:
         return left, sign * qk * right
     return sign * left, qk * right

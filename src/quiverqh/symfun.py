@@ -2,7 +2,10 @@
 
 Elementary and complete homogeneous symmetric functions are evaluated on
 explicit lists of linear forms (Chern roots) by generating-function
-recurrences, staying exact throughout.
+recurrences, staying exact throughout.  `elementaries` and `completes`
+build the whole list e_0..e_n, respectively h_0..h_N, of one root
+multiset in one pass; callers build each list once per multiset and
+index into it.  `elementary` and `complete` are single-entry views.
 
 Antisymmetrization is over the product of symmetric groups attached to a
 block structure (one block of Chern-root variables per gauge node):
@@ -63,35 +66,41 @@ def _as_forms(table: VarTable, forms: Sequence) -> list:
     return out
 
 
+def elementaries(table: VarTable, forms: Sequence) -> list:
+    """[e_0, ..., e_n] of the given n linear forms."""
+    # coefficients of prod (1 + z f), built one form at a time
+    row = [MultiPoly.const(table, 1)]
+    for f in _as_forms(table, forms):
+        row.append(f * row[-1])
+        for j in range(len(row) - 2, 0, -1):
+            row[j] = row[j] + f * row[j - 1]
+    return row
+
+
+def completes(table: VarTable, forms: Sequence, top: int) -> list:
+    """[h_0, ..., h_top] of the given linear forms (empty for top < 0)."""
+    if top < 0:
+        return []
+    # prod 1/(1 - z f): adding a form updates h_j = h_j(prev) + f * h_{j-1}(new)
+    row = [MultiPoly.const(table, 1)] + [MultiPoly.zero(table)] * top
+    for f in _as_forms(table, forms):
+        for j in range(1, top + 1):
+            row[j] = row[j] + f * row[j - 1]
+    return row
+
+
+def _entry(row: list, i: int, table: VarTable) -> MultiPoly:
+    return row[i] if 0 <= i < len(row) else MultiPoly.zero(table)
+
+
 def elementary(table: VarTable, forms: Sequence, i: int) -> MultiPoly:
     """e_i of the given linear forms; e_0 = 1, e_i = 0 for i < 0 or i > n."""
-    n = len(forms)
-    if i < 0 or i > n:
-        return MultiPoly.zero(table)
-    fs = _as_forms(table, forms)
-    # coefficients of prod (1 + z f), built one form at a time
-    row = [MultiPoly.const(table, 1)] + [MultiPoly.zero(table)] * i
-    for f in fs:
-        for j in range(i, 0, -1):
-            row[j] = row[j] + f * row[j - 1]
-    return row[i]
+    return _entry(elementaries(table, forms), i, table)
 
 
 def complete(table: VarTable, forms: Sequence, i: int) -> MultiPoly:
     """h_i of the given linear forms; h_0 = 1, h_i = 0 for i < 0."""
-    if i < 0:
-        return MultiPoly.zero(table)
-    fs = _as_forms(table, forms)
-    if i == 0:
-        return MultiPoly.const(table, 1)
-    if not fs:
-        return MultiPoly.zero(table)
-    # prod 1/(1 - z f): adding a form updates h_j = h_j(prev) + f * h_{j-1}(new)
-    row = [MultiPoly.const(table, 1)] + [MultiPoly.zero(table)] * i
-    for f in fs:
-        for j in range(1, i + 1):
-            row[j] = row[j] + f * row[j - 1]
-    return row[i]
+    return _entry(completes(table, forms, i), i, table)
 
 
 def chern_from_roots(table: VarTable, roots: Sequence) -> MultiPoly:

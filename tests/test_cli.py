@@ -404,3 +404,20 @@ def test_embed_with_path(capsys, quivers):
     )
     assert code == EXIT_OK
     assert "zeta[0]" in out
+
+
+@pytest.mark.parametrize("command,name,rank", [
+    (("verify", "separation"), "a2", 2),
+    (("embed",), "gr24", 1),
+], ids=["separation", "embed"])
+@pytest.mark.parametrize("where", ["zero", "negative", "past-rank"])
+def test_out_of_range_position_is_one_line_input_error(
+    capsys, quivers, command, name, rank, where
+):
+    at = {"zero": 0, "negative": -1, "past-rank": rank + 1}[where]
+    code, out, err = run(
+        capsys, *command, quivers.path(name), "--path", "1", "--at", str(at)
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: cluster position {at} out of range 1..{rank}\n"

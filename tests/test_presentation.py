@@ -12,22 +12,25 @@ from fractions import Fraction
 import pytest
 
 from quiverqh.polycore import MultiPoly, poly_to_text, product
-from quiverqh.quiver import build_table, default_pmax, load_quiver, validate, weights
+from quiverqh.quiver import (
+    build_table, default_pmax, kaehler_sign, load_quiver, validate, weights,
+)
 from quiverqh.presentation import (
     abelian_relation,
     build_ideal,
+    chern_division,
     chern_poly,
     exchange_lhs_rhs,
     inflow_roots,
     node_chern_quotient,
     node_roots,
     nonabelian_relation,
-    node_relation,
+    node_relations,
     outflow_roots,
     spanning_ideal,
     truncated_chern_quotient,
 )
-from quiverqh.symfun import complete, elementary
+from quiverqh.symfun import chern_from_roots, complete, elementary
 from quiverqh.groebner import MonomialOrder, buchberger, normal_form
 
 FL12345 = os.path.join(
@@ -89,7 +92,7 @@ def test_nonabelian_matches_antisymmetrized_abelian(quivers):
     w = weights(q, table, equivariant=False)
     d = {"1": [1, 0]}
     nonab = nonabelian_relation(w, d, {"1": 4})
-    direct = node_relation(q, "1", 4, table=table, equivariant=False)
+    direct = node_relations(q, "1", 4, table=table, equivariant=False)[4]
     assert nonab == direct
 
 
@@ -132,17 +135,99 @@ def test_quotient_rank_one_series():
     assert got2 == t + a + b
 
 
-def test_quotient_defining_property(quivers):
-    # deg_t(c_t(U) - delta_t(U,U') c_t(U')) < rank U' on a nontrivial pair
-    q = quivers("fl234")
-    table = build_table(q, equivariant=False, with_t=True)
-    num = inflow_roots(q, "1", table, False)
-    den = node_roots(q, table, "1", False)
-    delta = truncated_chern_quotient(table, num, den)
-    from quiverqh.symfun import chern_from_roots
+def _product_quotient(table, num, den):
+    # the nested e.h formula of the module docstring, kept as an oracle
+    r, s = len(num), len(den)
+    t = MultiPoly.variable(table, "t")
+    out = MultiPoly.zero(table)
+    for p in range(r - s + 1):
+        for m in range(p + 1):
+            term = t ** (r - s - p) * elementary(table, num, m) * complete(table, den, p - m)
+            out = out + (term if (p + m) % 2 == 0 else -term)
+    return out
 
-    rem = chern_from_roots(table, num) - delta * chern_from_roots(table, den)
-    assert rem.degree("t") < len(den)
+
+def _span_fixture(quivers, name):
+    return load_quiver(FL12345) if name == "fl12345" else quivers(name)
+
+
+def test_quotient_defining_property(quivers):
+    # c_t(U) = delta_t(U,U') c_t(U') + rem with deg_t rem < rank U', for
+    # every inflow and outflow multiset U against its node U' = V_k
+    for name in SPAN_FIXTURES:
+        q = _span_fixture(quivers, name)
+        for eq in (False, True):
+            table = build_table(q, equivariant=eq, with_t=True)
+            for n in q.gauge_nodes:
+                den = node_roots(q, table, n.id, eq)
+                for num in (inflow_roots(q, n.id, table, eq), outflow_roots(q, n.id, table, eq)):
+                    delta, rem = chern_division(table, num, den)
+                    assert delta == truncated_chern_quotient(table, num, den)
+                    assert delta == _product_quotient(table, num, den)
+                    assert rem == (chern_from_roots(table, num)
+                                   - delta * chern_from_roots(table, den)), (name, eq, n.id)
+                    assert rem.degree("t") < len(den)
+
+
+def _product_exchange_sides(q, k, table, equivariant):
+    # both exchange sides as c_t(U) - delta_t(U, V_k) c_t(V_k), kept as an oracle
+    mu = inflow_roots(q, k, table, equivariant)
+    nu = outflow_roots(q, k, table, equivariant)
+    vk = node_roots(q, table, k, equivariant)
+    c_k = chern_from_roots(table, vk)
+    left = chern_from_roots(table, mu) - truncated_chern_quotient(table, mu, vk) * c_k
+    right = chern_from_roots(table, nu) - truncated_chern_quotient(table, nu, vk) * c_k
+    qk = MultiPoly.variable(table, f"Q[{k}]")
+    sign = -kaehler_sign(q, k)
+    if q.theta(k) > 0:
+        return left, sign * qk * right
+    return sign * left, qk * right
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", SPAN_FIXTURES)
+def test_exchange_sides_match_the_product_form(quivers, name, equivariant):
+    # theta > 0 on every fixture, theta < 0 on vgit312_minus
+    q = _span_fixture(quivers, name)
+    table = build_table(q, equivariant=equivariant, with_q=True, with_t=True)
+    for n in q.gauge_nodes:
+        assert (exchange_lhs_rhs(q, n.id, table, equivariant=equivariant)
+                == _product_exchange_sides(q, n.id, table, equivariant)), n.id
+
+
+def _per_p_relation(q, k, p, table, equivariant):
+    # one generator by the nested e.h loop of the module docstring, kept as an oracle
+    v = q.dim(k)
+    mu = inflow_roots(q, k, table, equivariant)
+    nu = outflow_roots(q, k, table, equivariant)
+    xi = node_roots(q, table, k, equivariant)
+
+    def side(roots, alt_from_top):
+        out = MultiPoly.zero(table)
+        for m in range(len(roots) + 1):
+            term = elementary(table, roots, len(roots) - m) * complete(table, xi, m + p - v + 1)
+            s = (len(roots) - m) if alt_from_top else m
+            out = out + (term if s % 2 == 0 else -term)
+        return out
+
+    left, right = side(mu, True), side(nu, False)
+    qk = MultiPoly.variable(table, f"Q[{k}]")
+    vsign = -1 if (v - 1) % 2 else 1
+    if q.theta(k) > 0:
+        return left - vsign * qk * right
+    return vsign * left - qk * right
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", SPAN_FIXTURES)
+def test_node_relations_match_the_per_p_formula(quivers, name, equivariant):
+    q = _span_fixture(quivers, name)
+    table = build_table(q, equivariant=equivariant, with_q=True)
+    pmax = default_pmax(q)
+    for n in q.gauge_nodes:
+        got = node_relations(q, n.id, pmax, table=table, equivariant=equivariant)
+        assert got == [_per_p_relation(q, n.id, p, table, equivariant)
+                       for p in range(pmax + 1)], n.id
 
 
 def test_exchange_sides_reduce_in_ideal(quivers):
@@ -177,10 +262,6 @@ def test_inflow_outflow_roots(quivers):
     assert all(not r.is_zero() for r in inflow_roots(q, "1", ue, True))
 
 
-def _span_fixture(quivers, name):
-    return load_quiver(FL12345) if name == "fl12345" else quivers(name)
-
-
 @pytest.mark.parametrize("equivariant", [False, True])
 @pytest.mark.parametrize("name", SPAN_FIXTURES)
 def test_node_relations_past_the_dimension_are_redundant(quivers, name, equivariant):
@@ -191,8 +272,7 @@ def test_node_relations_past_the_dimension_are_redundant(quivers, name, equivari
     for n in q.gauge_nodes:
         v = n.dim
         xi = node_roots(q, table, n.id, equivariant)
-        g = [node_relation(q, n.id, p, table=table, equivariant=equivariant)
-             for p in range(v + 2)]
+        g = node_relations(q, n.id, v + 1, table=table, equivariant=equivariant)
         for p in (v, v + 1):
             total = MultiPoly.zero(table)
             for i in range(v + 1):

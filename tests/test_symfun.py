@@ -12,6 +12,8 @@ from quiverqh.symfun import (
     antisymmetrize,
     chern_from_roots,
     complete,
+    completes,
+    elementaries,
     elementary,
     insertion_exponents,
     positive_root_pairing,
@@ -50,6 +52,8 @@ def test_elementary_and_complete_against_expansion(n, i):
     forms = xs(T4, X4[:n])
     assert elementary(T4, forms, i) == brute_elementary(T4, forms, i)
     assert complete(T4, forms, i) == brute_complete(T4, forms, i)
+    assert elementaries(T4, forms) == [brute_elementary(T4, forms, j) for j in range(n + 1)]
+    assert completes(T4, forms, i) == [brute_complete(T4, forms, j) for j in range(i + 1)]
 
 
 def test_out_of_range_indices_vanish():
@@ -58,6 +62,7 @@ def test_out_of_range_indices_vanish():
     assert elementary(T4, forms, 3).is_zero()
     assert complete(T4, forms, -1).is_zero()
     assert not complete(T4, forms, 3).is_zero()
+    assert completes(T4, forms, -1) == []
 
 
 def test_e_h_generating_function_inverse():
