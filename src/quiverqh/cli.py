@@ -11,7 +11,8 @@ Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
 error (bad file, malformed JSON, bad flags), 3 resource budget exceeded.
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
-N clamped to the number of pairs and to the CPU count.  Workers receive
+N clamped to the number of pairs and to the CPU count; N below 1 is an
+input error.  Workers receive
 picklable arguments and rebuild their own state, results are collected in
 submission order, so reports do not depend on scheduling.  `verify
 exchange` and `embed` check every gauge node against one Groebner basis
@@ -141,7 +142,10 @@ def _qde_chunk(args):
 
 def clamp_jobs(requested: int, items: int) -> int:
     """Worker count for `items` independent work items: at most one per
-    item and one per CPU, at least one."""
+    item and one per CPU, at least one.  A request below one is an input
+    error."""
+    if requested < 1:
+        raise ValueError(f"worker count must be >= 1, got {requested}")
     return max(1, min(requested, items, os.cpu_count() or 1))
 
 
@@ -315,14 +319,16 @@ def _cmd_verify_qde(cfg: RunConfig) -> int:
     ok = all(r["ok"] for r in rows)
     checked = sum(1 for r in rows if not r["skipped"])
     report = {"ok": ok, "box": box, "checked": checked, "rows": rows}
-    lines = [f"degree-shift difference equations: {path} (box={box})"]
-    for r in rows:
-        tag = "skip" if r["skipped"] else _flag(r["ok"])
-        lines.append(f"  d={r['d']} d'={r['dprime']}: {tag}"
-                     + (f"  [{r['notice']}]" if r["notice"] else "")
-                     + (f"  [{r['witness']}]" if r["witness"] else ""))
-    lines.append(f"result: {_flag(ok)} ({checked} checked, "
-                 f"{len(rows) - checked} outside the cone)")
+    lines = []
+    if not cfg.json_out:  # one line per pair, which a JSON report would drop
+        lines.append(f"degree-shift difference equations: {path} (box={box})")
+        for r in rows:
+            tag = "skip" if r["skipped"] else _flag(r["ok"])
+            lines.append(f"  d={r['d']} d'={r['dprime']}: {tag}"
+                         + (f"  [{r['notice']}]" if r["notice"] else "")
+                         + (f"  [{r['witness']}]" if r["witness"] else ""))
+        lines.append(f"result: {_flag(ok)} ({checked} checked, "
+                     f"{len(rows) - checked} outside the cone)")
     _emit(cfg, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -603,7 +609,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         at=getattr(ns, "at", None),
         type_a=getattr(ns, "type_a", False),
         json_out=ns.json_out,
-        jobs=max(1, getattr(ns, "jobs", 1) or 1),
+        jobs=getattr(ns, "jobs", 1),
         budget_steps=getattr(ns, "budget_steps", None),
     )
 

@@ -357,8 +357,10 @@ def cluster_variables(
     """Distinct cluster variables reachable within max_depth mutations.
 
     Breadth-first over seeds, deduplicated up to simultaneous relabeling;
-    output sorted by canonical text.
+    output sorted by canonical text.  A negative depth is a ValueError.
     """
+    if max_depth < 0:
+        raise ValueError(f"mutation depth must be >= 0, got {max_depth}")
     found: dict[str, MultiPoly] = {}
     seen = {s0.unlabeled_key()}
     frontier = [s0]

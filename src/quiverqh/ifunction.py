@@ -22,6 +22,17 @@ factors it meets and each check just counts names.  An empty numerator or
 denominator stands as the single factor 1, which takes part in the
 cancellation like any other factor.
 
+Everything that depends on one degree alone is likewise computed once per
+WeightData and kept in the ``WeightData.degrees`` memo: the pairing of
+every weight with d, the factor keys of c_d counted +1 in the numerator
+and -1 in the denominator, one normalized form per key, and the scalar of
+each side.  A box sweep checks every degree several times as d and as
+d - d', so a check only builds its two windows from the pairings of d'
+and merges c_d's counts minus c_{d-d'}'s counts.  d - d' is paired with
+every weight on its own rather than read off as <w,d> - <w,d'>: that
+difference is the pairing only for weights that pair linearly, and the
+check must judge the weights it is given, not assume that of them.
+
 The difference equation along a degree shift d' states
 
     prod_{<w,d'> > 0} prod_{m=0}^{<w,d'>-1} (w + <w,d> h - m h) * c_d
@@ -132,6 +143,33 @@ def _factor(w: WeightData, name) -> tuple:
     return f
 
 
+def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> tuple:
+    """(pairings, counts, reps, num scalar, den scalar) of c_d, computed
+    once per WeightData and degree and kept in ``w.degrees``: the pairing
+    of every weight with d, the canonical keys of c_d's factors counted +1
+    in the numerator and -1 in the denominator (padding included), one
+    normalized form per key, and the product of the scalars on each side."""
+    key = _degree_key(d)
+    entry = w.degrees.get(key)
+    if entry is None:
+        dmap = cocharacter(w.quiver, d)
+        pairings = tuple(wt.pair(dmap) for wt in w.weights)
+        num, den = _coeff_factors(pairings)
+        counts: dict = {}
+        reps: dict = {}
+        scalars = []
+        for names, sign in ((num, 1), (den, -1)):
+            scalar = 1
+            for n in names or _PAD:
+                k, s, _, unit = _factor(w, n)
+                scalar *= s
+                counts[k] = counts.get(k, 0) + sign
+                reps[k] = unit
+            scalars.append(scalar)
+        entry = w.degrees[key] = (pairings, counts, reps, *scalars)
+    return entry
+
+
 def _polys(w: WeightData, names: list) -> tuple:
     return tuple(_factor(w, n)[2] for n in (names or _PAD))
 
@@ -141,8 +179,7 @@ def ifun_coeff(w: WeightData, d: Mapping[str, Sequence[int]]) -> IfunCoeff:
     q = w.quiver
     if not in_effective_cone(q, d):
         raise ValueError("degree outside the effective cone has zero coefficient")
-    dmap = cocharacter(q, d)
-    num, den = _coeff_factors([wt.pair(dmap) for wt in w.weights])
+    num, den = _coeff_factors(_degree(w, d)[0])
     return IfunCoeff(_degree_key(d), _polys(w, num), _polys(w, den))
 
 
@@ -184,42 +221,33 @@ def qde_check(
     dm = _sub_degree(d, dprime)
     if not in_effective_cone(q, dm):
         return QdeResult(True, True, "d - d' leaves the effective cone")
-    table = w.table
-    dmap = cocharacter(q, d)
-    dmmap = cocharacter(q, dm)
-    dpmap = cocharacter(q, dprime)
-    ad = [wt.pair(dmap) for wt in w.weights]
-    am = [wt.pair(dmmap) for wt in w.weights]
-
-    lhs: list = []
-    rhs: list = []
-    for i, wt in enumerate(w.weights):
-        ap = wt.pair(dpmap)
-        if ap > 0:
-            lhs.extend((i, ad[i] - m) for m in range(ap))
-        elif ap < 0:
-            rhs.extend((i, am[i] - m) for m in range(-ap))
-    cd_num, cd_den = _coeff_factors(ad)
-    cdm_num, cdm_den = _coeff_factors(am)
-    # lhs_factors * cd = rhs_factors * cdm, cross-multiplied:
-    left = lhs + (cd_num or _PAD) + (cdm_den or _PAD)
-    right = rhs + (cdm_num or _PAD) + (cd_den or _PAD)
-
+    ad, cd, reps_d, num_d, den_d = _degree(w, d)
+    am, cdm, reps_dm, num_dm, den_dm = _degree(w, dm)
+    ap = _degree(w, dprime)[0]
+    # lhs_factors * cd = rhs_factors * cdm, cross-multiplied: the left
+    # holds lhs, c_d's numerator and c_{d-d'}'s denominator
+    counts = dict(cd)
+    for k, n in cdm.items():
+        counts[k] = counts.get(k, 0) - n
+    reps = {**reps_d, **reps_dm}
+    scalar = num_d * den_dm
+    rscalar = num_dm * den_d
     memo = w.factors
-    counts: dict = {}
-    scalar = 1
-    reps: dict = {}
-    for n in left:
-        key, s, _, unit = memo.get(n) or _factor(w, n)
-        scalar *= s
-        counts[key] = counts.get(key, 0) + 1
-        reps[key] = unit
-    rscalar = 1
-    for n in right:
-        key, s, _, unit = memo.get(n) or _factor(w, n)
-        rscalar *= s
-        counts[key] = counts.get(key, 0) - 1
-        reps[key] = unit
+    for i, a in enumerate(ap):
+        if a > 0:
+            for m in range(a):
+                n = (i, ad[i] - m)
+                key, s, _, unit = memo.get(n) or _factor(w, n)
+                scalar *= s
+                counts[key] = counts.get(key, 0) + 1
+                reps[key] = unit
+        elif a < 0:
+            for m in range(-a):
+                n = (i, am[i] - m)
+                key, s, _, unit = memo.get(n) or _factor(w, n)
+                rscalar *= s
+                counts[key] = counts.get(key, 0) - 1
+                reps[key] = unit
 
     residual = {k: n for k, n in counts.items() if n}
     if not residual:
@@ -228,6 +256,7 @@ def qde_check(
         return QdeResult(False, False, witness=f"scalar mismatch {scalar} vs {rscalar}")
     # expand whatever did not cancel and compare exactly; the scalars are
     # already in scalar/rscalar, so the residual is built from normalized forms
+    table = w.table
     lres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(n, 0))])
     rres = product(table, [reps[k] for k, n in residual.items() for _ in range(max(-n, 0))])
     diff = scalar * lres - rscalar * rres

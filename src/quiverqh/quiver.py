@@ -381,11 +381,16 @@ class WeightData:
     table: VarTable
     equivariant: bool
     weights: tuple  # tuple[Weight]
-    # canonicalised linear factors w_i + s*h, filled lazily by ifunction:
+    # memos filled lazily by ifunction; not init fields, so
+    # dataclasses.replace never carries them to other weights.
+    # canonicalised linear factors w_i + s*h:
     # (weight index, shift) -> (key, scalar, p, normalized), see
-    # ifunction._canon_factor.  Not an init field, so dataclasses.replace
-    # never carries it to other weights.
+    # ifunction._canon_factor.
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # per-degree data of c_d: degree key -> (pairing of every weight, signed
+    # factor-key counts, a normalized form per key, numerator scalar,
+    # denominator scalar), see ifunction._degree.
+    degrees: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def node_roots(q: Quiver, table: VarTable, nid: str, equivariant: bool) -> list:

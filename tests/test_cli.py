@@ -96,6 +96,20 @@ def test_negative_qde_box_is_input_error(capsys, quivers):
     assert err == "input error: degree box bound must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "qde", "p2", "--jobs", "0"], "worker count must be >= 1, got 0"),
+    (["verify", "qde", "p2", "--jobs", "-3"], "worker count must be >= 1, got -3"),
+    (["cluster", "enumerate", "a2", "--max-depth", "-1"],
+     "mutation depth must be >= 0, got -1"),
+], ids=["jobs-0", "jobs-minus-3", "max-depth-minus-1"])
+def test_out_of_range_count_is_one_line_input_error(capsys, quivers, argv, message):
+    *command, name, flag, value = argv
+    code, out, err = run(capsys, *command, quivers.path(name), flag, value)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_qde_box_over_the_pair_budget_exits_before_building(capsys, quivers):
     # a3_frozen has 22 coordinates: 3^22 * 22 pairs at the default box 2
     import time
@@ -293,12 +307,32 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
         "536ec32232f026755609a808b93a8f68ae74dac82077ce917b863201214320c8",
         id="type-a-fl234-p0-eq",
     ),
+    pytest.param(
+        ("verify", "qde", "quivers/fl234.json", "--qorder", "3"), EXIT_OK,
+        "d0ebd5bdae51a9cf05d3cf3174ae0571ded868ade741616b389fcc448e846ab2",
+        id="qde-fl234-q3",
+    ),
+    pytest.param(
+        ("verify", "qde", "quivers/fl234.json", "--qorder", "2", "--equivariant"),
+        EXIT_OK,
+        "d6729e10ae354403c4a46f32d53f824a7dd3d54f377e1c810444fc8033ba6d00",
+        id="qde-fl234-q2-eq",
+    ),
 ])
 def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha):
     monkeypatch.chdir(REPO_ROOT)
     code, _, raw = jrun(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(raw.encode()).hexdigest() == sha
+
+
+def test_qde_text_report_golden(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(capsys, "verify", "qde", "quivers/gr24.json", "--qorder", "3")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0d51eeba0ebcf8d559a42c194f6f4fc3f9a6b7280a3a4e4d382e1a099ed50211"
+    )
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -205,14 +205,37 @@ def test_corruptions_reach_both_failure_kinds(quivers):
     assert any(t and not t.startswith("scalar mismatch") for t in witnesses)
 
 
+def degree_key(d) -> tuple:
+    return tuple(sorted((nid, tuple(vec)) for nid, vec in d.items()))
+
+
 def test_factor_memo_is_small_and_outside_equality(quivers):
     q = quivers("fl234")
     w = qweights(q, False)
+    met = set()
     for d, dp in qde_box_pairs(q, 2):
-        qde_check(w, d, dp)
+        if not qde_check(w, d, dp).skipped:
+            met.update(degree_key(x) for x in (d, oracle_sub_degree(d, dp), dp))
     assert 0 < len(w.factors) < 100
-    assert dataclasses.replace(w) == w and not dataclasses.replace(w).factors
-    assert "factors" not in repr(w)
+    # two gauge nodes of dims 3 and 2: the 3^5 degrees of box 2, each met
+    # as d or d - d', and the 5 shifts d', which name one node only
+    assert len(w.degrees) == len(met) == 3 ** 5 + 5
+    copy = dataclasses.replace(w)
+    assert copy == w
+    assert not copy.factors and not copy.degrees
+    assert "factors" not in repr(w) and "degrees" not in repr(w)
+
+
+def test_corrupted_copy_of_a_swept_weight_set_starts_fresh_memos(quivers):
+    # the copy shares the quiver, table and all but the first weight with a
+    # swept original; reusing its factor or degree memo would check the
+    # original weights again and pass every pair
+    q = quivers("gr24")
+    w = qweights(q, True)
+    assert all(r.ok for r in assert_agrees(w, q, 2))
+    assert w.factors and w.degrees
+    results = assert_agrees(corrupted(w, 1, 2, 0), q, 2)
+    assert any(not r.ok for r in results)
 
 
 def test_residual_witness_counts_each_scalar_once(quivers):
