@@ -45,7 +45,7 @@ def main() -> int:
     print(f"flags: acyclic={rep.acyclic} feasible={rep.feasible} "
           f"quiver_flag={rep.quiver_flag} type_a={rep.type_a}")
 
-    ideal = build_ideal(q, pmax, equivariant=eq)
+    ideal = build_ideal(q, pmax, build_table(q, equivariant=eq, with_t=True, with_q=True))
     print(f"\n-- ideal generators ({len(ideal.generators)}) --")
     for g in ideal.generators:
         print("  ", poly_to_text(g))
@@ -61,12 +61,12 @@ def main() -> int:
 
     print("\n-- images of initial and adjacent variables --")
     for n in q.nodes:
-        img = psi_initial(q, n.id, table, equivariant=eq)
+        img = psi_initial(q, n.id, table)
         print(f"  psi(x_{n.id})  = {poly_to_text(img.num)}")
     for n in q.gauge_nodes:
         if q.theta(n.id) <= 0:
             continue
-        adj = psi_adjacent(q, n.id, table, equivariant=eq)
+        adj = psi_adjacent(q, n.id, table)
         print(f"  psi(x'_{n.id}) = ({poly_to_text(adj.num)})"
               f" / node image at {n.id}")
 

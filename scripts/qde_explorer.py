@@ -32,11 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     q = load_quiver(args.quiver)
-    w = weights(
-        q,
-        build_table(q, equivariant=args.equivariant, with_h=True),
-        equivariant=args.equivariant,
-    )
+    w = weights(q, build_table(q, equivariant=args.equivariant, with_h=True))
     rows = qde_box_sweep(w, args.box)
 
     checked = skipped = failed = 0

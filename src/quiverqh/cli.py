@@ -135,8 +135,7 @@ def _flag(ok: bool) -> str:
 
 def _qde_chunk(args):
     q, equivariant, pairs = args
-    w = weights(q, build_table(q, equivariant=equivariant, with_h=True),
-                equivariant=equivariant)
+    w = weights(q, build_table(q, equivariant=equivariant, with_h=True))
     return qde_rows(w, pairs)
 
 
@@ -192,7 +191,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
 def _cmd_present(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
     pmax = resolve_pmax(q, cfg.pmax)
-    ideal = build_ideal(q, pmax, equivariant=cfg.equivariant)
+    ideal = build_ideal(q, pmax, build_table(q, equivariant=cfg.equivariant, with_q=True))
     gens = [poly_to_text(g) for g in ideal.generators]
     report = {
         "ok": True,
@@ -214,7 +213,7 @@ def _cmd_present(cfg: RunConfig) -> int:
 def _cmd_groebner(cfg: RunConfig) -> int:
     q = load_quiver(cfg.quiver[0])
     pmax = resolve_pmax(q, cfg.pmax)
-    ideal = spanning_ideal(q, pmax, equivariant=cfg.equivariant)
+    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=cfg.equivariant, with_q=True))
     order = MonomialOrder(cfg.order or "grevlex")
     gb = buchberger(ideal.generators, order, cfg.budget())
     elems = [poly_to_text(g) for g in gb.elements]
@@ -237,7 +236,8 @@ def _cmd_verify_exchange(cfg: RunConfig) -> int:
     q = load_quiver(path)
     pmax = resolve_pmax(q, cfg.pmax)
     nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
-    ideal = spanning_ideal(q, pmax, equivariant=cfg.equivariant)
+    table = build_table(q, equivariant=cfg.equivariant, with_t=True, with_q=True)
+    ideal = spanning_ideal(q, pmax, table)
     results = verify_exchange_image(
         q, ideal, nodes, budget=cfg.budget(), classical_slice=cfg.classical
     )
@@ -275,8 +275,8 @@ def _cmd_verify_vgit(cfg: RunConfig) -> int:
     qa = load_quiver(cfg.quiver[0])
     qb = load_quiver(cfg.quiver[1])
     pmax = max(resolve_pmax(qa, cfg.pmax), resolve_pmax(qb, cfg.pmax))
-    ia = build_ideal(qa, pmax, equivariant=cfg.equivariant)
-    ib = build_ideal(qb, pmax, equivariant=cfg.equivariant)
+    ia = build_ideal(qa, pmax, build_table(qa, equivariant=cfg.equivariant, with_q=True))
+    ib = build_ideal(qb, pmax, build_table(qb, equivariant=cfg.equivariant, with_q=True))
     gens_b = [g.convert(ia.table) for g in ib.generators]
     qnames = ia.table.of_class("Q")
     cmp = ideal_equal_laurent(
@@ -421,11 +421,11 @@ def _cmd_embed(cfg: RunConfig) -> int:
 
     images = {}
     for n in q.nodes:
-        img = psi_initial(q, n.id, tz, equivariant=eq)
+        img = psi_initial(q, n.id, tz)
         images[f"x[{n.id}]"] = poly_to_text(img.num)
     for n in q.gauge_nodes:
         if n.theta > 0:
-            adj = psi_adjacent(q, n.id, tz, equivariant=eq)
+            adj = psi_adjacent(q, n.id, tz)
             images[f"x'[{n.id}]"] = (
                 "(" + poly_to_text(adj.num) + ") / "
                 + " * ".join(f"(zeta[{i}]*c_t(V_{i}))^{m}" for i, m in adj.den)
@@ -433,7 +433,7 @@ def _cmd_embed(cfg: RunConfig) -> int:
     lines.append("  images:")
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
-    ideal = spanning_ideal(q, pmax, equivariant=eq)
+    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=eq, with_t=True, with_q=True))
     nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
     checks = []
     results = verify_exchange_image(q, ideal, nodes, budget=cfg.budget())
@@ -453,7 +453,7 @@ def _cmd_embed(cfg: RunConfig) -> int:
     if cfg.path:
         steps = MutationPath.parse(cfg.path).steps
         at = cfg.at if cfg.at is not None else steps[-1]
-        img = psi_of_cluster_variable(q, steps, at, tz, equivariant=eq)
+        img = psi_of_cluster_variable(q, steps, at, tz)
         extra["cluster_image"] = {
             "path": list(steps),
             "position": at,

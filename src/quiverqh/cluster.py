@@ -168,9 +168,6 @@ class Seed:
     def m(self) -> int:
         return len(self.cnames)
 
-    def b(self, i: int, j: int) -> int:
-        return self.btilde[i][j]
-
     def position(self, k: int) -> MultiPoly:
         """Cluster variable at position k (1-based)."""
         if not 1 <= k <= self.n:

@@ -17,6 +17,12 @@ column b_(.k) is `quiver.btilde_column`, the node image zeta_i * c_t(V_i)
 is `node_image`, and every t-coefficient membership check with its
 witness goes through `_t_witness`.
 
+Equivariance is read from the table: every function here that is handed
+a variable table maps a frozen node's roots to its u variables when the
+table holds them and to zeros otherwise (`quiver.node_roots`).  Only the
+functions that start from a quiver alone and build their own tables
+(`transformation_link_check`, `verify_type_a`) take an `equivariant` flag.
+
 Images of general cluster variables are carried as PsiImage fractions: a
 polynomial numerator and a denominator recorded as a product of node
 images (zeta_i * c_t(V_i))^mult, coming from the monomial denominator of
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .polycore import MultiPoly, VarTable, poly_to_text, product
+from .polycore import MultiPoly, Variable, VarTable, poly_to_text, product
 from .quiver import (
     Quiver,
     _chain_order,
@@ -78,7 +84,6 @@ class PsiImage:
 
     quiver: Quiver
     table: VarTable
-    equivariant: bool
     num: MultiPoly
     den: tuple[tuple[str, int], ...] = ()
 
@@ -88,22 +93,17 @@ class PsiImage:
 
     def den_poly(self) -> MultiPoly:
         return product(self.table, (
-            node_image(self.quiver, nid, self.table, self.equivariant) ** m
-            for nid, m in self.den
+            node_image(self.quiver, nid, self.table) ** m for nid, m in self.den
         ))
 
 
-def node_image(q: Quiver, i: str, table: VarTable, equivariant: bool) -> MultiPoly:
+def node_image(q: Quiver, i: str, table: VarTable) -> MultiPoly:
     """zeta_i * c_t(V_i), the image of the initial variable at node i."""
-    return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(
-        q, i, table, equivariant=equivariant
-    )
+    return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(q, i, table)
 
 
-def psi_initial(
-    q: Quiver, i: str, table: VarTable, *, equivariant: bool = False
-) -> PsiImage:
-    return PsiImage(q, table, equivariant, node_image(q, i, table, equivariant))
+def psi_initial(q: Quiver, i: str, table: VarTable) -> PsiImage:
+    return PsiImage(q, table, node_image(q, i, table))
 
 
 def _zeta_column_parts(
@@ -116,25 +116,20 @@ def _zeta_column_parts(
     return MultiPoly.monomial(table, pos), MultiPoly.monomial(table, neg)
 
 
-def psi_adjacent(
-    q: Quiver, k: str, table: VarTable, *, equivariant: bool = False
-) -> PsiImage:
+def psi_adjacent(q: Quiver, k: str, table: VarTable) -> PsiImage:
     """Image of the adjacent variable of gauge node k.
 
     The zeta_k^-1 prefactor is cleared into the denominator, so the
     numerator is c_t(V_k) times the zeta-weighted quotient combination and
     the denominator is the single node image at k.
     """
-    ct_k = chern_poly(q, k, table, equivariant=equivariant)
-    dminus = truncated_chern_quotient(
-        table, inflow_roots(q, k, table, equivariant), node_roots(q, table, k, equivariant)
-    )
-    dplus = truncated_chern_quotient(
-        table, outflow_roots(q, k, table, equivariant), node_roots(q, table, k, equivariant)
-    )
+    ct_k = chern_poly(q, k, table)
+    vk = node_roots(q, table, k)
+    dminus = truncated_chern_quotient(table, inflow_roots(q, k, table), vk)
+    dplus = truncated_chern_quotient(table, outflow_roots(q, k, table), vk)
     pos, neg = _zeta_column_parts(q, k, table)
     num = ct_k * (pos * dminus + neg * dplus)
-    return PsiImage(q, table, equivariant, num, ((k, 1),))
+    return PsiImage(q, table, num, ((k, 1),))
 
 
 def psi_of_cluster_variable(
@@ -142,8 +137,6 @@ def psi_of_cluster_variable(
     path: Sequence[int],
     k: int,
     table: VarTable,
-    *,
-    equivariant: bool = False,
 ) -> PsiImage:
     """Image of the cluster variable at position k after mutating along path.
 
@@ -169,19 +162,16 @@ def psi_of_cluster_variable(
 
     mix = table.extend(x.table.var(nm) for nm in slot_names)
     bindings = {
-        nm: node_image(q, node_order[pos], mix, equivariant)
-        for pos, nm in enumerate(slot_names)
+        nm: node_image(q, node_order[pos], mix) for pos, nm in enumerate(slot_names)
     }
     num = cleared.convert(mix).substitute(bindings).convert(table)
-    return PsiImage(q, table, equivariant, num, tuple(sorted(den)))
+    return PsiImage(q, table, num, tuple(sorted(den)))
 
 
 # -- exchange-relation verification -------------------------------------------------
 
 
-def exchange_image_diff(
-    q: Quiver, k: str, table: VarTable, *, equivariant: bool = False
-) -> MultiPoly:
+def exchange_image_diff(q: Quiver, k: str, table: VarTable) -> MultiPoly:
     """Unified exchange relation at gauge node k as a single difference,
     rhs - lhs of `exchange_lhs_rhs`:
 
@@ -191,7 +181,7 @@ def exchange_image_diff(
     """
     if q.theta(k) <= 0:
         raise ValueError("unified exchange form implemented for theta > 0 only")
-    lhs, rhs = exchange_lhs_rhs(q, k, table, equivariant=equivariant)
+    lhs, rhs = exchange_lhs_rhs(q, k, table)
     return rhs - lhs
 
 
@@ -206,13 +196,13 @@ def verify_exchange_image(
     """One (ok, witness) per node: every t-coefficient of the unified
     exchange difference at the node must reduce to zero modulo the ideal,
     all nodes against one Groebner basis; Q -> 0 gives the classical
-    Whitney slice."""
-    eq = ideal.equivariant
-    table = build_table(q, equivariant=eq, with_t=True, with_q=True)
-    diffs = [exchange_image_diff(q, k, table, equivariant=eq) for k in nodes]
+    Whitney slice.  The differences are built in the ideal's table, which
+    must hold t and Q."""
+    table = ideal.table
+    diffs = [exchange_image_diff(q, k, table) for k in nodes]
     if not diffs:
         return []
-    gens = [g.convert(table) for g in ideal.generators]
+    gens = ideal.generators
     if classical_slice:
         zero_q = {
             f"Q[{n.id}]": MultiPoly.zero(table) for n in q.gauge_nodes
@@ -252,16 +242,12 @@ def transformation_link_check(
     )
     column = btilde_column(q, k)
 
-    adj = psi_adjacent(q, k, table, equivariant=equivariant)
-    prod_pos = product(
-        table, (node_image(q, i, table, equivariant) ** b for i, b in column if b > 0)
-    )
-    prod_neg = product(
-        table, (node_image(q, i, table, equivariant) ** -b for i, b in column if b < 0)
-    )
+    adj = psi_adjacent(q, k, table)
+    prod_pos = product(table, (node_image(q, i, table) ** b for i, b in column if b > 0))
+    prod_neg = product(table, (node_image(q, i, table) ** -b for i, b in column if b < 0))
     cluster_image = adj.num - prod_pos - prod_neg
 
-    diff = exchange_image_diff(q, k, table, equivariant=equivariant)
+    diff = exchange_image_diff(q, k, table)
     pos, _ = _zeta_column_parts(q, k, table)
     linked = pos * diff.substitute(zeta_substitution(q, table))
     return cluster_image == linked
@@ -283,11 +269,7 @@ class TypeAReport:
 
 
 def _substituted_ideal(
-    q: Quiver,
-    gb_q: GroebnerBasis,
-    *,
-    equivariant: bool,
-    budget: Budget | None,
+    q: Quiver, gb_q: GroebnerBasis, budget: Budget | None
 ) -> tuple[GroebnerBasis, VarTable, tuple[str, ...]]:
     """Groebner data for the ideal after Kaehler-to-zeta elimination.
 
@@ -295,12 +277,11 @@ def _substituted_ideal(
     Kaehler basis gb_q.  That is exact: Q[k] -> +-zeta-monomial is a ring
     homomorphism into the Laurent ring, so any two generating sets of the
     Kaehler ideal map to generating sets of the same extended ideal, and
-    laurent_basis reaches the same reduced basis from either.
+    laurent_basis reaches the same reduced basis from either.  Both
+    tables come from gb_q's: it gains every node's zeta, then loses Q.
     """
-    t_qz = build_table(
-        q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
-    )
-    t_z = build_table(q, equivariant=equivariant, with_t=True, with_zeta=True)
+    t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)
+    t_z = t_qz.drop(gb_q.table.of_class("Q"))
     sub = zeta_substitution(q, t_qz)
     gens = [g.convert(t_qz).substitute(sub).convert(t_z) for g in gb_q]
     znames = t_z.of_class("zeta")
@@ -340,20 +321,17 @@ def verify_type_a(
     # Kaehler-side ideal: the quotient identities, and the generators of
     # the zeta side.
     t_qt = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
-    gb_q = buchberger(
-        spanning_ideal(q, p_max, equivariant=equivariant, table=t_qt).generators,
-        budget=budget,
-    )
+    gb_q = buchberger(spanning_ideal(q, p_max, t_qt).generators, budget=budget)
 
     def delta(a: int, b: int) -> MultiPoly:
         na = chain[a] if a <= n else None
         nb = chain[b] if b <= n else None
-        return node_chern_quotient(q, na, nb, t_qt, equivariant=equivariant)
+        return node_chern_quotient(q, na, nb, t_qt)
 
     def ct(a: int) -> MultiPoly:
         if a > n:
             return MultiPoly.const(t_qt, 1)
-        return chern_poly(q, chain[a], t_qt, equivariant=equivariant)
+        return chern_poly(q, chain[a], t_qt)
 
     for k in range(1, n + 1):
         for l in range(k, n + 1):
@@ -370,14 +348,10 @@ def verify_type_a(
                 )
 
     # zeta-side closed forms.
-    gb_z, t_z, znames = _substituted_ideal(
-        q, gb_q, equivariant=equivariant, budget=budget
-    )
+    gb_z, t_z, znames = _substituted_ideal(q, gb_q, budget)
 
     def delta_z(a: int, b: int) -> MultiPoly:
-        return node_chern_quotient(
-            q, chain[a], chain[b], t_z, equivariant=equivariant
-        )
+        return node_chern_quotient(q, chain[a], chain[b], t_z)
 
     for k in range(0, n + 1):
         for l in range(k, n + 1):
@@ -393,9 +367,7 @@ def verify_type_a(
                 )
                 continue
             path = tuple(range(k + 1, l + 1))
-            img = psi_of_cluster_variable(
-                q, path, l, t_z, equivariant=equivariant
-            )
+            img = psi_of_cluster_variable(q, path, l, t_z)
             diff = img.num - rhs * img.den_poly()
             witness = _t_witness(
                 diff, lambda c: laurent_contains(gb_z, c, znames, budget), "t^%d: %s"
@@ -453,7 +425,7 @@ def injectivity_witness(q: Quiver, table: VarTable | None = None) -> list[tuple[
     out = []
     seen = set()
     for n in q.nodes:
-        img = psi_initial(q, n.id, table, equivariant=False)
+        img = psi_initial(q, n.id, table)
         lead = img.num.coeff_of({f"zeta[{n.id}]": 1, "t": n.dim})
         if lead != 1:
             raise ArithmeticError(

@@ -408,13 +408,6 @@ class MultiPoly:
             if buckets[p]
         ]
 
-    def t_coefficients(self) -> list:
-        """Slices along the t variable (the whole poly at power 0 if absent)."""
-        ts = self.table.of_class("t")
-        if not ts:
-            return [(0, self)]
-        return self.coefficients_in(ts[0]) or [(0, self)]
-
     def substitute(self, bindings: Mapping[str, "MultiPoly | Coeff"]) -> "MultiPoly":
         """Simultaneously replace variables by polynomials.
 

@@ -51,6 +51,11 @@ monic c_t(U') in t, on the coefficient lists e_i(U) and e_j(U'):
 delta_t is its quotient, and the two sides of the exchange relation in
 `exchange_lhs_rhs` are its remainders c_t(U) - delta_t(U, V_k) c_t(V_k)
 for U the inflow and the outflow of node k.
+
+Equivariance is read from the table: every function here is handed a
+variable table, and a frozen node's roots are its u variables when the
+table holds them and zeros otherwise (`quiver.node_roots`).  The mode is
+decided once, in `quiver.build_table`.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from .polycore import MultiPoly, VarTable
 from .quiver import (
     Quiver,
     WeightData,
-    build_table,
     cocharacter,
     gauge_blocks,
     kaehler_sign,
@@ -86,7 +90,6 @@ class IdealPresentation:
     table: VarTable
     generators: tuple
     p_max: int
-    equivariant: bool
     degrees: tuple  # one (node id, sign) per gauge node
 
     def __iter__(self):
@@ -156,17 +159,14 @@ def node_relations(
     q: Quiver,
     k: str,
     top: int,
-    *,
-    table: VarTable | None = None,
-    equivariant: bool = True,
+    table: VarTable,
 ) -> list:
     """Relation generators [g_0, ..., g_top] of gauge node k, g_p with
-    insertion power p (see module docstring for both stability signs)."""
-    if table is None:
-        table = build_table(q, equivariant=equivariant, with_q=True)
+    insertion power p (see module docstring for both stability signs);
+    the table must hold Q[k]."""
     v = q.dim(k)
-    e_in = elementaries(table, inflow_roots(q, k, table, equivariant))
-    e_out = elementaries(table, outflow_roots(q, k, table, equivariant))
+    e_in = elementaries(table, inflow_roots(q, k, table))
+    e_out = elementaries(table, outflow_roots(q, k, table))
     vm, vp = len(e_in) - 1, len(e_out) - 1
     qk = MultiPoly.variable(table, f"Q[{k}]")
     vsign = -1 if (v - 1) % 2 else 1
@@ -181,7 +181,7 @@ def node_relations(
         if m <= vp and e_out[vp - m]:
             c = c + _signed(rs * (-1) ** m, qk * e_out[vp - m])
         coeffs.append(c)
-    h = completes(table, node_roots(q, table, k, equivariant), len(coeffs) + top - v)
+    h = completes(table, node_roots(q, table, k), len(coeffs) + top - v)
     out = []
     for p in range(top + 1):
         g = MultiPoly.zero(table)
@@ -197,69 +197,44 @@ def _signed(sign: int, p: MultiPoly) -> MultiPoly:
     return p if sign > 0 else -p
 
 
-def build_ideal(
-    q: Quiver,
-    p_max: int,
-    *,
-    equivariant: bool = False,
-    table: VarTable | None = None,
-) -> IdealPresentation:
+def build_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     """All node relations for insertion powers 0..p_max, one list.
 
     The chosen curve degree per node is sgn(theta_k) times the first
     coordinate cocharacter; negative-stability relations are already
     normalized to polynomials in Q.
     """
-    return _node_ideal(q, p_max, lambda v: p_max, equivariant, table)
+    return _node_ideal(q, p_max, lambda v: p_max, table)
 
 
-def spanning_ideal(
-    q: Quiver,
-    p_max: int,
-    *,
-    equivariant: bool = False,
-    table: VarTable | None = None,
-) -> IdealPresentation:
+def spanning_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     """The ideal of `build_ideal`, generated by the relations with
     insertion powers 0..min(p_max, v-1) at each node of dimension v; the
     others are redundant (see the module docstring)."""
-    return _node_ideal(q, p_max, lambda v: min(p_max, v - 1), equivariant, table)
+    return _node_ideal(q, p_max, lambda v: min(p_max, v - 1), table)
 
 
 def _node_ideal(
     q: Quiver,
     p_max: int,
     top: Callable[[int], int],
-    equivariant: bool,
-    table: VarTable | None,
+    table: VarTable,
 ) -> IdealPresentation:
     """Nonzero node relations for insertion powers 0..top(v) per node."""
-    if table is None:
-        table = build_table(q, equivariant=equivariant, with_q=True)
     gens = []
     degrees = []
     for n in q.gauge_nodes:
         degrees.append((n.id, 1 if n.theta > 0 else -1))
-        gens.extend(
-            g
-            for g in node_relations(q, n.id, top(n.dim), table=table, equivariant=equivariant)
-            if not g.is_zero()
-        )
-    return IdealPresentation(q, table, tuple(gens), p_max, equivariant, tuple(degrees))
+        gens.extend(g for g in node_relations(q, n.id, top(n.dim), table) if not g.is_zero())
+    return IdealPresentation(q, table, tuple(gens), p_max, tuple(degrees))
 
 
 # -- Chern classes and truncated quotients ----------------------------------------
 
 
-def chern_poly(
-    q: Quiver,
-    nid: str,
-    table: VarTable,
-    *,
-    equivariant: bool = True,
-) -> MultiPoly:
+def chern_poly(q: Quiver, nid: str, table: VarTable) -> MultiPoly:
     """Total Chern polynomial of the tautological bundle at a node."""
-    return chern_from_roots(table, node_roots(q, table, nid, equivariant))
+    return chern_from_roots(table, node_roots(q, table, nid))
 
 
 def chern_division(
@@ -309,38 +284,30 @@ def node_chern_quotient(
     num: str | None,
     den: str | None,
     table: VarTable,
-    *,
-    equivariant: bool = True,
 ) -> MultiPoly:
     """delta_t between two node bundles; None stands for the zero bundle."""
-    rn = node_roots(q, table, num, equivariant) if num is not None else []
-    rd = node_roots(q, table, den, equivariant) if den is not None else []
+    rn = node_roots(q, table, num) if num is not None else []
+    rd = node_roots(q, table, den) if den is not None else []
     return truncated_chern_quotient(table, rn, rd)
 
 
-def inflow_roots(q: Quiver, k: str, table: VarTable, equivariant: bool) -> list:
+def inflow_roots(q: Quiver, k: str, table: VarTable) -> list:
     out = []
     for e in q.in_edges(k):
         for _ in range(e.count):
-            out.extend(node_roots(q, table, e.src, equivariant))
+            out.extend(node_roots(q, table, e.src))
     return out
 
 
-def outflow_roots(q: Quiver, k: str, table: VarTable, equivariant: bool) -> list:
+def outflow_roots(q: Quiver, k: str, table: VarTable) -> list:
     out = []
     for e in q.out_edges(k):
         for _ in range(e.count):
-            out.extend(node_roots(q, table, e.dst, equivariant))
+            out.extend(node_roots(q, table, e.dst))
     return out
 
 
-def exchange_lhs_rhs(
-    q: Quiver,
-    k: str,
-    table: VarTable | None = None,
-    *,
-    equivariant: bool = False,
-) -> tuple:
+def exchange_lhs_rhs(q: Quiver, k: str, table: VarTable) -> tuple:
     """Both sides of the quantum exchange relation at gauge node k.
 
     Positive stability:
@@ -352,13 +319,12 @@ def exchange_lhs_rhs(
       lhs = -s (c_t(inflow) - delta_t(inflow, V_k) c_t(V_k))
       rhs = Q_k (c_t(outflow) - delta_t(outflow, V_k) c_t(V_k))
 
-    with s = (-1)^(v- - v) the Kaehler sign of `quiver.kaehler_sign`.
+    with s = (-1)^(v- - v) the Kaehler sign of `quiver.kaehler_sign`;
+    the table must hold t and Q[k].
     """
-    if table is None:
-        table = build_table(q, equivariant=equivariant, with_q=True, with_t=True)
-    vk = node_roots(q, table, k, equivariant)
-    left = chern_division(table, inflow_roots(q, k, table, equivariant), vk)[1]
-    right = chern_division(table, outflow_roots(q, k, table, equivariant), vk)[1]
+    vk = node_roots(q, table, k)
+    left = chern_division(table, inflow_roots(q, k, table), vk)[1]
+    right = chern_division(table, outflow_roots(q, k, table), vk)[1]
     qk = MultiPoly.variable(table, f"Q[{k}]")
     sign = -kaehler_sign(q, k)
     if q.theta(k) > 0:

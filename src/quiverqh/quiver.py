@@ -55,10 +55,9 @@ class Quiver:
     edges: tuple
 
     def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        by_id = {n.id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
             raise QuiverFormatError("duplicate node ids")
-        known = set(ids)
         for n in self.nodes:
             if n.kind not in ("gauge", "frozen"):
                 raise QuiverFormatError(f"node {n.id!r}: unknown kind {n.kind!r}")
@@ -73,7 +72,7 @@ class Quiver:
                 raise QuiverFormatError(f"frozen node {n.id!r} must not carry theta")
         arrows = set()
         for e in self.edges:
-            if e.src not in known or e.dst not in known:
+            if e.src not in by_id or e.dst not in by_id:
                 raise QuiverFormatError(f"edge {e.src!r}->{e.dst!r}: unknown endpoint")
             if e.src == e.dst:
                 raise QuiverFormatError(f"self-loop at node {e.src!r}")
@@ -87,6 +86,9 @@ class Quiver:
         for s, d in arrows:
             if (d, s) in arrows:
                 raise QuiverFormatError(f"oriented 2-cycle between {s!r} and {d!r}")
+        # the id -> node index of `node`: a plain attribute, not a field, so
+        # it stays out of == and repr, and dataclasses.replace rebuilds it
+        object.__setattr__(self, "_by_id", by_id)
 
     # -- ordered views ----------------------------------------------------
 
@@ -101,10 +103,7 @@ class Quiver:
                             key=lambda n: _label_key(n.id)))
 
     def node(self, nid: str) -> Node:
-        for n in self.nodes:
-            if n.id == nid:
-                return n
-        raise KeyError(nid)
+        return self._by_id[nid]
 
     def dim(self, nid: str) -> int:
         return self.node(nid).dim
@@ -379,7 +378,6 @@ class Weight:
 class WeightData:
     quiver: Quiver
     table: VarTable
-    equivariant: bool
     weights: tuple  # tuple[Weight]
     # memos filled lazily by ifunction; not init fields, so
     # dataclasses.replace never carries them to other weights.
@@ -393,13 +391,14 @@ class WeightData:
     degrees: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def node_roots(q: Quiver, table: VarTable, nid: str, equivariant: bool) -> list:
-    """Chern roots of one node as degree-one polynomials (zeros when a
-    frozen node is treated non-equivariantly)."""
+def node_roots(q: Quiver, table: VarTable, nid: str) -> list:
+    """Chern roots of one node as degree-one polynomials.  A frozen node's
+    roots are its u variables when the table holds them (an equivariant
+    table, see `build_table`) and zeros otherwise."""
     n = q.node(nid)
     if n.kind == "gauge":
         return [MultiPoly.variable(table, f"xi[{nid}][{j}]") for j in range(1, n.dim + 1)]
-    if equivariant:
+    if f"u[{nid}][1]" in table:
         return [MultiPoly.variable(table, f"u[{nid}][{j}]") for j in range(1, n.dim + 1)]
     return [MultiPoly.zero(table) for _ in range(n.dim)]
 
@@ -407,14 +406,18 @@ def node_roots(q: Quiver, table: VarTable, nid: str, equivariant: bool) -> list:
 def build_table(
     q: Quiver,
     *,
-    equivariant: bool = True,
+    equivariant: bool,
     with_t: bool = False,
     with_h: bool = False,
     with_q: bool = False,
     with_qtilde: bool = False,
     with_zeta: bool = False,
 ) -> VarTable:
-    """Variable table for a quiver context; include only what is needed."""
+    """Variable table for a quiver context; include only what is needed.
+
+    This is where equivariance is decided: an equivariant table holds the
+    frozen nodes' u variables, and every function handed the table reads
+    the mode from it."""
     vs: list[Variable] = []
     for n in q.gauge_nodes:
         vs.extend(Variable.xi(n.id, j) for j in range(1, n.dim + 1))
@@ -434,19 +437,17 @@ def build_table(
     return VarTable(vs)
 
 
-def weights(q: Quiver, table: VarTable | None = None, *, equivariant: bool = True) -> WeightData:
+def weights(q: Quiver, table: VarTable) -> WeightData:
     """Torus weights of the arrow-map space, one per edge and index pair.
 
     Each weight is target root minus source root; frozen roots become u
-    variables (or zero non-equivariantly).  The gauge part records xi
-    coefficients for cocharacter pairings.
+    variables when the table holds them (else zero, see `node_roots`).
+    The gauge part records xi coefficients for cocharacter pairings.
     """
-    if table is None:
-        table = build_table(q, equivariant=equivariant)
     ws: list[Weight] = []
     for e in q.edges:
-        src_roots = node_roots(q, table, e.src, equivariant)
-        dst_roots = node_roots(q, table, e.dst, equivariant)
+        src_roots = node_roots(q, table, e.src)
+        dst_roots = node_roots(q, table, e.dst)
         for _ in range(e.count):
             for a, ra in enumerate(src_roots, start=1):
                 for b, rb in enumerate(dst_roots, start=1):
@@ -457,7 +458,7 @@ def weights(q: Quiver, table: VarTable | None = None, *, equivariant: bool = Tru
                     if q.node(e.src).kind == "gauge":
                         gauge_part.append((f"xi[{e.src}][{a}]", -1))
                     ws.append(Weight(form, tuple(gauge_part)))
-    return WeightData(q, table, equivariant, tuple(ws))
+    return WeightData(q, table, tuple(ws))
 
 
 def gauge_blocks(q: Quiver, table: VarTable) -> BlockStructure:

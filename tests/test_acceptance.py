@@ -83,7 +83,7 @@ def test_ac02_bialternant_identity():
 def test_ac03_grassmannian_relation(quivers):
     t0 = time.perf_counter()
     q = quivers("gr24")
-    ideal = build_ideal(q, 3, equivariant=False)
+    ideal = build_ideal(q, 3, build_table(q, equivariant=False, with_q=True))
     table = ideal.generators[0].table
     gb = buchberger(list(ideal.generators))
     xi = [MultiPoly.variable(table, f"xi[1][{j}]") for j in (1, 2)]
@@ -96,12 +96,12 @@ def test_ac04_exchange_relation_membership(quivers):
     t0 = time.perf_counter()
     q = quivers("fl234")
     table = build_table(q, equivariant=False, with_t=True, with_q=True)
-    ideal = build_ideal(q, 5, equivariant=False)
+    ideal = build_ideal(q, 5, build_table(q, equivariant=False, with_q=True))
     gens = [g.convert(table) for g in ideal.generators]
     gb = buchberger(gens)
     checked = 0
     for k in ("1", "2"):
-        lhs, rhs = exchange_lhs_rhs(q, k, table, equivariant=False)
+        lhs, rhs = exchange_lhs_rhs(q, k, table)
         for power, coeff in (lhs - rhs).coefficients_in("t"):
             assert normal_form(coeff, gb).is_zero(), (k, power)
             checked += 1
@@ -184,8 +184,7 @@ def test_ac08_qde_sweeps(quivers):
     total = 0
     for name in ("p2", "gr24"):
         q = quivers(name)
-        w = weights(q, build_table(q, equivariant=False, with_h=True),
-                    equivariant=False)
+        w = weights(q, build_table(q, equivariant=False, with_h=True))
         rows = qde_box_sweep(w, 3)
         bad = [r for r in rows if not r["ok"]]
         assert not bad, bad[:3]
@@ -198,8 +197,8 @@ def test_ac09_vgit_ideals_agree(quivers):
     t0 = time.perf_counter()
     qa = quivers("vgit312_plus")
     qb = quivers("vgit312_minus")
-    ia = build_ideal(qa, 3, equivariant=False)
-    ib = build_ideal(qb, 3, equivariant=False)
+    ia = build_ideal(qa, 3, build_table(qa, equivariant=False, with_q=True))
+    ib = build_ideal(qb, 3, build_table(qb, equivariant=False, with_q=True))
     table = ia.generators[0].table
     gens_b = [g.convert(table) for g in ib.generators]
     qnames = table.of_class("Q")

@@ -14,7 +14,7 @@ import pytest
 
 from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, clamp_jobs, main
 from quiverqh.presentation import build_ideal
-from quiverqh.quiver import default_pmax
+from quiverqh.quiver import build_table, default_pmax
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -280,7 +280,7 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
 
     q = quivers("fl245")
     calls = count_calls(monkeypatch, quiverqh.quiver.weights)
-    build_ideal(q, default_pmax(q), equivariant=True)
+    build_ideal(q, default_pmax(q), build_table(q, equivariant=True, with_q=True))
     assert len(calls) == 0
 
 

@@ -10,7 +10,8 @@ Hand-derived goldens:
 
 import pytest
 
-from quiverqh.polycore import MultiPoly, poly_to_text
+import quiverqh.embed
+from quiverqh.polycore import MultiPoly, poly_to_text, product
 from quiverqh.quiver import build_table, resolve_pmax
 from quiverqh.presentation import build_ideal, chern_poly
 from quiverqh.groebner import buchberger, laurent_basis, laurent_contains
@@ -58,10 +59,18 @@ def test_psi_initial_shape(quivers):
         img = psi_initial(q, nid, table)
         assert img.den == ()
         assert img.num.coeff_of({f"zeta[{nid}]": 1, "t": dim}) == 1
-        expect = MultiPoly.variable(table, f"zeta[{nid}]") * chern_poly(
-            q, nid, table, equivariant=False
-        )
+        expect = MultiPoly.variable(table, f"zeta[{nid}]") * chern_poly(q, nid, table)
         assert img.num == expect
+
+
+def test_psi_initial_reads_equivariance_from_the_table(quivers):
+    q = quivers("gr24")
+    table = build_table(q, equivariant=True, with_t=True, with_zeta=True)
+    t = MultiPoly.variable(table, "t")
+    expect = MultiPoly.variable(table, "zeta[0]") * product(
+        table, (t + MultiPoly.variable(table, f"u[0][{j}]") for j in range(1, 5))
+    )
+    assert psi_initial(q, "0", table).num == expect
 
 
 def test_path_image_golden(quivers):
@@ -77,7 +86,7 @@ def test_path_image_golden(quivers):
 
 def kaehler_basis(q, p_max, equivariant):
     table = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
-    return buchberger(build_ideal(q, p_max, equivariant=equivariant, table=table).generators)
+    return buchberger(build_ideal(q, p_max, table=table).generators)
 
 
 def test_single_step_path_matches_adjacent_mod_ideal(quivers):
@@ -85,7 +94,7 @@ def test_single_step_path_matches_adjacent_mod_ideal(quivers):
     # different polynomials but agree as fractions modulo the relations
     q = quivers("gr24")
     gb_q = kaehler_basis(q, 3, False)
-    gb, t_z, znames = _substituted_ideal(q, gb_q, equivariant=False, budget=None)
+    gb, t_z, znames = _substituted_ideal(q, gb_q, budget=None)
     path_img = psi_of_cluster_variable(q, (1,), 1, t_z)
     adj_img = psi_adjacent(q, "1", t_z)
     assert path_img.den == adj_img.den
@@ -107,7 +116,7 @@ def test_psi_image_rejects_negative_multiplicity(quivers):
     q = quivers("gr24")
     table = ztable(q)
     with pytest.raises(ValueError):
-        PsiImage(q, table, False, MultiPoly.const(table, 1), (("1", -1),))
+        PsiImage(q, table, MultiPoly.const(table, 1), (("1", -1),))
 
 
 def test_exchange_image_diff_requires_positive_stability(quivers):
@@ -119,20 +128,20 @@ def test_exchange_image_diff_requires_positive_stability(quivers):
 
 def test_verify_exchange_image_one_node(quivers):
     q = quivers("gr24")
-    ideal = build_ideal(q, 3, equivariant=False)
+    ideal = build_ideal(q, 3, build_table(q, equivariant=False, with_t=True, with_q=True))
     assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
     assert verify_exchange_image(q, ideal, ["1"], classical_slice=True) == [(True, None)]
 
 
 def test_verify_exchange_image_equivariant(quivers):
     q = quivers("gr24")
-    ideal = build_ideal(q, 3, equivariant=True)
+    ideal = build_ideal(q, 3, build_table(q, equivariant=True, with_t=True, with_q=True))
     assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_one_row_per_node(quivers):
     q = quivers("fl234")
-    ideal = build_ideal(q, 5, equivariant=False)
+    ideal = build_ideal(q, 5, build_table(q, equivariant=False, with_t=True, with_q=True))
     assert verify_exchange_image(q, ideal, ["2", "1", "2"]) == [(True, None)] * 3
     assert verify_exchange_image(q, ideal, []) == []
 
@@ -140,7 +149,7 @@ def test_verify_exchange_image_one_row_per_node(quivers):
 def test_verify_exchange_image_witness(quivers):
     # p_max = 0 truncates the ideal below the exchange relation's degree
     q = quivers("gr24")
-    ideal = build_ideal(q, 0, equivariant=False)
+    ideal = build_ideal(q, 0, build_table(q, equivariant=False, with_t=True, with_q=True))
     [(ok, witness)] = verify_exchange_image(q, ideal, ["1"])
     assert not ok
     assert witness.startswith("t^")
@@ -184,7 +193,7 @@ def raw_generator_laurent_basis(q, p_max, equivariant):
     )
     t_z = build_table(q, equivariant=equivariant, with_t=True, with_zeta=True)
     sub = zeta_substitution(q, t_qz)
-    ideal = build_ideal(q, p_max, equivariant=equivariant, table=t_qz)
+    ideal = build_ideal(q, p_max, table=t_qz)
     gens = [g.substitute(sub).convert(t_z) for g in ideal.generators]
     return laurent_basis(gens, t_z.of_class("zeta"))
 
@@ -198,11 +207,24 @@ FL245_EQ_FINGERPRINTS = (
 
 @pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
 @pytest.mark.parametrize("name", ["fl234", "fl245"])
-def test_zeta_basis_from_kaehler_basis_matches_raw_generators(quivers, name, equivariant):
+def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
+    monkeypatch, quivers, name, equivariant
+):
     q = quivers(name)
     p_max = resolve_pmax(q, None)
     gb_q = kaehler_basis(q, p_max, equivariant)
-    gb_z = _substituted_ideal(q, gb_q, equivariant=equivariant, budget=None)[0]
+    seen = []
+
+    def recording(q, table):
+        seen.append(table)
+        return zeta_substitution(q, table)
+
+    monkeypatch.setattr(quiverqh.embed, "zeta_substitution", recording)
+    gb_z, t_z, _ = _substituted_ideal(q, gb_q, budget=None)
+    # both tables come from gb_q's and hold what build_table would give
+    kw = dict(equivariant=equivariant, with_t=True, with_zeta=True)
+    assert [t.names for t in seen] == [build_table(q, with_q=True, **kw).names]
+    assert t_z.names == build_table(q, **kw).names
     want = raw_generator_laurent_basis(q, p_max, equivariant)
     assert gb_z.fingerprint == want.fingerprint
     assert [poly_to_text(g) for g in gb_z] == [poly_to_text(g) for g in want]

@@ -28,6 +28,7 @@ from quiverqh.groebner import (
 )
 from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for
 from quiverqh.presentation import build_ideal
+from quiverqh.quiver import build_table
 
 T = VarTable([Variable.xi("1", 1), Variable.xi("1", 2), Variable.q("1")])
 X = MultiPoly.variable(T, "xi[1][1]")
@@ -290,7 +291,9 @@ def test_normal_form_rejects_negative_exponents():
 def test_reduction_step_count_is_pinned(quivers, name, pmax, equivariant, kind, steps):
     # exact step counts of the Gebauer-Moeller engine with sugar selection
     # and shortest-tail reducers, on the full generator lists
-    gens = build_ideal(quivers(name), pmax, equivariant=equivariant).generators
+    gens = build_ideal(
+        quivers(name), pmax, build_table(quivers(name), equivariant=equivariant, with_q=True)
+    ).generators
     order = MonomialOrder(kind)
     buchberger(gens, order, Budget(max_steps=steps))
     with pytest.raises(BudgetError):

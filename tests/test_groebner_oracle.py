@@ -21,6 +21,7 @@ from quiverqh.groebner import (  # noqa: E402
 )
 from quiverqh.polycore import MultiPoly, VarTable, Variable  # noqa: E402
 from quiverqh.presentation import build_ideal  # noqa: E402
+from quiverqh.quiver import build_table  # noqa: E402
 
 
 def _to_sympy(p, gens):
@@ -59,7 +60,9 @@ def _assert_same_basis(generators, kind):
     ("fl234", 4, False, "grevlex"),
 ])
 def test_fixture_bases_match_sympy(quivers, name, pmax, equivariant, kind):
-    ideal = build_ideal(quivers(name), pmax, equivariant=equivariant)
+    ideal = build_ideal(
+        quivers(name), pmax, build_table(quivers(name), equivariant=equivariant, with_q=True)
+    )
     _assert_same_basis(list(ideal.generators), kind)
 
 

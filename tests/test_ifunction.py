@@ -27,8 +27,7 @@ from quiverqh.ifunction import (
 
 
 def qweights(q, equivariant=False):
-    return weights(q, build_table(q, equivariant=equivariant, with_h=True),
-                   equivariant=equivariant)
+    return weights(q, build_table(q, equivariant=equivariant, with_h=True))
 
 
 def projective(m: int) -> Quiver:

@@ -83,7 +83,7 @@ def test_substitute_is_ring_map(a, b):
 def test_t_slices_rebuild(a):
     t = MultiPoly.variable(T, "t")
     total = MultiPoly.zero(T)
-    for power, coeff in a.t_coefficients():
+    for power, coeff in a.coefficients_in("t"):
         assert coeff.degree("t") <= 0
         total = total + coeff * t ** power
     assert total == a

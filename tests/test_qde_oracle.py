@@ -134,8 +134,7 @@ FIXTURES = sorted(
 
 
 def qweights(q, equivariant):
-    return weights(q, build_table(q, equivariant=equivariant, with_h=True),
-                   equivariant=equivariant)
+    return weights(q, build_table(q, equivariant=equivariant, with_h=True))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Quiver file format, validation flags, exchange matrices and weights."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from quiverqh.polycore import MultiPoly
 from quiverqh.quiver import (
     Edge,
     Node,
@@ -15,6 +18,7 @@ from quiverqh.quiver import (
     exchange_matrices,
     in_effective_cone,
     load_quiver,
+    node_roots,
     quiver_from_dict,
     quiver_to_dict,
     validate,
@@ -137,10 +141,32 @@ def test_build_table_layout(quivers):
     assert t2.of_class("u") == ()
 
 
+def test_node_roots_of_a_frozen_node_follow_the_table(quivers):
+    q = quivers("gr24")
+    eq = build_table(q, equivariant=True, with_t=True)
+    u = [MultiPoly.variable(eq, f"u[0][{j}]") for j in range(1, 5)]
+    assert node_roots(q, eq, "0") == u
+    plain = build_table(q, equivariant=False, with_t=True)
+    assert node_roots(q, plain, "0") == [MultiPoly.zero(plain)] * 4
+
+
+def test_node_index_stays_out_of_equality_and_follows_replace(quivers):
+    q = quivers("fl234")
+    assert q.node("1").dim == 3
+    with pytest.raises(KeyError):
+        q.node("9")
+    assert "_by_id" not in repr(q)
+    assert quiver_from_dict(quiver_to_dict(q)) == q
+    wider = dataclasses.replace(q, nodes=tuple(
+        Node(n.id, n.kind, 5, n.theta) if n.id == "1" else n for n in q.nodes
+    ))
+    assert (wider.node("1").dim, q.node("1").dim) == (5, 3)
+    assert pickle.loads(pickle.dumps(wider)).node("1").dim == 5
+
+
 def test_weights_count_and_pairing(quivers):
     q = quivers("fl234")
-    w = weights(q, build_table(q, equivariant=False, with_h=True),
-                equivariant=False)
+    w = weights(q, build_table(q, equivariant=False, with_h=True))
     # 4*3 maps into node 1, 3*2 maps from node 1 to node 2
     assert len(w.weights) == 18
     d = cocharacter(q, {"1": [1, 0, 0]})
