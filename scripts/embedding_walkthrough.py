@@ -74,7 +74,7 @@ def main() -> int:
     failures = 0
     nodes = [n.id for n in q.gauge_nodes if q.theta(n.id) > 0]
     for k, (ok, witness) in zip(nodes, verify_exchange_image(q, ideal, nodes)):
-        link = transformation_link_check(q, k, equivariant=eq)
+        link = transformation_link_check(q, k, table)
         print(f"  node {k}: membership={'ok' if ok else 'FAIL'} "
               f"link={'ok' if link else 'FAIL'}"
               + (f"  [{witness}]" if witness else ""))
@@ -82,7 +82,7 @@ def main() -> int:
 
     if rep.type_a:
         print("\n-- type-A closed forms --")
-        ta = verify_type_a(q, equivariant=eq, p_max=pmax)
+        ta = verify_type_a(q, ideal.table, p_max=pmax)
         for row in ta.rows:
             mark = "ok" if row["ok"] else "FAIL"
             print(f"  {row['kind']:<17} k={row['k']} l={row['l']}: {mark}")

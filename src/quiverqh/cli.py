@@ -7,8 +7,15 @@ no wall-clock times, no unseeded randomness (none of the operations here
 use randomness at all).  JSON reports carry a schema version so CI
 consumers can pin the layout; text reports are for humans.
 
+Each subcommand reads its flags from the parsed `argparse.Namespace`
+and passes them on in one step; the modes among them (`--equivariant`,
+`--classical`) become a variable table (`quiver.build_table`), which is
+what the library reads them from.  The `config` object of a JSON report
+echoes the flags by one rule (`_config`).
+
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
-error (bad file, malformed JSON, bad flags), 3 resource budget exceeded.
+error (bad file, malformed JSON, bad flags, nothing to check), 3 resource
+budget exceeded.
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -16,7 +23,7 @@ input error.  Workers receive
 picklable arguments and rebuild their own state, results are collected in
 submission order, so reports do not depend on scheduling.  `verify
 exchange` and `embed` check every gauge node against one Groebner basis
-in this process.
+in this process; `embed --type-a` adds the bases of the type-A suite.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .polycore import LaurentViolationError, poly_to_text
 from .quiver import (
@@ -75,51 +81,32 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flags for one invocation; echoed verbatim into the report."""
-
-    command: str
-    quiver: tuple[str, ...]
-    pmax: int | None = None
-    max_depth: int | None = None
-    qorder: int | None = None
-    order: str | None = None
-    equivariant: bool = False
-    classical: bool = False
-    node: tuple[str, ...] = ()
-    path: str | None = None
-    at: int | None = None
-    type_a: bool = False
-    json_out: bool = False
-    jobs: int = 1
-    budget_steps: int | None = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"command": self.command, "quiver": list(self.quiver)}
-        for key in (
-            "pmax", "max_depth", "qorder", "order", "equivariant", "classical",
-            "path", "at", "type_a", "jobs", "budget_steps",
-        ):
-            val = getattr(self, key)
-            if val is not None and val is not False:
-                out[key] = val
-        if self.node:
-            out["node"] = list(self.node)
-        return out
-
-    def budget(self) -> Budget:
-        if self.budget_steps is None:
-            return Budget()
-        return Budget(max_steps=self.budget_steps)
+# -- flags and report emission ------------------------------------------------------
 
 
-# -- report emission ----------------------------------------------------------------
+def _budget(ns: argparse.Namespace) -> Budget:
+    """The reduction-step budget of --budget-steps, the default one without it."""
+    if ns.budget_steps is None:
+        return Budget()
+    return Budget(max_steps=ns.budget_steps)
 
 
-def _emit(cfg: RunConfig, report: dict, text_lines: list) -> None:
-    if cfg.json_out:
-        report = {"schema": SCHEMA, "config": cfg.as_dict(), **report}
+def _config(ns: argparse.Namespace) -> dict:
+    """The `config` object of a JSON report: every parsed flag but --json
+    whose value is not None, False or [] (0 and "" are echoed), the quiver
+    path(s) as a list, and jobs 1 on a command without --jobs."""
+    out = {"jobs": 1}
+    for key, val in vars(ns).items():
+        if key != "json_out" and val is not None and val is not False and val != []:
+            out[key] = val
+    if isinstance(ns.quiver, str):
+        out["quiver"] = [ns.quiver]
+    return out
+
+
+def _emit(ns: argparse.Namespace, report: dict, text_lines: list) -> None:
+    if ns.json_out:
+        report = {"schema": SCHEMA, "config": _config(ns), **report}
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -165,8 +152,8 @@ def _map(fn, items: list, jobs: int) -> list:
 # -- subcommands ---------------------------------------------------------------------
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
+def _cmd_validate(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
     rep = validate(q)
     ok = rep.acyclic and rep.feasible
     report = {
@@ -176,7 +163,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         "quiver": quiver_to_dict(q),
     }
     lines = [
-        f"validate {cfg.quiver[0]}",
+        f"validate {ns.quiver}",
         f"  acyclic:      {_flag(rep.acyclic)}",
         f"  feasible:     {_flag(rep.feasible)}",
         f"  quiver-flag:  {'yes' if rep.quiver_flag else 'no'}",
@@ -184,38 +171,38 @@ def _cmd_validate(cfg: RunConfig) -> int:
     ]
     lines += [f"  note: {n}" for n in rep.notes]
     lines.append(f"result: {_flag(ok)}")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_present(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
-    pmax = resolve_pmax(q, cfg.pmax)
-    ideal = build_ideal(q, pmax, build_table(q, equivariant=cfg.equivariant, with_q=True))
+def _cmd_present(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
+    pmax = resolve_pmax(q, ns.pmax)
+    ideal = build_ideal(q, pmax, build_table(q, equivariant=ns.equivariant, with_q=True))
     gens = [poly_to_text(g) for g in ideal.generators]
     report = {
         "ok": True,
         "p_max": pmax,
-        "equivariant": cfg.equivariant,
+        "equivariant": ns.equivariant,
         "generators": gens,
         "degree_choices": [[nid, s] for nid, s in ideal.degrees],
     }
-    lines = [f"presentation of {cfg.quiver[0]} (p_max={pmax}, "
-             f"{'equivariant' if cfg.equivariant else 'non-equivariant'})"]
+    lines = [f"presentation of {ns.quiver} (p_max={pmax}, "
+             f"{'equivariant' if ns.equivariant else 'non-equivariant'})"]
     lines += [f"  degree choice at node {nid}: {s:+d} * first coordinate"
               for nid, s in ideal.degrees]
     lines += [f"  {g}" for g in gens]
     lines.append(f"{len(gens)} generators")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK
 
 
-def _cmd_groebner(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
-    pmax = resolve_pmax(q, cfg.pmax)
-    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=cfg.equivariant, with_q=True))
-    order = MonomialOrder(cfg.order or "grevlex")
-    gb = buchberger(ideal.generators, order, cfg.budget())
+def _cmd_groebner(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
+    pmax = resolve_pmax(q, ns.pmax)
+    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=ns.equivariant, with_q=True))
+    order = MonomialOrder(ns.order)
+    gb = buchberger(ideal.generators, order, _budget(ns))
     elems = [poly_to_text(g) for g in gb.elements]
     report = {
         "ok": True,
@@ -224,22 +211,30 @@ def _cmd_groebner(cfg: RunConfig) -> int:
         "basis": elems,
         "fingerprint": gb.fingerprint,
     }
-    lines = [f"reduced basis of {cfg.quiver[0]} (p_max={pmax}, order={order.kind})"]
+    lines = [f"reduced basis of {ns.quiver} (p_max={pmax}, order={order.kind})"]
     lines += [f"  {g}" for g in elems]
     lines.append(f"{len(elems)} elements, fingerprint {gb.fingerprint}")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK
 
 
-def _cmd_verify_exchange(cfg: RunConfig) -> int:
-    path = cfg.quiver[0]
+def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
+    path = ns.quiver
     q = load_quiver(path)
-    pmax = resolve_pmax(q, cfg.pmax)
-    nodes = list(cfg.node) or [n.id for n in q.gauge_nodes if n.theta > 0]
-    table = build_table(q, equivariant=cfg.equivariant, with_t=True, with_q=True)
-    ideal = spanning_ideal(q, pmax, table)
+    pmax = resolve_pmax(q, ns.pmax)
+    ids = {n.id for n in q.nodes}
+    for k in ns.node:
+        if k not in ids:
+            raise ValueError(f"unknown node {k!r}")
+    nodes = ns.node or [n.id for n in q.gauge_nodes if n.theta > 0]
+    if not nodes:  # a run that checks nothing must not report a pass
+        raise ValueError("no gauge node with theta > 0 to check")
+    # the classical slice Q -> 0 is the ideal in a table without Q
+    table = build_table(
+        q, equivariant=ns.equivariant, with_t=True, with_q=not ns.classical
+    )
     results = verify_exchange_image(
-        q, ideal, nodes, budget=cfg.budget(), classical_slice=cfg.classical
+        q, spanning_ideal(q, pmax, table), nodes, budget=_budget(ns)
     )
     rows = [
         {"node": k, "ok": ok, "witness": wit}
@@ -252,35 +247,35 @@ def _cmd_verify_exchange(cfg: RunConfig) -> int:
         lines.append(f"  node {r['node']}: {_flag(r['ok'])}"
                      + (f"  [{r['witness']}]" if r["witness"] else ""))
     lines.append(f"result: {_flag(ok)}")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_verify_type_a(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
-    rep = verify_type_a(
-        q, equivariant=cfg.equivariant, p_max=cfg.pmax, budget=cfg.budget()
-    )
+def _cmd_verify_type_a(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
+    table = build_table(q, equivariant=ns.equivariant, with_t=True, with_q=True)
+    rep = verify_type_a(q, table, p_max=ns.pmax, budget=_budget(ns))
     report = {"ok": rep.ok, "rows": rep.rows}
-    lines = [f"type-A closed forms and quotient identities: {cfg.quiver[0]}"]
+    lines = [f"type-A closed forms and quotient identities: {ns.quiver}"]
     for r in rep.rows:
         lines.append(f"  {r['kind']} k={r['k']} l={r['l']}: {_flag(r['ok'])}"
                      + (f"  [{r['witness']}]" if r["witness"] else ""))
     lines.append(f"result: {_flag(rep.ok)}")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
-def _cmd_verify_vgit(cfg: RunConfig) -> int:
-    qa = load_quiver(cfg.quiver[0])
-    qb = load_quiver(cfg.quiver[1])
-    pmax = max(resolve_pmax(qa, cfg.pmax), resolve_pmax(qb, cfg.pmax))
-    ia = build_ideal(qa, pmax, build_table(qa, equivariant=cfg.equivariant, with_q=True))
-    ib = build_ideal(qb, pmax, build_table(qb, equivariant=cfg.equivariant, with_q=True))
+def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
+    first, second = ns.quiver
+    qa = load_quiver(first)
+    qb = load_quiver(second)
+    pmax = max(resolve_pmax(qa, ns.pmax), resolve_pmax(qb, ns.pmax))
+    ia = build_ideal(qa, pmax, build_table(qa, equivariant=ns.equivariant, with_q=True))
+    ib = build_ideal(qb, pmax, build_table(qb, equivariant=ns.equivariant, with_q=True))
     gens_b = [g.convert(ia.table) for g in ib.generators]
     qnames = ia.table.of_class("Q")
     cmp = ideal_equal_laurent(
-        list(ia.generators), gens_b, qnames, budget=cfg.budget()
+        list(ia.generators), gens_b, qnames, budget=_budget(ns)
     )
     report = {
         "ok": cmp.equal,
@@ -290,13 +285,13 @@ def _cmd_verify_vgit(cfg: RunConfig) -> int:
         "missing_from_second": list(cmp.missing_from_second),
     }
     lines = [f"ideal comparison over inverted Kaehler variables "
-             f"(p_max={pmax}): {cfg.quiver[0]} vs {cfg.quiver[1]}"]
+             f"(p_max={pmax}): {first} vs {second}"]
     for g in cmp.missing_from_first:
         lines.append(f"  only in second: {g}")
     for g in cmp.missing_from_second:
         lines.append(f"  only in first: {g}")
     lines.append(f"result: {_flag(cmp.equal)}")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if cmp.equal else EXIT_FAIL
 
 
@@ -311,16 +306,16 @@ def _qde_box_rows(q, equivariant: bool, box: int, jobs: int) -> list:
     return [r for out in _map(_qde_chunk, chunks, jobs) for r in out]
 
 
-def _cmd_verify_qde(cfg: RunConfig) -> int:
-    path = cfg.quiver[0]
+def _cmd_verify_qde(ns: argparse.Namespace) -> int:
+    path = ns.quiver
     q = load_quiver(path)
-    box = cfg.qorder if cfg.qorder is not None else 2
-    rows = _qde_box_rows(q, cfg.equivariant, box, cfg.jobs)
+    box = ns.qorder
+    rows = _qde_box_rows(q, ns.equivariant, box, ns.jobs)
     ok = all(r["ok"] for r in rows)
     checked = sum(1 for r in rows if not r["skipped"])
     report = {"ok": ok, "box": box, "checked": checked, "rows": rows}
     lines = []
-    if not cfg.json_out:  # one line per pair, which a JSON report would drop
+    if not ns.json_out:  # one line per pair, which a JSON report would drop
         lines.append(f"degree-shift difference equations: {path} (box={box})")
         for r in rows:
             tag = "skip" if r["skipped"] else _flag(r["ok"])
@@ -329,21 +324,21 @@ def _cmd_verify_qde(cfg: RunConfig) -> int:
                          + (f"  [{r['witness']}]" if r["witness"] else ""))
         lines.append(f"result: {_flag(ok)} ({checked} checked, "
                      f"{len(rows) - checked} outside the cone)")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_verify_separation(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
+def _cmd_verify_separation(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
     from .quiver import exchange_matrices
 
     b, _, _ = exchange_matrices(q)
     s0 = principal_seed(b)
-    path = MutationPath.parse(cfg.path or "").steps
-    if not path and cfg.at is None:
+    path = MutationPath.parse(ns.path).steps
+    if not path and ns.at is None:
         print("verify separation: --path is required", file=sys.stderr)
         return EXIT_INPUT
-    k = cfg.at if cfg.at is not None else path[-1]
+    k = ns.at if ns.at is not None else path[-1]
     f, g = f_polynomial_and_g_vector(s0, path, k)
     sep = separation_check(s0, path, k)
     const_one = f.coeff_of({}) == 1
@@ -358,21 +353,21 @@ def _cmd_verify_separation(cfg: RunConfig) -> int:
         "separation": sep,
     }
     lines = [
-        f"principal-coefficient separation: {cfg.quiver[0]} path={list(path)} k={k}",
+        f"principal-coefficient separation: {ns.quiver} path={list(path)} k={k}",
         f"  F = {poly_to_text(f)}",
         f"  g = {list(g)}",
         f"  constant term 1: {_flag(const_one)}",
         f"  separation identity: {_flag(sep)}",
         f"result: {_flag(ok)}",
     ]
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_cluster_mutate(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
+def _cmd_cluster_mutate(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
     seed, node_order = seed_from_quiver(q)
-    path = MutationPath.parse(cfg.path or "").steps
+    path = MutationPath.parse(ns.path).steps
     s = mutate_path(seed, path)
     report = {
         "ok": True,
@@ -382,38 +377,39 @@ def _cmd_cluster_mutate(cfg: RunConfig) -> int:
         "coefficients": [str(y) for y in s.coeffs],
         "btilde": [list(r) for r in s.btilde],
     }
-    lines = [f"seed of {cfg.quiver[0]} after path {list(path)}"]
+    lines = [f"seed of {ns.quiver} after path {list(path)}"]
     for nm, txt in zip(s.xnames, s.variable_texts()):
         lines.append(f"  {nm} = {txt}")
     for nm, y in zip(s.xnames, s.coeffs):
         lines.append(f"  coeff at {nm}: {y}")
     lines.append("  btilde rows: " + "; ".join(str(list(r)) for r in s.btilde))
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK
 
 
-def _cmd_cluster_enumerate(cfg: RunConfig) -> int:
-    q = load_quiver(cfg.quiver[0])
+def _cmd_cluster_enumerate(ns: argparse.Namespace) -> int:
+    q = load_quiver(ns.quiver)
     seed, _ = seed_from_quiver(q)
-    depth = cfg.max_depth if cfg.max_depth is not None else 6
+    depth = ns.max_depth
     xs = cluster_variables(seed, depth)
     texts = [poly_to_text(x) for x in xs]
     report = {"ok": True, "max_depth": depth, "count": len(texts), "variables": texts}
-    lines = [f"cluster variables of {cfg.quiver[0]} within depth {depth}"]
+    lines = [f"cluster variables of {ns.quiver} within depth {depth}"]
     lines += [f"  {t}" for t in texts]
     lines.append(f"{len(texts)} variables")
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK
 
 
-def _cmd_embed(cfg: RunConfig) -> int:
-    path = cfg.quiver[0]
+def _cmd_embed(ns: argparse.Namespace) -> int:
+    path = ns.quiver
     q = load_quiver(path)
-    pmax = resolve_pmax(q, cfg.pmax)
-    eq = cfg.equivariant
+    pmax = resolve_pmax(q, ns.pmax)
+    eq = ns.equivariant
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
 
     tz = build_table(q, equivariant=eq, with_t=True, with_zeta=True)
+    tq = build_table(q, equivariant=eq, with_t=True, with_q=True)
     tqz = build_table(q, equivariant=eq, with_t=True, with_q=True, with_zeta=True)
     subst = {k: poly_to_text(v) for k, v in sorted(zeta_substitution(q, tqz).items())}
     lines.append("  Kaehler elimination:")
@@ -433,26 +429,26 @@ def _cmd_embed(cfg: RunConfig) -> int:
     lines.append("  images:")
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
-    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=eq, with_t=True, with_q=True))
+    ideal = spanning_ideal(q, pmax, tq)
     nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
     checks = []
-    results = verify_exchange_image(q, ideal, nodes, budget=cfg.budget())
+    results = verify_exchange_image(q, ideal, nodes, budget=_budget(ns))
     for k, (ok, wit) in zip(nodes, results):
         checks.append({"check": "exchange-image", "node": k, "ok": ok, "witness": wit})
-        linked = transformation_link_check(q, k, equivariant=eq)
+        linked = transformation_link_check(q, k, tqz)
         checks.append({"check": "transformation-link", "node": k, "ok": linked,
                        "witness": None})
     witness = [
         {"node": nid, "zeta": z, "t_degree": m}
-        for nid, z, m in injectivity_witness(q)
+        for nid, z, m in injectivity_witness(q, tz)
     ]
     checks.append({"check": "injectivity-witness", "node": None, "ok": True,
                    "witness": None})
 
     extra: dict = {}
-    if cfg.path:
-        steps = MutationPath.parse(cfg.path).steps
-        at = cfg.at if cfg.at is not None else steps[-1]
+    if ns.path:
+        steps = MutationPath.parse(ns.path).steps
+        at = ns.at if ns.at is not None else steps[-1]
         img = psi_of_cluster_variable(q, steps, at, tz)
         extra["cluster_image"] = {
             "path": list(steps),
@@ -463,8 +459,8 @@ def _cmd_embed(cfg: RunConfig) -> int:
         lines.append(f"  image of position {at} after path {list(steps)}:")
         lines.append(f"    num = {poly_to_text(img.num)}")
         lines.append(f"    den = {extra['cluster_image']['den']}")
-    if cfg.type_a:
-        rep = verify_type_a(q, equivariant=eq, p_max=cfg.pmax, budget=cfg.budget())
+    if ns.type_a:
+        rep = verify_type_a(q, tq, p_max=ns.pmax, budget=_budget(ns))
         for r in rep.rows:
             checks.append({"check": f"type-a-{r['kind']}", "node": f"{r['k']},{r['l']}",
                            "ok": r["ok"], "witness": r["witness"]})
@@ -485,7 +481,7 @@ def _cmd_embed(cfg: RunConfig) -> int:
         "checks": checks,
         **extra,
     }
-    _emit(cfg, report, lines)
+    _emit(ns, report, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -588,32 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    if command == "verify":
-        command = f"verify {ns.verify_command}"
-    elif command == "cluster":
-        command = f"cluster {ns.cluster_command}"
-    quiver = ns.quiver if isinstance(ns.quiver, list) else [ns.quiver]
-    return RunConfig(
-        command=command,
-        quiver=tuple(quiver),
-        pmax=getattr(ns, "pmax", None),
-        max_depth=getattr(ns, "max_depth", None),
-        qorder=getattr(ns, "qorder", None),
-        order=getattr(ns, "order", None),
-        equivariant=getattr(ns, "equivariant", False),
-        classical=getattr(ns, "classical", False),
-        node=tuple(getattr(ns, "node", []) or []),
-        path=getattr(ns, "path", None),
-        at=getattr(ns, "at", None),
-        type_a=getattr(ns, "type_a", False),
-        json_out=ns.json_out,
-        jobs=getattr(ns, "jobs", 1),
-        budget_steps=getattr(ns, "budget_steps", None),
-    )
-
-
 _DISPATCH = {
     "validate": _cmd_validate,
     "present": _cmd_present,
@@ -630,11 +600,13 @@ _DISPATCH = {
 
 
 def main(argv: list | None = None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    cfg = _config_from_args(ns)
+    ns = build_parser().parse_args(argv)
+    # "verify" and "exchange" make "verify exchange", echoed and dispatched on
+    sub = vars(ns).pop(f"{ns.command}_command", None)
+    if sub:
+        ns.command = f"{ns.command} {sub}"
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

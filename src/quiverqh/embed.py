@@ -17,11 +17,12 @@ column b_(.k) is `quiver.btilde_column`, the node image zeta_i * c_t(V_i)
 is `node_image`, and every t-coefficient membership check with its
 witness goes through `_t_witness`.
 
-Equivariance is read from the table: every function here that is handed
-a variable table maps a frozen node's roots to its u variables when the
-table holds them and to zeros otherwise (`quiver.node_roots`).  Only the
-functions that start from a quiver alone and build their own tables
-(`transformation_link_check`, `verify_type_a`) take an `equivariant` flag.
+Every mode is read from the table the caller built: a frozen node's
+roots are its u variables when the table holds them and zeros otherwise
+(`quiver.node_roots`), and Q[k] is zero in a table without Q, the
+classical slice (`quiver.kaehler_variable`).  No function here takes an
+`equivariant` flag; `psi_yhat_qfactor`, whose check involves no Chern
+roots, builds its own table.
 
 Images of general cluster variables are carried as PsiImage fractions: a
 polynomial numerator and a denominator recorded as a product of node
@@ -191,25 +192,16 @@ def verify_exchange_image(
     nodes: Sequence[str],
     *,
     budget: Budget | None = None,
-    classical_slice: bool = False,
 ) -> list[tuple[bool, str | None]]:
     """One (ok, witness) per node: every t-coefficient of the unified
     exchange difference at the node must reduce to zero modulo the ideal,
-    all nodes against one Groebner basis; Q -> 0 gives the classical
-    Whitney slice.  The differences are built in the ideal's table, which
-    must hold t and Q."""
-    table = ideal.table
-    diffs = [exchange_image_diff(q, k, table) for k in nodes]
+    all nodes against one Groebner basis.  The differences are built in
+    the ideal's table, which must hold t; an ideal built in a table
+    without Q gives the classical Whitney slice Q -> 0."""
+    diffs = [exchange_image_diff(q, k, ideal.table) for k in nodes]
     if not diffs:
         return []
-    gens = ideal.generators
-    if classical_slice:
-        zero_q = {
-            f"Q[{n.id}]": MultiPoly.zero(table) for n in q.gauge_nodes
-        }
-        gens = [g.substitute(zero_q) for g in gens]
-        diffs = [d.substitute(zero_q) for d in diffs]
-    gb = buchberger(gens, budget=budget)
+    gb = buchberger(ideal.generators, budget=budget)
     out = []
     for diff in diffs:
         witness = _t_witness(
@@ -230,16 +222,12 @@ def _t_witness(poly: MultiPoly, member, fmt: str) -> str | None:
     return None
 
 
-def transformation_link_check(
-    q: Quiver, k: str, *, equivariant: bool = False
-) -> bool:
+def transformation_link_check(q: Quiver, k: str, table: VarTable) -> bool:
     """Syntactic link between the cluster exchange relation and the ring
     relation: the image of x_k x'_k = prod + prod (multiplied through
     by the node image denominator) equals the positive zeta part of
-    column k times the Kaehler-eliminated exchange difference."""
-    table = build_table(
-        q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
-    )
+    column k times the Kaehler-eliminated exchange difference.  The
+    table must hold t, Q and zeta."""
     column = btilde_column(q, k)
 
     adj = psi_adjacent(q, k, table)
@@ -290,8 +278,8 @@ def _substituted_ideal(
 
 def verify_type_a(
     q: Quiver,
+    table: VarTable,
     *,
-    equivariant: bool = False,
     p_max: int | None = None,
     budget: Budget | None = None,
 ) -> TypeAReport:
@@ -305,10 +293,11 @@ def verify_type_a(
     per t-coefficient against the Kaehler-side ideal, with V_(n+1) the
     zero bundle.
 
-    The ideal is built and reduced once, on the Kaehler side; the
-    zeta-substituted ideal of (a) is generated by the substituted elements
-    of that basis, which is exact because the substitution is a ring
-    homomorphism (see _substituted_ideal).
+    The ideal is built and reduced once, on the Kaehler side, in the
+    given table, which must hold t and Q; the zeta-substituted ideal of
+    (a) is generated by the substituted elements of that basis, which is
+    exact because the substitution is a ring homomorphism (see
+    _substituted_ideal).
     """
     rep = validate(q)
     if not rep.type_a:
@@ -320,23 +309,22 @@ def verify_type_a(
 
     # Kaehler-side ideal: the quotient identities, and the generators of
     # the zeta side.
-    t_qt = build_table(q, equivariant=equivariant, with_t=True, with_q=True)
-    gb_q = buchberger(spanning_ideal(q, p_max, t_qt).generators, budget=budget)
+    gb_q = buchberger(spanning_ideal(q, p_max, table).generators, budget=budget)
 
     def delta(a: int, b: int) -> MultiPoly:
         na = chain[a] if a <= n else None
         nb = chain[b] if b <= n else None
-        return node_chern_quotient(q, na, nb, t_qt)
+        return node_chern_quotient(q, na, nb, table)
 
     def ct(a: int) -> MultiPoly:
         if a > n:
-            return MultiPoly.const(t_qt, 1)
-        return chern_poly(q, chain[a], t_qt)
+            return MultiPoly.const(table, 1)
+        return chern_poly(q, chain[a], table)
 
     for k in range(1, n + 1):
         for l in range(k, n + 1):
             sgn = kaehler_sign(q, chain[l])
-            ql = MultiPoly.variable(t_qt, f"Q[{chain[l]}]")
+            ql = MultiPoly.variable(table, f"Q[{chain[l]}]")
             id1 = ct(l) * delta(k - 1, l) - ct(k - 1) - sgn * ql * delta(k - 1, l - 1) * ct(l + 1)
             id2 = delta(k - 1, l) * delta(l, l + 1) - delta(k - 1, l + 1) - sgn * ql * delta(k - 1, l - 1)
             for tag, poly in (("quotient-product", id1), ("quotient-chain", id2)):
@@ -413,15 +401,13 @@ def psi_yhat_qfactor(q: Quiver, k: str) -> bool:
     return lhs == kaehler_sign(q, k) * rhs
 
 
-def injectivity_witness(q: Quiver, table: VarTable | None = None) -> list[tuple[str, str, int]]:
+def injectivity_witness(q: Quiver, table: VarTable) -> list[tuple[str, str, int]]:
     """Leading (zeta, t-power) data of the initial images.
 
     Each image is monic of degree dim in t with its own zeta variable, so
     the leading monomials zeta_i t^(v_i) involve pairwise distinct zeta
     variables and are algebraically independent; raises if the wiring ever
-    breaks that."""
-    if table is None:
-        table = build_table(q, equivariant=False, with_t=True, with_zeta=True)
+    breaks that.  The table must hold t and zeta."""
     out = []
     seen = set()
     for n in q.nodes:

@@ -52,10 +52,12 @@ delta_t is its quotient, and the two sides of the exchange relation in
 `exchange_lhs_rhs` are its remainders c_t(U) - delta_t(U, V_k) c_t(V_k)
 for U the inflow and the outflow of node k.
 
-Equivariance is read from the table: every function here is handed a
-variable table, and a frozen node's roots are its u variables when the
-table holds them and zeros otherwise (`quiver.node_roots`).  The mode is
-decided once, in `quiver.build_table`.
+Equivariance and the classical slice are read from the table: every
+function here is handed a variable table, a frozen node's roots are its
+u variables when the table holds them and zeros otherwise
+(`quiver.node_roots`), and Q[k] is zero when the table holds no Q
+(`quiver.kaehler_variable`).  Both modes are decided once, in
+`quiver.build_table`.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .quiver import (
     cocharacter,
     gauge_blocks,
     kaehler_sign,
+    kaehler_variable,
     node_roots,
 )
 from .symfun import (
@@ -163,12 +166,12 @@ def node_relations(
 ) -> list:
     """Relation generators [g_0, ..., g_top] of gauge node k, g_p with
     insertion power p (see module docstring for both stability signs);
-    the table must hold Q[k]."""
+    in a table without Q they are the classical relations at Q[k] = 0."""
     v = q.dim(k)
     e_in = elementaries(table, inflow_roots(q, k, table))
     e_out = elementaries(table, outflow_roots(q, k, table))
     vm, vp = len(e_in) - 1, len(e_out) - 1
-    qk = MultiPoly.variable(table, f"Q[{k}]")
+    qk = kaehler_variable(table, k)
     vsign = -1 if (v - 1) % 2 else 1
     # g_p = sum_m c_m h_(m+p-v+1)(xi) with
     # c_m = ls (-1)^(v- - m) e_(v- - m)(mu) + rs (-1)^m Q_k e_(v+ - m)(nu)
@@ -320,12 +323,13 @@ def exchange_lhs_rhs(q: Quiver, k: str, table: VarTable) -> tuple:
       rhs = Q_k (c_t(outflow) - delta_t(outflow, V_k) c_t(V_k))
 
     with s = (-1)^(v- - v) the Kaehler sign of `quiver.kaehler_sign`;
-    the table must hold t and Q[k].
+    the table must hold t, and in a table without Q the side carrying
+    Q_k is zero.
     """
     vk = node_roots(q, table, k)
     left = chern_division(table, inflow_roots(q, k, table), vk)[1]
     right = chern_division(table, outflow_roots(q, k, table), vk)[1]
-    qk = MultiPoly.variable(table, f"Q[{k}]")
+    qk = kaehler_variable(table, k)
     sign = -kaehler_sign(q, k)
     if q.theta(k) > 0:
         return left, sign * qk * right

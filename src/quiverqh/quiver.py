@@ -403,6 +403,14 @@ def node_roots(q: Quiver, table: VarTable, nid: str) -> list:
     return [MultiPoly.zero(table) for _ in range(n.dim)]
 
 
+def kaehler_variable(table: VarTable, k: str) -> MultiPoly:
+    """The Kaehler variable Q[k] of gauge node k when the table holds Q,
+    and zero otherwise: a table without Q (see `build_table`) is the
+    classical ring, the ring map Q -> 0."""
+    name = f"Q[{k}]"
+    return MultiPoly.variable(table, name) if name in table else MultiPoly.zero(table)
+
+
 def build_table(
     q: Quiver,
     *,
@@ -415,9 +423,10 @@ def build_table(
 ) -> VarTable:
     """Variable table for a quiver context; include only what is needed.
 
-    This is where equivariance is decided: an equivariant table holds the
-    frozen nodes' u variables, and every function handed the table reads
-    the mode from it."""
+    This is where every mode is decided, and every function handed the
+    table reads it from there: an equivariant table holds the frozen
+    nodes' u variables (`node_roots`), and a table without Q is the
+    classical slice Q -> 0 (`kaehler_variable`)."""
     vs: list[Variable] = []
     for n in q.gauge_nodes:
         vs.extend(Variable.xi(n.id, j) for j in range(1, n.dim + 1))

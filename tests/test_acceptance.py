@@ -170,7 +170,8 @@ def test_ac06_strong_laurent_and_involutivity(quivers):
 
 def test_ac07_type_a_closed_forms(quivers):
     t0 = time.perf_counter()
-    rep = verify_type_a(quivers("fl234"))
+    q = quivers("fl234")
+    rep = verify_type_a(q, build_table(q, equivariant=False, with_t=True, with_q=True))
     assert len(rep.rows) == 12
     assert rep.ok, rep.failures()
     images = [r for r in rep.rows if r["kind"] == "image"]

@@ -89,6 +89,19 @@ def test_no_gauge_node_is_one_line_input_error(capsys, tmp_path, command):
     assert err == "input error: quiver has no gauge node\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vgit312_minus"], "no gauge node with theta > 0 to check"),
+    (["fl234", "--node", "9"], "unknown node '9'"),
+], ids=["no-theta-positive-node", "unknown-node"])
+def test_exchange_node_selection_is_one_line_input_error(capsys, quivers, argv, message):
+    # an empty default selection would check nothing and report a pass
+    name, *flags = argv
+    code, out, err = run(capsys, "verify", "exchange", quivers.path(name), *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_negative_qde_box_is_input_error(capsys, quivers):
     code, out, err = run(capsys, "verify", "qde", quivers.path("p2"), "--qorder", "-1")
     assert code == EXIT_INPUT
@@ -302,6 +315,12 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
         id="exchange-fl245-p2-eq",
     ),
     pytest.param(
+        ("verify", "exchange", "quivers/fl245.json", "--classical", "--pmax", "1"),
+        EXIT_FAIL,
+        "72e59429c48e79c32066a15935a44ccf93fb0ba75811f680ab48ff4bc9414054",
+        id="exchange-fl245-p1-classical",
+    ),
+    pytest.param(
         ("verify", "type-a", "quivers/fl234.json", "--pmax", "0", "--equivariant"),
         EXIT_FAIL,
         "536ec32232f026755609a808b93a8f68ae74dac82077ce917b863201214320c8",
@@ -354,6 +373,47 @@ def test_json_schema_and_config_echo(capsys, quivers):
     assert rep["config"]["pmax"] == 3
     # canonical serialization: keys sorted, two-space indent
     assert raw == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["validate", "gr24"], {"command": "validate", "jobs": 1}),
+    (["present", "gr24", "--pmax", "0"], {"command": "present", "pmax": 0, "jobs": 1}),
+    (["present", "gr24", "--equivariant"],
+     {"command": "present", "equivariant": True, "jobs": 1}),
+    (["groebner", "gr24"], {"command": "groebner", "order": "grevlex", "jobs": 1}),
+    (["groebner", "gr24", "--order", "lex", "--pmax", "2", "--budget-steps", "100000"],
+     {"command": "groebner", "order": "lex", "pmax": 2, "budget_steps": 100000,
+      "jobs": 1}),
+    (["verify", "exchange", "gr24"], {"command": "verify exchange", "jobs": 1}),
+    (["verify", "exchange", "fl234", "--node", "2", "--node", "1", "--node", "2",
+      "--classical", "--equivariant"],
+     {"command": "verify exchange", "node": ["2", "1", "2"], "classical": True,
+      "equivariant": True, "jobs": 1}),
+    (["verify", "type-a", "gr24", "--pmax", "3"],
+     {"command": "verify type-a", "pmax": 3, "jobs": 1}),
+    (["verify", "vgit", "vgit312_plus", "vgit312_minus"],
+     {"command": "verify vgit", "jobs": 1}),
+    (["verify", "qde", "gr24"], {"command": "verify qde", "qorder": 2, "jobs": 1}),
+    (["verify", "qde", "gr24", "--qorder", "0", "--jobs", "2"],
+     {"command": "verify qde", "qorder": 0, "jobs": 2}),
+    (["verify", "separation", "a2", "--path", "1,2", "--at", "1"],
+     {"command": "verify separation", "path": "1,2", "at": 1, "jobs": 1}),
+    (["cluster", "mutate", "a2"], {"command": "cluster mutate", "path": "", "jobs": 1}),
+    (["cluster", "enumerate", "a2"],
+     {"command": "cluster enumerate", "max_depth": 6, "jobs": 1}),
+    (["embed", "gr24"], {"command": "embed", "jobs": 1}),
+    (["embed", "gr24", "--type-a", "--path", "1"],
+     {"command": "embed", "type_a": True, "path": "1", "jobs": 1}),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else "")
+def test_config_echo(capsys, monkeypatch, quivers, argv, config):
+    # every flag with a value other than None, False or [] is echoed, 0 and
+    # "" included; quiver paths as a list; jobs 1 without a --jobs flag
+    monkeypatch.setattr("os.cpu_count", lambda: 1)  # never start workers
+    names = [a for a in argv if os.path.exists(quivers.path(a))]
+    argv = [quivers.path(a) if a in names else a for a in argv]
+    code, rep, _ = jrun(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_FAIL)
+    assert rep["config"] == {**config, "quiver": [quivers.path(n) for n in names]}
 
 
 # -- subcommand smoke ---------------------------------------------------------------

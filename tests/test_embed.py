@@ -35,6 +35,10 @@ def ztable(q, **kw):
     return build_table(q, equivariant=False, with_t=True, with_zeta=True, **kw)
 
 
+def qtable(q, equivariant=False):
+    return build_table(q, equivariant=equivariant, with_t=True, with_q=True)
+
+
 def test_zeta_substitution_two_step_chain(quivers):
     q = quivers("fl234")
     table = ztable(q)
@@ -130,7 +134,9 @@ def test_verify_exchange_image_one_node(quivers):
     q = quivers("gr24")
     ideal = build_ideal(q, 3, build_table(q, equivariant=False, with_t=True, with_q=True))
     assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
-    assert verify_exchange_image(q, ideal, ["1"], classical_slice=True) == [(True, None)]
+    # the classical slice Q -> 0: the ideal built in a table without Q
+    classical = build_ideal(q, 3, build_table(q, equivariant=False, with_t=True))
+    assert verify_exchange_image(q, classical, ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_equivariant(quivers):
@@ -159,16 +165,20 @@ def test_verify_exchange_image_witness(quivers):
     ("gr24", "1"), ("fl234", "1"), ("fl234", "2"), ("fl245", "1"), ("fl245", "2"),
 ])
 def test_transformation_link(quivers, name, node):
-    assert transformation_link_check(quivers(name), node)
+    q = quivers(name)
+    assert transformation_link_check(q, node, ztable(q, with_q=True))
 
 
 def test_transformation_link_equivariant(quivers):
-    assert transformation_link_check(quivers("fl234"), "1", equivariant=True)
+    q = quivers("fl234")
+    table = build_table(q, equivariant=True, with_t=True, with_q=True, with_zeta=True)
+    assert transformation_link_check(q, "1", table)
 
 
 @pytest.mark.parametrize("name,nrows", [("gr24", 5), ("fl234", 12), ("fl245", 12)])
 def test_type_a_suite(quivers, name, nrows):
-    rep = verify_type_a(quivers(name))
+    q = quivers(name)
+    rep = verify_type_a(q, qtable(q))
     assert len(rep.rows) == nrows
     assert rep.ok, rep.failures()[:2]
     kinds = {r["kind"] for r in rep.rows}
@@ -176,13 +186,14 @@ def test_type_a_suite(quivers, name, nrows):
 
 
 def test_type_a_equivariant(quivers):
-    rep = verify_type_a(quivers("fl234"), equivariant=True)
+    q = quivers("fl234")
+    rep = verify_type_a(q, qtable(q, equivariant=True))
     assert rep.ok, rep.failures()[:2]
 
 
 def test_type_a_rejects_failing_chain(quivers):
     with pytest.raises(ValueError, match="type-A"):
-        verify_type_a(quivers("fl123"))
+        verify_type_a(quivers("fl123"), qtable(quivers("fl123")))
 
 
 def raw_generator_laurent_basis(q, p_max, equivariant):
@@ -241,7 +252,7 @@ def test_yhat_qfactor(quivers, name, node):
 
 def test_injectivity_witness(quivers):
     q = quivers("fl234")
-    assert injectivity_witness(q) == [
+    assert injectivity_witness(q, ztable(q)) == [
         ("0", "zeta[0]", 4),
         ("1", "zeta[1]", 3),
         ("2", "zeta[2]", 2),

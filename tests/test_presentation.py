@@ -238,6 +238,26 @@ def test_node_relations_match_the_per_p_formula(quivers, name, equivariant):
                        for p in range(pmax + 1)], n.id
 
 
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", SPAN_FIXTURES)
+def test_a_table_without_q_is_the_classical_slice(quivers, name, equivariant):
+    # node relations and exchange sides built with Q[k] = 0 are those built
+    # with Q and then sent through the ring map Q -> 0
+    q = _span_fixture(quivers, name)
+    with_q = build_table(q, equivariant=equivariant, with_q=True, with_t=True)
+    classical = build_table(q, equivariant=equivariant, with_t=True)
+    zero_q = {name: 0 for name in with_q.of_class("Q")}
+
+    def slice_of(polys):
+        return [p.substitute(zero_q).convert(classical) for p in polys]
+
+    for n in q.gauge_nodes:
+        assert (node_relations(q, n.id, n.dim, classical)
+                == slice_of(node_relations(q, n.id, n.dim, with_q))), n.id
+        assert (list(exchange_lhs_rhs(q, n.id, classical))
+                == slice_of(exchange_lhs_rhs(q, n.id, with_q))), n.id
+
+
 def test_exchange_sides_reduce_in_ideal(quivers):
     q = quivers("gr24")
     ideal = build_ideal(q, 3, build_table(q, equivariant=False, with_q=True))
