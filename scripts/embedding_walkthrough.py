@@ -49,7 +49,7 @@ def main() -> int:
     print(f"\n-- ideal generators ({len(ideal.generators)}) --")
     for g in ideal.generators:
         print("  ", poly_to_text(g))
-    gb = buchberger(list(ideal.generators))
+    gb = buchberger(list(ideal.generators))  # the run's one basis, for every check
     print(f"groebner basis: {len(gb.elements)} elements, "
           f"fingerprint {gb.fingerprint}")
 
@@ -73,7 +73,7 @@ def main() -> int:
     print("\n-- exchange relations modulo the ideal --")
     failures = 0
     nodes = [n.id for n in q.gauge_nodes if q.theta(n.id) > 0]
-    for k, (ok, witness) in zip(nodes, verify_exchange_image(q, ideal, nodes)):
+    for k, (ok, witness) in zip(nodes, verify_exchange_image(q, gb, nodes)):
         link = transformation_link_check(q, k, table)
         print(f"  node {k}: membership={'ok' if ok else 'FAIL'} "
               f"link={'ok' if link else 'FAIL'}"
@@ -82,7 +82,7 @@ def main() -> int:
 
     if rep.type_a:
         print("\n-- type-A closed forms --")
-        ta = verify_type_a(q, ideal.table, p_max=pmax)
+        ta = verify_type_a(q, gb)
         for row in ta.rows:
             mark = "ok" if row["ok"] else "FAIL"
             print(f"  {row['kind']:<17} k={row['k']} l={row['l']}: {mark}")

@@ -21,9 +21,10 @@ budget exceeded.
 N clamped to the number of pairs and to the CPU count; N below 1 is an
 input error.  Workers receive
 picklable arguments and rebuild their own state, results are collected in
-submission order, so reports do not depend on scheduling.  `verify
-exchange` and `embed` check every gauge node against one Groebner basis
-in this process; `embed --type-a` adds the bases of the type-A suite.
+submission order, so reports do not depend on scheduling.  `groebner`,
+`verify exchange`, `verify type-a` and `embed` build one Groebner basis
+of the spanning ideal per run, in this process (`_basis`), and hand that
+object to every check; the type-A suite adds only its zeta-side basis.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .presentation import build_ideal, spanning_ideal
 from .groebner import (
     Budget,
     BudgetError,
+    GroebnerBasis,
     MonomialOrder,
     buchberger,
     ideal_equal_laurent,
@@ -67,7 +69,9 @@ from .embed import (
     psi_adjacent,
     psi_initial,
     psi_of_cluster_variable,
+    require_exchange_node,
     transformation_link_check,
+    type_a_chain,
     verify_exchange_image,
     verify_type_a,
     zeta_substitution,
@@ -85,10 +89,21 @@ EXIT_BUDGET = 3
 
 
 def _budget(ns: argparse.Namespace) -> Budget:
-    """The reduction-step budget of --budget-steps, the default one without it."""
+    """The reduction-step budget of --budget-steps, the default one without
+    it; a negative step count is an input error."""
     if ns.budget_steps is None:
         return Budget()
+    if ns.budget_steps < 0:
+        raise ValueError(f"budget steps must be >= 0, got {ns.budget_steps}")
     return Budget(max_steps=ns.budget_steps)
+
+
+def _basis(ns: argparse.Namespace, q, pmax: int, table) -> GroebnerBasis:
+    """The run's one reduced basis: the spanning ideal of q in table, in
+    the --order of `groebner` (grevlex elsewhere), under --budget-steps.
+    Every check of the run is handed this object."""
+    order = MonomialOrder(vars(ns).get("order", "grevlex"))
+    return buchberger(spanning_ideal(q, pmax, table).generators, order, _budget(ns))
 
 
 def _config(ns: argparse.Namespace) -> dict:
@@ -200,18 +215,16 @@ def _cmd_present(ns: argparse.Namespace) -> int:
 def _cmd_groebner(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
     pmax = resolve_pmax(q, ns.pmax)
-    ideal = spanning_ideal(q, pmax, build_table(q, equivariant=ns.equivariant, with_q=True))
-    order = MonomialOrder(ns.order)
-    gb = buchberger(ideal.generators, order, _budget(ns))
+    gb = _basis(ns, q, pmax, build_table(q, equivariant=ns.equivariant, with_q=True))
     elems = [poly_to_text(g) for g in gb.elements]
     report = {
         "ok": True,
         "p_max": pmax,
-        "order": order.kind,
+        "order": gb.order.kind,
         "basis": elems,
         "fingerprint": gb.fingerprint,
     }
-    lines = [f"reduced basis of {ns.quiver} (p_max={pmax}, order={order.kind})"]
+    lines = [f"reduced basis of {ns.quiver} (p_max={pmax}, order={gb.order.kind})"]
     lines += [f"  {g}" for g in elems]
     lines.append(f"{len(elems)} elements, fingerprint {gb.fingerprint}")
     _emit(ns, report, lines)
@@ -223,9 +236,10 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     q = load_quiver(path)
     pmax = resolve_pmax(q, ns.pmax)
     ids = {n.id for n in q.nodes}
-    for k in ns.node:
+    for k in ns.node:  # a bad node fails before any basis work
         if k not in ids:
             raise ValueError(f"unknown node {k!r}")
+        require_exchange_node(q, k)
     nodes = ns.node or [n.id for n in q.gauge_nodes if n.theta > 0]
     if not nodes:  # a run that checks nothing must not report a pass
         raise ValueError("no gauge node with theta > 0 to check")
@@ -233,9 +247,7 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     table = build_table(
         q, equivariant=ns.equivariant, with_t=True, with_q=not ns.classical
     )
-    results = verify_exchange_image(
-        q, spanning_ideal(q, pmax, table), nodes, budget=_budget(ns)
-    )
+    results = verify_exchange_image(q, _basis(ns, q, pmax, table), nodes, budget=_budget(ns))
     rows = [
         {"node": k, "ok": ok, "witness": wit}
         for k, (ok, wit) in zip(nodes, results)
@@ -253,8 +265,10 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
 
 def _cmd_verify_type_a(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
+    type_a_chain(q)  # a quiver that is not a chain fails before any basis work
     table = build_table(q, equivariant=ns.equivariant, with_t=True, with_q=True)
-    rep = verify_type_a(q, table, p_max=ns.pmax, budget=_budget(ns))
+    gb = _basis(ns, q, resolve_pmax(q, ns.pmax), table)
+    rep = verify_type_a(q, gb, budget=_budget(ns))
     report = {"ok": rep.ok, "rows": rep.rows}
     lines = [f"type-A closed forms and quotient identities: {ns.quiver}"]
     for r in rep.rows:
@@ -336,8 +350,7 @@ def _cmd_verify_separation(ns: argparse.Namespace) -> int:
     s0 = principal_seed(b)
     path = MutationPath.parse(ns.path).steps
     if not path and ns.at is None:
-        print("verify separation: --path is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--path is required")
     k = ns.at if ns.at is not None else path[-1]
     f, g = f_polynomial_and_g_vector(s0, path, k)
     sep = separation_check(s0, path, k)
@@ -405,6 +418,8 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     path = ns.quiver
     q = load_quiver(path)
     pmax = resolve_pmax(q, ns.pmax)
+    if ns.at is not None and not ns.path:
+        raise ValueError("--at needs --path")
     eq = ns.equivariant
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
 
@@ -429,10 +444,14 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     lines.append("  images:")
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
-    ideal = spanning_ideal(q, pmax, tq)
     nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
+    budget = _budget(ns)
+    if ns.type_a:  # a quiver that is not a chain fails before any basis work
+        type_a_chain(q)
+    # one basis for both checks, built only when one of them reads it
+    gb = _basis(ns, q, pmax, tq) if nodes or ns.type_a else None
     checks = []
-    results = verify_exchange_image(q, ideal, nodes, budget=_budget(ns))
+    results = verify_exchange_image(q, gb, nodes, budget=budget)
     for k, (ok, wit) in zip(nodes, results):
         checks.append({"check": "exchange-image", "node": k, "ok": ok, "witness": wit})
         linked = transformation_link_check(q, k, tqz)
@@ -460,7 +479,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
         lines.append(f"    num = {poly_to_text(img.num)}")
         lines.append(f"    den = {extra['cluster_image']['den']}")
     if ns.type_a:
-        rep = verify_type_a(q, tq, p_max=ns.pmax, budget=_budget(ns))
+        rep = verify_type_a(q, gb, budget=budget)
         for r in rep.rows:
             checks.append({"check": f"type-a-{r['kind']}", "node": f"{r['k']},{r['l']}",
                            "ok": r["ok"], "witness": r["witness"]})

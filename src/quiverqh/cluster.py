@@ -121,7 +121,12 @@ class MutationPath:
         text = text.strip()
         if not text:
             return MutationPath(())
-        return MutationPath(tuple(int(s) for s in text.split(",")))
+        try:
+            return MutationPath(tuple(int(s) for s in text.split(",")))
+        except ValueError:
+            raise ValueError(
+                f"mutation path must be comma-separated integers, got {text!r}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -222,21 +222,6 @@ class MultiPoly:
         _check_exp(table, e)
         return cls(table, {e: c})
 
-    @classmethod
-    def linear(cls, table: VarTable, coeffs: Mapping[str, Coeff], const: Coeff = 0) -> "MultiPoly":
-        terms: dict = {}
-        for name, c in coeffs.items():
-            c = _coeff(c)
-            if c == 0:
-                continue
-            exp = [0] * table.nvars
-            exp[table.index(name)] = 1
-            terms[tuple(exp)] = c
-        const = _coeff(const)
-        if const != 0:
-            terms[table.zero_exp()] = const
-        return cls(table, terms)
-
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -575,9 +560,6 @@ class RationalFunction:
             raise ContextError("numerator and denominator in different tables")
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -114,10 +114,37 @@ def test_negative_qde_box_is_input_error(capsys, quivers):
     (["verify", "qde", "p2", "--jobs", "-3"], "worker count must be >= 1, got -3"),
     (["cluster", "enumerate", "a2", "--max-depth", "-1"],
      "mutation depth must be >= 0, got -1"),
-], ids=["jobs-0", "jobs-minus-3", "max-depth-minus-1"])
+    (["groebner", "fl234", "--budget-steps", "-5"], "budget steps must be >= 0, got -5"),
+], ids=["jobs-0", "jobs-minus-3", "max-depth-minus-1", "budget-steps-minus-5"])
 def test_out_of_range_count_is_one_line_input_error(capsys, quivers, argv, message):
     *command, name, flag, value = argv
     code, out, err = run(capsys, *command, quivers.path(name), flag, value)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_zero_budget_steps_is_a_budget(capsys, quivers):
+    code, out, err = run(capsys, "groebner", quivers.path("fl234"), "--budget-steps", "0")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
+
+
+@pytest.mark.parametrize("command, name, flags, message", [
+    (["cluster", "mutate"], "a2", ["--path", "1,,2"],
+     "mutation path must be comma-separated integers, got '1,,2'"),
+    (["verify", "separation"], "a2", ["--path", "1,x"],
+     "mutation path must be comma-separated integers, got '1,x'"),
+    (["embed"], "gr24", ["--path", "1,,2"],
+     "mutation path must be comma-separated integers, got '1,,2'"),
+    (["verify", "separation"], "a2", ["--path", ""], "--path is required"),
+    (["embed"], "gr24", ["--at", "1"], "--at needs --path"),
+], ids=["mutate-empty-step", "separation-not-an-integer", "embed-empty-step",
+        "separation-empty-path", "embed-at-without-path"])
+def test_bad_mutation_path_is_one_line_input_error(capsys, quivers, command, name, flags,
+                                                   message):
+    code, out, err = run(capsys, *command, quivers.path(name), *flags)
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"input error: {message}\n"
@@ -226,31 +253,45 @@ def test_qorder_zero_is_echoed(capsys, quivers):
     assert rep["config"]["qorder"] == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "exchange", "fl234"],
-    ["verify", "exchange", "fl234", "--classical"],
-    ["embed", "fl234"],
-], ids=["verify-exchange", "verify-exchange-classical", "embed"])
-def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, argv):
-    # fl234 has two gauge nodes with theta > 0; both share one basis
-    import quiverqh.embed
+@pytest.mark.parametrize("command, name, flags, bases", [
+    (["verify", "exchange"], "fl234", [], 1),
+    (["verify", "exchange"], "fl234", ["--classical"], 1),
+    (["embed"], "fl234", [], 1),
+    # the type-A suite reads the exchange basis and adds only its zeta side
+    (["embed"], "fl245", ["--type-a", "--equivariant"], 2),
+    # no gauge node with theta > 0 and no type-A suite: no check reads a basis
+    (["embed"], "vgit312_minus", [], 0),
+], ids=["verify-exchange", "verify-exchange-classical", "embed", "embed-type-a",
+        "embed-no-exchange-node"])
+def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, command, name, flags, bases):
+    # every gauge node with theta > 0 is checked against one shared basis
+    import quiverqh.groebner
 
-    calls = []
-    real = quiverqh.embed.buchberger
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(quiverqh.embed, "buchberger", counting)
-    argv = [quivers.path(a) if a == "fl234" else a for a in argv]
-    code, rep, _ = jrun(capsys, *argv)
+    calls = count_calls(monkeypatch, quiverqh.groebner.buchberger)
+    code, rep, _ = jrun(capsys, *command, quivers.path(name), *flags)
     assert code == EXIT_OK
     rows = rep["rows"] if "rows" in rep else [
         c for c in rep["checks"] if c["check"] == "exchange-image"
     ]
-    assert [r["node"] for r in rows] == ["1", "2"]
-    assert len(calls) == 1
+    assert [r["node"] for r in rows] == (["1", "2"] if bases else [])
+    assert len(calls) == bases
+
+
+@pytest.mark.parametrize("command, flags", [(["verify", "type-a"], []), (["embed"], ["--type-a"])],
+                         ids=["verify-type-a", "embed-type-a"])
+def test_type_a_on_a_non_chain_fails_before_any_basis(capsys, monkeypatch, quivers, command,
+                                                     flags):
+    # fl123 fails the chain inequality; a one-step budget would trip on
+    # the first basis, so exit 2 shows that none was started
+    import quiverqh.groebner
+
+    calls = count_calls(monkeypatch, quiverqh.groebner.buchberger)
+    code, out, err = run(capsys, *command, quivers.path("fl123"), *flags, "--budget-steps", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: quiver is not a type-A chain for this suite: ")
+    assert err.count("\n") == 1
+    assert len(calls) == 0
 
 
 def count_calls(monkeypatch, func):

@@ -25,6 +25,7 @@ from quiverqh.embed import (
     psi_of_cluster_variable,
     psi_yhat_qfactor,
     transformation_link_check,
+    type_a_chain,
     verify_exchange_image,
     verify_type_a,
     zeta_substitution,
@@ -33,10 +34,6 @@ from quiverqh.embed import (
 
 def ztable(q, **kw):
     return build_table(q, equivariant=False, with_t=True, with_zeta=True, **kw)
-
-
-def qtable(q, equivariant=False):
-    return build_table(q, equivariant=equivariant, with_t=True, with_q=True)
 
 
 def test_zeta_substitution_two_step_chain(quivers):
@@ -132,31 +129,32 @@ def test_exchange_image_diff_requires_positive_stability(quivers):
 
 def test_verify_exchange_image_one_node(quivers):
     q = quivers("gr24")
-    ideal = build_ideal(q, 3, build_table(q, equivariant=False, with_t=True, with_q=True))
-    assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
-    # the classical slice Q -> 0: the ideal built in a table without Q
-    classical = build_ideal(q, 3, build_table(q, equivariant=False, with_t=True))
+    gb = kaehler_basis(q, 3, False)
+    assert verify_exchange_image(q, gb, ["1"]) == [(True, None)]
+    # the classical slice Q -> 0: the basis built in a table without Q
+    table = build_table(q, equivariant=False, with_t=True)
+    classical = buchberger(build_ideal(q, 3, table).generators)
     assert verify_exchange_image(q, classical, ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_equivariant(quivers):
     q = quivers("gr24")
-    ideal = build_ideal(q, 3, build_table(q, equivariant=True, with_t=True, with_q=True))
-    assert verify_exchange_image(q, ideal, ["1"]) == [(True, None)]
+    gb = kaehler_basis(q, 3, True)
+    assert verify_exchange_image(q, gb, ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_one_row_per_node(quivers):
     q = quivers("fl234")
-    ideal = build_ideal(q, 5, build_table(q, equivariant=False, with_t=True, with_q=True))
-    assert verify_exchange_image(q, ideal, ["2", "1", "2"]) == [(True, None)] * 3
-    assert verify_exchange_image(q, ideal, []) == []
+    gb = kaehler_basis(q, 5, False)
+    assert verify_exchange_image(q, gb, ["2", "1", "2"]) == [(True, None)] * 3
+    assert verify_exchange_image(q, gb, []) == []
 
 
 def test_verify_exchange_image_witness(quivers):
     # p_max = 0 truncates the ideal below the exchange relation's degree
     q = quivers("gr24")
-    ideal = build_ideal(q, 0, build_table(q, equivariant=False, with_t=True, with_q=True))
-    [(ok, witness)] = verify_exchange_image(q, ideal, ["1"])
+    gb = kaehler_basis(q, 0, False)
+    [(ok, witness)] = verify_exchange_image(q, gb, ["1"])
     assert not ok
     assert witness.startswith("t^")
 
@@ -178,7 +176,7 @@ def test_transformation_link_equivariant(quivers):
 @pytest.mark.parametrize("name,nrows", [("gr24", 5), ("fl234", 12), ("fl245", 12)])
 def test_type_a_suite(quivers, name, nrows):
     q = quivers(name)
-    rep = verify_type_a(q, qtable(q))
+    rep = verify_type_a(q, kaehler_basis(q, resolve_pmax(q, None), False))
     assert len(rep.rows) == nrows
     assert rep.ok, rep.failures()[:2]
     kinds = {r["kind"] for r in rep.rows}
@@ -187,13 +185,17 @@ def test_type_a_suite(quivers, name, nrows):
 
 def test_type_a_equivariant(quivers):
     q = quivers("fl234")
-    rep = verify_type_a(q, qtable(q, equivariant=True))
+    rep = verify_type_a(q, kaehler_basis(q, resolve_pmax(q, None), True))
     assert rep.ok, rep.failures()[:2]
 
 
 def test_type_a_rejects_failing_chain(quivers):
+    q = quivers("fl123")
+    gb = kaehler_basis(q, resolve_pmax(q, None), False)
     with pytest.raises(ValueError, match="type-A"):
-        verify_type_a(quivers("fl123"), qtable(quivers("fl123")))
+        verify_type_a(q, gb)
+    with pytest.raises(ValueError, match="type-A"):
+        type_a_chain(q)
 
 
 def raw_generator_laurent_basis(q, p_max, equivariant):

@@ -35,3 +35,16 @@ def test_readme_has_command_lines():
 def test_readme_command_line_exits_zero(capsys, monkeypatch, argv):
     monkeypatch.chdir(ROOT)  # the commands read quivers/ by relative path
     assert main(argv) == EXIT_OK
+
+
+def test_test_extras_agree():
+    # the README install line, the `test` extra and the CI install step
+    # name the same packages, so a local run does not skip the sympy oracle
+    readme = re.search(r"# test extras\npip install (.*)\n", README).group(1).split()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.findall(r'"([^"]+)"', re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1))
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = re.search(r"name: Install test dependencies\n\s+run: python -m pip install (.*)\n",
+                     ci).group(1).split()
+    assert sorted(readme) == sorted(extra) == sorted(step)
+    assert "sympy" in extra
