@@ -17,7 +17,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from quiverqh.polycore import poly_to_text
 from quiverqh.quiver import build_table, load_quiver, resolve_pmax, validate
-from quiverqh.presentation import build_ideal
+from quiverqh.presentation import build_ideal, spanning_ideal
 from quiverqh.groebner import buchberger
 from quiverqh.embed import (
     psi_adjacent,
@@ -45,11 +45,14 @@ def main() -> int:
     print(f"flags: acyclic={rep.acyclic} feasible={rep.feasible} "
           f"quiver_flag={rep.quiver_flag} type_a={rep.type_a}")
 
-    ideal = build_ideal(q, pmax, build_table(q, equivariant=eq, with_t=True, with_q=True))
+    kaehler = build_table(q, equivariant=eq, with_t=True, with_q=True)
+    ideal = build_ideal(q, pmax, kaehler)
     print(f"\n-- ideal generators ({len(ideal.generators)}) --")
     for g in ideal.generators:
         print("  ", poly_to_text(g))
-    gb = buchberger(list(ideal.generators))  # the run's one basis, for every check
+    # the run's one basis, for every check; the spanning generators give
+    # the same reduced basis as the full list printed above
+    gb = buchberger(spanning_ideal(q, pmax, kaehler).generators)
     print(f"groebner basis: {len(gb.elements)} elements, "
           f"fingerprint {gb.fingerprint}")
 

@@ -263,7 +263,9 @@ def _substituted_ideal(
     Kaehler basis gb_q.  That is exact: Q[k] -> +-zeta-monomial is a ring
     homomorphism into the Laurent ring, so any two generating sets of the
     Kaehler ideal map to generating sets of the same extended ideal, and
-    laurent_basis reaches the same reduced basis from either.  Both
+    laurent_basis reaches the same reduced basis from either.  The
+    substituted elements carry negative zeta powers; laurent_basis
+    writes them as inverse variables, not as cleared multiples.  Both
     tables come from gb_q's: it gains every node's zeta, then loses Q.
     """
     t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)

@@ -72,9 +72,14 @@ tuples before the basis elements are built and fingerprinted, so
 bases, fingerprints, step counts and reports do not depend on it.
 
 Laurent variables are handled by adjoining an explicit inverse variable
-with the relation v * inv - 1 and clearing denominators, never by
-fractional arithmetic inside the basis computation.  Negative exponents
-are rejected by ``buchberger`` and ``normal_form`` alike.
+inv.v with the relation v * inv.v - 1 (Cox, Little & O'Shea, *Ideals,
+Varieties, and Algorithms*), never by fractional arithmetic inside the
+basis computation.  A polynomial enters the extended ring with each
+negative power v^-a written inv.v^a, which equals it modulo the
+relations; clearing denominators (``clear_laurent``) would give another
+generating set of the same ideal, so the same reduced basis, at more
+work.  Negative exponents are rejected by ``buchberger`` and
+``normal_form`` alike.
 
 Membership in the ring of Weyl-symmetric polynomials is tested in the full
 polynomial ring: for a symmetric polynomial p and symmetric generators,
@@ -191,7 +196,7 @@ class _Packer:
 
     def pack(self, e: tuple) -> int:
         if e and min(e) < 0:
-            raise ValueError("negative exponent: clear denominators first")
+            raise ValueError("negative exponent: use laurent_basis and laurent_contains")
         d = sum(e)
         if d > self.vmax:
             raise _Overflow(d)
@@ -526,7 +531,12 @@ def laurent_extension(
 
 def clear_laurent(p: MultiPoly, names: Sequence[str]) -> MultiPoly:
     """Multiply by the smallest monomial in the listed variables making
-    every listed exponent nonnegative (a unit in the Laurent ring)."""
+    every listed exponent nonnegative (a unit in the Laurent ring).
+
+    The reference route for the tests: `laurent_basis` and
+    `laurent_contains` write negative powers as inverses instead
+    (`_with_inverses`), and the tests check that both routes give the
+    same bases and the same memberships."""
     idxs = [p.table.index(n) for n in names]
     if not p.terms:
         return p
@@ -540,6 +550,25 @@ def clear_laurent(p: MultiPoly, names: Sequence[str]) -> MultiPoly:
     return p.shift(tuple(shift))
 
 
+def _with_inverses(p: MultiPoly, ext: VarTable, names: Sequence[str]) -> MultiPoly:
+    """p rebound into the table ext of `laurent_extension`, each negative
+    power v^-a of a listed variable written inv.v^a.  Modulo the
+    relations v * inv.v - 1 the result equals p."""
+    idx = [(ext.index(n), ext.index(_inverse_var(n).name)) for n in names]
+    out: dict = {}
+    for e, c in p.convert(ext).terms.items():
+        ne = list(e)
+        for i, j in idx:
+            if ne[i] < 0:
+                ne[j] -= ne[i]
+                ne[i] = 0
+        key = tuple(ne)
+        s = out.pop(key, 0) + c
+        if s:
+            out[key] = _coeff(s)
+    return MultiPoly(ext, out)
+
+
 def laurent_basis(
     generators: Iterable[MultiPoly],
     laurent_names: Sequence[str],
@@ -547,13 +576,19 @@ def laurent_basis(
     budget: Budget | None = None,
 ) -> GroebnerBasis:
     """Groebner basis of the ideal extended by inverses of the listed
-    variables; membership against it decides Laurent-ring membership."""
+    variables; membership against it decides Laurent-ring membership.
+
+    Each generator enters with its negative powers written as inverses
+    (`_with_inverses`), beside the relations v * inv.v - 1.  The cleared
+    generators of `clear_laurent` span the same ideal, so the reduced
+    basis is the same, but Buchberger would first have to rediscover the
+    inverse forms from them."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
     table = gens[0].table
     ext, rels = laurent_extension(table, laurent_names)
-    conv = [clear_laurent(g, laurent_names).convert(ext) for g in gens]
+    conv = [_with_inverses(g, ext, laurent_names) for g in gens]
     return buchberger(conv + rels, order=order, budget=budget)
 
 
@@ -563,9 +598,9 @@ def laurent_contains(
     laurent_names: Sequence[str],
     budget: Budget | None = None,
 ) -> bool:
-    """Membership of p in the Laurent extension (gb from laurent_basis)."""
-    cleared = clear_laurent(p, laurent_names).convert(gb.table)
-    return ideal_contains(gb, cleared, budget)
+    """Membership of p in the Laurent extension (gb from laurent_basis):
+    p with its negative powers written as inverses reduces to zero."""
+    return ideal_contains(gb, _with_inverses(p, gb.table, laurent_names), budget)
 
 
 @dataclass(frozen=True)

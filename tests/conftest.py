@@ -2,7 +2,10 @@ import os
 
 import pytest
 
-from quiverqh.quiver import load_quiver
+from quiverqh.embed import zeta_substitution
+from quiverqh.groebner import buchberger, clear_laurent, laurent_extension
+from quiverqh.presentation import build_ideal
+from quiverqh.quiver import build_table, load_quiver
 
 QUIVER_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "quivers")
 
@@ -23,3 +26,23 @@ def quivers():
 
     load.path = quiver_path
     return load
+
+
+def cleared_laurent_basis(generators, laurent_names):
+    """Reference route to `groebner.laurent_basis`: clear each generator's
+    denominators, adjoin the inverse relations and run Buchberger.  The
+    reduced basis of an ideal is unique, so both routes must agree."""
+    ext, rels = laurent_extension(generators[0].table, laurent_names)
+    cleared = [clear_laurent(g, laurent_names).convert(ext) for g in generators]
+    return buchberger(cleared + rels)
+
+
+def zeta_side_generators(q, p_max, equivariant):
+    """(generators, zeta names): the raw generators of build_ideal with
+    each Q[k] replaced by its signed zeta monomial, in the t/zeta table."""
+    kw = dict(equivariant=equivariant, with_t=True, with_zeta=True)
+    t_qz = build_table(q, with_q=True, **kw)
+    t_z = build_table(q, **kw)
+    sub = zeta_substitution(q, t_qz)
+    gens = [g.substitute(sub).convert(t_z) for g in build_ideal(q, p_max, table=t_qz).generators]
+    return gens, t_z.of_class("zeta")

@@ -378,6 +378,19 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
         "d6729e10ae354403c4a46f32d53f824a7dd3d54f377e1c810444fc8033ba6d00",
         id="qde-fl234-q2-eq",
     ),
+    pytest.param(
+        ("verify", "vgit", "quivers/vgit312_plus.json", "quivers/vgit312_minus.json"),
+        EXIT_OK,
+        "f91eb81ba64db3926ef0cf8db0d5ea1ab8079c7ba08c69b86717096411836028",
+        id="vgit312",
+    ),
+    pytest.param(
+        ("verify", "vgit", "quivers/vgit312_plus.json", "quivers/vgit312_minus.json",
+         "--equivariant"),
+        EXIT_OK,
+        "1b3d521830148fafad5033856472ff8fabf06d47bce697320fb659ad5116ee30",
+        id="vgit312-eq",
+    ),
 ])
 def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha):
     monkeypatch.chdir(REPO_ROOT)

@@ -14,7 +14,7 @@ import quiverqh.embed
 from quiverqh.polycore import MultiPoly, poly_to_text, product
 from quiverqh.quiver import build_table, resolve_pmax
 from quiverqh.presentation import build_ideal, chern_poly
-from quiverqh.groebner import buchberger, laurent_basis, laurent_contains
+from quiverqh.groebner import Budget, BudgetError, buchberger, laurent_contains
 from quiverqh.embed import (
     PsiImage,
     _substituted_ideal,
@@ -30,6 +30,8 @@ from quiverqh.embed import (
     verify_type_a,
     zeta_substitution,
 )
+
+from conftest import cleared_laurent_basis, zeta_side_generators
 
 
 def ztable(q, **kw):
@@ -200,15 +202,9 @@ def test_type_a_rejects_failing_chain(quivers):
 
 def raw_generator_laurent_basis(q, p_max, equivariant):
     """Oracle: the zeta-side basis from the substituted raw generators of
-    build_ideal, with no Kaehler basis in between."""
-    t_qz = build_table(
-        q, equivariant=equivariant, with_t=True, with_q=True, with_zeta=True
-    )
-    t_z = build_table(q, equivariant=equivariant, with_t=True, with_zeta=True)
-    sub = zeta_substitution(q, t_qz)
-    ideal = build_ideal(q, p_max, table=t_qz)
-    gens = [g.substitute(sub).convert(t_z) for g in ideal.generators]
-    return laurent_basis(gens, t_z.of_class("zeta"))
+    build_ideal, with no Kaehler basis in between, by the cleared-
+    denominator route rather than through laurent_basis."""
+    return cleared_laurent_basis(*zeta_side_generators(q, p_max, equivariant))
 
 
 # fingerprints of the Kaehler and zeta-side bases of fl245, equivariant
@@ -243,6 +239,16 @@ def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
     assert [poly_to_text(g) for g in gb_z] == [poly_to_text(g) for g in want]
     if (name, equivariant) == ("fl245", True):
         assert (gb_q.fingerprint, gb_z.fingerprint) == FL245_EQ_FINGERPRINTS
+
+
+def test_laurent_basis_step_count_is_pinned(quivers):
+    # exact reduction steps of the zeta-side basis of fl245, equivariant,
+    # from the Kaehler basis, with negative zeta powers entering as inverses
+    q = quivers("fl245")
+    gb_q = kaehler_basis(q, resolve_pmax(q, None), True)
+    _substituted_ideal(q, gb_q, budget=Budget(max_steps=1182))
+    with pytest.raises(BudgetError):
+        _substituted_ideal(q, gb_q, budget=Budget(max_steps=1181))
 
 
 @pytest.mark.parametrize("name,node", [

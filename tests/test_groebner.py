@@ -28,7 +28,9 @@ from quiverqh.groebner import (
 )
 from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for
 from quiverqh.presentation import build_ideal
-from quiverqh.quiver import build_table
+from quiverqh.quiver import build_table, resolve_pmax
+
+from conftest import cleared_laurent_basis, zeta_side_generators
 
 T = VarTable([Variable.xi("1", 1), Variable.xi("1", 2), Variable.q("1")])
 X = MultiPoly.variable(T, "xi[1][1]")
@@ -182,6 +184,59 @@ def test_ideal_equal_laurent():
     diff = ideal_equal_laurent([x * z - 1], [x - 1], ["zeta[a]"])
     assert not diff.equal
     assert diff.missing_from_first or diff.missing_from_second
+
+
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
+@pytest.mark.parametrize("name", ["fl234", "fl245"])
+def test_laurent_basis_matches_cleared_route(quivers, name, equivariant):
+    # inverses in place of cleared denominators span the same ideal
+    q = quivers(name)
+    gens, znames = zeta_side_generators(q, resolve_pmax(q, None), equivariant)
+    assert laurent_basis(gens, znames).fingerprint == \
+        cleared_laurent_basis(gens, znames).fingerprint
+
+
+TL = VarTable([Variable.zeta("a"), Variable.zeta("b"), Variable.xi("1", 1)])
+ZA = MultiPoly.variable(TL, "zeta[a]")
+ZB = MultiPoly.variable(TL, "zeta[b]")
+XL = MultiPoly.variable(TL, "xi[1][1]")
+LAURENT_IDEALS = [
+    [XL * ZA - 1],
+    [XL - ZA ** -1 * ZB, ZA * ZB ** -2 - XL ** 2],
+    [XL ** 2 - ZA ** -1, XL * ZB - ZA + 1],
+]
+_laurent_term = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2),
+                          st.integers(-3, 3))
+
+
+def _laurent_poly(spec):
+    return sum(
+        (MultiPoly.monomial(TL, {"zeta[a]": a, "zeta[b]": b, "xi[1][1]": c}, coef)
+         for a, b, c, coef in spec),
+        MultiPoly.zero(TL),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(len(LAURENT_IDEALS))),
+       st.lists(_laurent_term, min_size=1, max_size=3),
+       st.lists(_laurent_term, max_size=3))
+def test_laurent_contains_matches_cleared_route(which, mult, other):
+    # p = sum of Laurent multiples of the generators is a member; p plus a
+    # random Laurent polynomial may or may not be
+    gens = LAURENT_IDEALS[which]
+    names = ["zeta[a]", "zeta[b]"]
+    budget = Budget(max_steps=20_000)
+    gb = laurent_basis(gens, names, budget=budget)
+    ref = cleared_laurent_basis(gens, names)
+    assert gb.fingerprint == ref.fingerprint
+    member = sum((_laurent_poly([t]) * gens[n % len(gens)] for n, t in enumerate(mult)),
+                 MultiPoly.zero(TL))
+    for p, known in ((member, True), (member + _laurent_poly(other), None)):
+        got = laurent_contains(gb, p, names, budget)
+        cleared = clear_laurent(p, names).convert(ref.table)
+        assert got == ideal_contains(ref, cleared, budget)
+        assert known is None or got == known
 
 
 @settings(max_examples=25, deadline=None)
