@@ -2,7 +2,8 @@
 """Census of the mutation graph of a quiver's cluster seed.
 
 Reports how many distinct seeds (up to relabeling) and distinct cluster
-variables appear at each breadth-first depth, then — with --principal —
+variables appear within each breadth-first depth (the walk of
+`cluster.seed_layers`, bounded by its seed budget), then — with --principal —
 the F-polynomial/g-vector table of the principal-coefficient seed along
 every short mutation path.
 
@@ -22,34 +23,22 @@ from quiverqh.polycore import poly_to_text
 from quiverqh.quiver import exchange_matrices, load_quiver
 from quiverqh.cluster import (
     f_polynomial_and_g_vector,
-    mutate,
     principal_seed,
     seed_from_quiver,
+    seed_layers,
     separation_check,
 )
 
 
 def census(seed0, max_depth: int) -> None:
-    seen = {seed0.unlabeled_key()}
-    texts = set(seed0.variable_texts())
-    frontier = [seed0]
-    print(f"depth 0: seeds 1, variables {len(texts)}")
-    for depth in range(1, max_depth + 1):
-        nxt = []
-        for s in frontier:
-            for k in range(1, s.n + 1):
-                s2 = mutate(s, k)
-                key = s2.unlabeled_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                texts.update(s2.variable_texts())
-                nxt.append(s2)
-        frontier = nxt
-        print(f"depth {depth}: seeds {len(seen)}, variables {len(texts)}"
-              + ("  (stable)" if not nxt else ""))
-        if not nxt:
-            break
+    seeds = 0
+    texts = set()
+    for depth, layer in enumerate(seed_layers(seed0, max_depth)):
+        seeds += len(layer)
+        for s in layer:
+            texts.update(s.variable_texts())
+        print(f"depth {depth}: seeds {seeds}, variables {len(texts)}"
+              + ("  (stable)" if not layer else ""))
     print("\ndistinct cluster variables:")
     for t in sorted(texts):
         print("  ", t)
@@ -79,6 +68,8 @@ def main() -> int:
     ap.add_argument("--principal", action="store_true",
                     help="tabulate F-polynomials of the principal seed")
     args = ap.parse_args()
+    if args.max_depth < 0:
+        ap.error(f"--max-depth must be >= 0, got {args.max_depth}")
 
     q = load_quiver(args.quiver)
     if args.principal:

@@ -36,7 +36,6 @@ import sys
 
 from .polycore import LaurentViolationError, poly_to_text
 from .quiver import (
-    QuiverFormatError,
     build_table,
     load_quiver,
     quiver_to_dict,
@@ -423,7 +422,6 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     eq = ns.equivariant
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
 
-    tz = build_table(q, equivariant=eq, with_t=True, with_zeta=True)
     tq = build_table(q, equivariant=eq, with_t=True, with_q=True)
     tqz = build_table(q, equivariant=eq, with_t=True, with_q=True, with_zeta=True)
     subst = {k: poly_to_text(v) for k, v in sorted(zeta_substitution(q, tqz).items())}
@@ -432,11 +430,11 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 
     images = {}
     for n in q.nodes:
-        img = psi_initial(q, n.id, tz)
+        img = psi_initial(q, n.id, tqz)
         images[f"x[{n.id}]"] = poly_to_text(img.num)
     for n in q.gauge_nodes:
         if n.theta > 0:
-            adj = psi_adjacent(q, n.id, tz)
+            adj = psi_adjacent(q, n.id, tqz)
             images[f"x'[{n.id}]"] = (
                 "(" + poly_to_text(adj.num) + ") / "
                 + " * ".join(f"(zeta[{i}]*c_t(V_{i}))^{m}" for i, m in adj.den)
@@ -459,7 +457,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
                        "witness": None})
     witness = [
         {"node": nid, "zeta": z, "t_degree": m}
-        for nid, z, m in injectivity_witness(q, tz)
+        for nid, z, m in injectivity_witness(q, tqz)
     ]
     checks.append({"check": "injectivity-witness", "node": None, "ok": True,
                    "witness": None})
@@ -468,7 +466,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     if ns.path:
         steps = MutationPath.parse(ns.path).steps
         at = ns.at if ns.at is not None else steps[-1]
-        img = psi_of_cluster_variable(q, steps, at, tz)
+        img = psi_of_cluster_variable(q, steps, at, tqz)
         extra["cluster_image"] = {
             "path": list(steps),
             "position": at,
@@ -626,13 +624,7 @@ def main(argv: list | None = None) -> int:
         ns.command = f"{ns.command} {sub}"
     try:
         return _DISPATCH[ns.command](ns)
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QuiverFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:

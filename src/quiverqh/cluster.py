@@ -23,7 +23,7 @@ equality of these normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polycore import (
     DivisibilityError,
@@ -353,43 +353,52 @@ def mutate_path(seed: Seed, path: Iterable[int]) -> Seed:
     return seed
 
 
-def cluster_variables(
+def seed_layers(
     s0: Seed, max_depth: int, *, max_seeds: int = 20000
-) -> list[MultiPoly]:
-    """Distinct cluster variables reachable within max_depth mutations.
+) -> Iterator[list[Seed]]:
+    """The seeds first reached at 0, 1, ..., max_depth mutations from s0,
+    one list per depth, deduplicated up to simultaneous relabeling.
 
-    Breadth-first over seeds, deduplicated up to simultaneous relabeling;
-    output sorted by canonical text.  A negative depth is a ValueError.
+    The first depth that adds no seed is yielded as an empty list, and the
+    walk stops there.  A negative depth is a ValueError; more than
+    max_seeds seeds in all is a BudgetError.
     """
     if max_depth < 0:
         raise ValueError(f"mutation depth must be >= 0, got {max_depth}")
-    found: dict[str, MultiPoly] = {}
     seen = {s0.unlabeled_key()}
-    frontier = [s0]
-    for p, txt in zip(s0.cluster, s0.variable_texts()):
-        found[txt] = p
-    depth = 0
-    visited = 1
-    while frontier and depth < max_depth:
-        depth += 1
+    layer = [s0]
+    yield layer
+    for _ in range(max_depth):
+        if not layer:
+            return
         nxt = []
-        for s in frontier:
+        for s in layer:
             for k in range(1, s.n + 1):
                 s2 = mutate(s, k)
                 key = s2.unlabeled_key()
                 if key in seen:
                     continue
                 seen.add(key)
-                visited += 1
-                if visited > max_seeds:
+                if len(seen) > max_seeds:
                     raise BudgetError(
                         "seed budget exceeded (%d); mutation graph too large"
                         % max_seeds
                     )
-                for p, txt in zip(s2.cluster, s2.variable_texts()):
-                    found.setdefault(txt, p)
                 nxt.append(s2)
-        frontier = nxt
+        layer = nxt
+        yield layer
+
+
+def cluster_variables(
+    s0: Seed, max_depth: int, *, max_seeds: int = 20000
+) -> list[MultiPoly]:
+    """Distinct cluster variables of the seeds within max_depth mutations
+    (`seed_layers`, with its errors), sorted by canonical text."""
+    found: dict[str, MultiPoly] = {}
+    for layer in seed_layers(s0, max_depth, max_seeds=max_seeds):
+        for s in layer:
+            for p, txt in zip(s.cluster, s.variable_texts()):
+                found.setdefault(txt, p)
     return [found[t] for t in sorted(found)]
 
 

@@ -314,12 +314,6 @@ def qde_rows(w: WeightData, pairs: Sequence) -> list:
     return rows
 
 
-def qde_box_sweep(w: WeightData, box: int) -> list:
-    """All (d, d') checks with coordinates 0..box (sign-adjusted by theta)
-    and d' running over coordinate generators; returns report rows."""
-    return qde_rows(w, qde_box_pairs(w.quiver, box))
-
-
 def root_shift_sign(
     table: VarTable,
     blocks: BlockStructure,

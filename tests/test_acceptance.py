@@ -34,7 +34,7 @@ from quiverqh.cluster import (
     seed_from_quiver,
     separation_check,
 )
-from quiverqh.ifunction import qde_box_sweep
+from quiverqh.ifunction import qde_box_pairs, qde_rows
 from quiverqh.embed import psi_yhat_qfactor, verify_type_a
 
 A2 = [[0, 1], [-1, 0]]
@@ -187,7 +187,7 @@ def test_ac08_qde_sweeps(quivers):
     for name in ("p2", "gr24"):
         q = quivers(name)
         w = weights(q, build_table(q, equivariant=False, with_h=True))
-        rows = qde_box_sweep(w, 3)
+        rows = qde_rows(w, qde_box_pairs(q, 3))
         bad = [r for r in rows if not r["ok"]]
         assert not bad, bad[:3]
         total += sum(1 for r in rows if not r["skipped"])

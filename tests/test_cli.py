@@ -408,6 +408,60 @@ def test_qde_text_report_golden(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("argv, sha", [
+    pytest.param(
+        ("embed", "quivers/fl234.json", "--type-a"),
+        "521741b6893f21a3f4617b13b558eb1b85fbe08323f7fdfd0afa03663d0ee1f4",
+        id="embed-type-a-fl234",
+    ),
+    pytest.param(
+        ("embed", "quivers/fl234.json", "--path", "1,2", "--equivariant"),
+        "ab2b076ab7bbb195f179d2cd4f9b81e581ff804afd473ad7ae3dd05632b64a7b",
+        id="embed-path-fl234-eq",
+    ),
+    pytest.param(
+        ("embed", "quivers/gr24.json", "--path", "1", "--json"),
+        "4d75514aecd4c9133d9042eb80558af3f5e51d1e3cd3aa41c04c4338c30dca54",
+        id="embed-path-gr24-json",
+    ),
+    pytest.param(
+        ("cluster", "enumerate", "quivers/a3_frozen.json", "--max-depth", "8", "--json"),
+        "ca9b3ee6c26b00fa8f2f42bfaa55ccc9d77812179a910c624f7ff26c8233e615",
+        id="enumerate-a3-frozen-json",
+    ),
+])
+def test_embed_and_enumerate_report_golden(capsys, monkeypatch, argv, sha):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("args, sha", [
+    pytest.param(
+        ("quivers/a2.json",),
+        "030c3d97c75cc40016ecdf21050978992789be5249ef3dbc30119d85c9d8c15a",
+        id="a2",
+    ),
+    pytest.param(
+        ("quivers/a2.json", "--principal"),
+        "3b1b1766e7d4c58fa9e64989618f05d1e93dfbe88ce252fd4dd238242db2115d",
+        id="a2-principal",
+    ),
+    pytest.param(
+        ("quivers/a3_frozen.json", "--max-depth", "8"),
+        "ccaa0c26152a44bcb4d92d77042c3d93363a483c2563f9dacb2e09d1decda42a",
+        id="a3-frozen",
+    ),
+])
+def test_cluster_census_script_golden(args, sha):
+    out = subprocess.run(
+        [sys.executable, os.path.join("scripts", "cluster_census.py"), *args],
+        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+    )
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == sha
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     # only `verify qde --jobs N` with N > 1 needs multiprocessing
     probe = "import sys, quiverqh.cli; print('multiprocessing' in sys.modules)"

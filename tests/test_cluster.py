@@ -33,6 +33,7 @@ from quiverqh.cluster import (
     principal_seed,
     seed_from_matrix,
     seed_from_quiver,
+    seed_layers,
     separation_check,
     tropical_evaluation,
 )
@@ -98,6 +99,16 @@ def test_chain_with_frozen_enumeration(quivers):
         for exp, c in p.terms.items():
             assert isinstance(c, int)
             assert exp[frozen_slot] >= 0, "frozen generator inverted"
+
+
+def test_seed_layers_count_clusters(quivers):
+    # finite type: A_2 has 5 clusters and A_3 has 14 (Catalan numbers); the
+    # first depth that adds no seed comes back empty and ends the walk
+    a2 = coefficient_free_seed(A2)
+    assert [len(layer) for layer in seed_layers(a2, 8)] == [1, 2, 2, 0]
+    seed, _ = seed_from_quiver(quivers("a3_frozen"))
+    assert [len(layer) for layer in seed_layers(seed, 8)] == [1, 3, 5, 5, 0]
+    assert [len(layer) for layer in seed_layers(seed, 2)] == [1, 3, 5]
 
 
 def test_seed_budget_guard():

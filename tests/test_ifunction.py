@@ -20,8 +20,8 @@ from quiverqh.quiver import (
 from quiverqh.ifunction import (
     ifun_coeff,
     qde_box_pairs,
-    qde_box_sweep,
     qde_check,
+    qde_rows,
     root_shift_sign,
 )
 
@@ -95,8 +95,8 @@ def test_qde_skips_outside_cone(quivers):
     ("p2", 4), ("gr24", 3), ("vgit312_plus", 3), ("vgit312_minus", 3),
 ])
 def test_qde_box_sweeps(quivers, name, box):
-    w = qweights(quivers(name))
-    rows = qde_box_sweep(w, box)
+    q = quivers(name)
+    rows = qde_rows(qweights(q), qde_box_pairs(q, box))
     assert rows, "sweep produced no rows"
     bad = [r for r in rows if not r["ok"]]
     assert not bad, bad[:3]
