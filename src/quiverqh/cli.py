@@ -33,8 +33,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-from .polycore import LaurentViolationError, poly_to_text
+from .polycore import poly_to_text
 from .quiver import (
     build_table,
     load_quiver,
@@ -55,18 +56,18 @@ from .groebner import (
 from .ifunction import qde_box_pairs, qde_rows
 from .cluster import (
     LaurentPhenomenonError,
-    MutationPath,
     cluster_variables,
     f_polynomial_and_g_vector,
     mutate_path,
+    parse_path,
     principal_seed,
     seed_from_quiver,
     separation_check,
 )
 from .embed import (
     injectivity_witness,
+    node_image,
     psi_adjacent,
-    psi_initial,
     psi_of_cluster_variable,
     require_exchange_node,
     transformation_link_check,
@@ -172,7 +173,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     ok = rep.acyclic and rep.feasible
     report = {
         "ok": ok,
-        "flags": rep.as_dict(),
+        "flags": asdict(rep),
         "notes": list(rep.notes),
         "quiver": quiver_to_dict(q),
     }
@@ -267,15 +268,16 @@ def _cmd_verify_type_a(ns: argparse.Namespace) -> int:
     type_a_chain(q)  # a quiver that is not a chain fails before any basis work
     table = build_table(q, equivariant=ns.equivariant, with_t=True, with_q=True)
     gb = _basis(ns, q, resolve_pmax(q, ns.pmax), table)
-    rep = verify_type_a(q, gb, budget=_budget(ns))
-    report = {"ok": rep.ok, "rows": rep.rows}
+    rows = verify_type_a(q, gb, budget=_budget(ns))
+    ok = all(r["ok"] for r in rows)
+    report = {"ok": ok, "rows": rows}
     lines = [f"type-A closed forms and quotient identities: {ns.quiver}"]
-    for r in rep.rows:
+    for r in rows:
         lines.append(f"  {r['kind']} k={r['k']} l={r['l']}: {_flag(r['ok'])}"
                      + (f"  [{r['witness']}]" if r["witness"] else ""))
-    lines.append(f"result: {_flag(rep.ok)}")
+    lines.append(f"result: {_flag(ok)}")
     _emit(ns, report, lines)
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
@@ -347,7 +349,7 @@ def _cmd_verify_separation(ns: argparse.Namespace) -> int:
 
     b, _, _ = exchange_matrices(q)
     s0 = principal_seed(b)
-    path = MutationPath.parse(ns.path).steps
+    path = parse_path(ns.path)
     if not path and ns.at is None:
         raise ValueError("--path is required")
     k = ns.at if ns.at is not None else path[-1]
@@ -379,7 +381,7 @@ def _cmd_verify_separation(ns: argparse.Namespace) -> int:
 def _cmd_cluster_mutate(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
     seed, node_order = seed_from_quiver(q)
-    path = MutationPath.parse(ns.path).steps
+    path = parse_path(ns.path)
     s = mutate_path(seed, path)
     report = {
         "ok": True,
@@ -430,8 +432,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 
     images = {}
     for n in q.nodes:
-        img = psi_initial(q, n.id, tqz)
-        images[f"x[{n.id}]"] = poly_to_text(img.num)
+        images[f"x[{n.id}]"] = poly_to_text(node_image(q, n.id, tqz))
     for n in q.gauge_nodes:
         if n.theta > 0:
             adj = psi_adjacent(q, n.id, tqz)
@@ -464,7 +465,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 
     extra: dict = {}
     if ns.path:
-        steps = MutationPath.parse(ns.path).steps
+        steps = parse_path(ns.path)
         at = ns.at if ns.at is not None else steps[-1]
         img = psi_of_cluster_variable(q, steps, at, tqz)
         extra["cluster_image"] = {
@@ -477,8 +478,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
         lines.append(f"    num = {poly_to_text(img.num)}")
         lines.append(f"    den = {extra['cluster_image']['den']}")
     if ns.type_a:
-        rep = verify_type_a(q, gb, budget=budget)
-        for r in rep.rows:
+        for r in verify_type_a(q, gb, budget=budget):
             checks.append({"check": f"type-a-{r['kind']}", "node": f"{r['k']},{r['l']}",
                            "ok": r["ok"], "witness": r["witness"]})
 
@@ -630,7 +630,7 @@ def main(argv: list | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (LaurentPhenomenonError, LaurentViolationError, ArithmeticError) as exc:
+    except (LaurentPhenomenonError, ArithmeticError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -110,23 +110,17 @@ class TropMonomial:
 # -- seeds ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MutationPath:
-    """Sequence of 1-based mutation directions."""
-
-    steps: tuple[int, ...]
-
-    @staticmethod
-    def parse(text: str) -> "MutationPath":
-        text = text.strip()
-        if not text:
-            return MutationPath(())
-        try:
-            return MutationPath(tuple(int(s) for s in text.split(",")))
-        except ValueError:
-            raise ValueError(
-                f"mutation path must be comma-separated integers, got {text!r}"
-            ) from None
+def parse_path(text: str) -> tuple[int, ...]:
+    """The 1-based mutation directions of a comma-separated path."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"mutation path must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ the cluster variable's Laurent normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .polycore import MultiPoly, Variable, VarTable, poly_to_text, product
@@ -102,10 +102,6 @@ class PsiImage:
 def node_image(q: Quiver, i: str, table: VarTable) -> MultiPoly:
     """zeta_i * c_t(V_i), the image of the initial variable at node i."""
     return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(q, i, table)
-
-
-def psi_initial(q: Quiver, i: str, table: VarTable) -> PsiImage:
-    return PsiImage(q, table, node_image(q, i, table))
 
 
 def _zeta_column_parts(
@@ -242,21 +238,9 @@ def transformation_link_check(q: Quiver, k: str, table: VarTable) -> bool:
 # -- type-A suite -------------------------------------------------------------------
 
 
-@dataclass
-class TypeAReport:
-    rows: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-    def failures(self) -> list:
-        return [r for r in self.rows if not r["ok"]]
-
-
 def _substituted_ideal(
     q: Quiver, gb_q: GroebnerBasis, budget: Budget | None
-) -> tuple[GroebnerBasis, VarTable, tuple[str, ...]]:
+) -> tuple[GroebnerBasis, VarTable]:
     """Groebner data for the ideal after Kaehler-to-zeta elimination.
 
     The zeta-side ideal is generated by the substituted elements of the
@@ -272,8 +256,7 @@ def _substituted_ideal(
     t_z = t_qz.drop(gb_q.table.of_class("Q"))
     sub = zeta_substitution(q, t_qz)
     gens = [g.convert(t_qz).substitute(sub).convert(t_z) for g in gb_q]
-    znames = t_z.of_class("zeta")
-    return laurent_basis(gens, znames, budget=budget), t_z, znames
+    return laurent_basis(gens, t_z.of_class("zeta"), budget=budget), t_z
 
 
 def type_a_chain(q: Quiver) -> list:
@@ -285,8 +268,9 @@ def type_a_chain(q: Quiver) -> list:
     return _chain_order(q)
 
 
-def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None) -> TypeAReport:
-    """Closed-form images and quotient identities along a type-A chain.
+def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None) -> list:
+    """Closed-form images and quotient identities along a type-A chain,
+    one row dict (kind, k, l, ok, witness) per check.
 
     (a) For 0 <= k <= l <= n the cluster variable x[kl] (mutation path
     k+1,..,l read at position l) must map to
@@ -294,7 +278,7 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
     cross-multiplied by the image denominator.
     (b) The two quotient identities behind that closed form are verified
     per t-coefficient against the Kaehler-side ideal, with V_(n+1) the
-    zero bundle.
+    zero bundle, so c_t(V_a) is delta_t(V_a, V_(n+1)).
 
     gb is the caller's reduced basis of the Kaehler-side ideal, in a
     table that holds t and Q; the identities are built in that table.
@@ -305,45 +289,38 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
     chain = type_a_chain(q)
     n = len(chain) - 1
     table = gb.table
-    report = TypeAReport()
+    rows = []
 
-    def delta(a: int, b: int) -> MultiPoly:
+    def delta(a: int, b: int, table: VarTable) -> MultiPoly:
         na = chain[a] if a <= n else None
         nb = chain[b] if b <= n else None
         return node_chern_quotient(q, na, nb, table)
-
-    def ct(a: int) -> MultiPoly:
-        if a > n:
-            return MultiPoly.const(table, 1)
-        return chern_poly(q, chain[a], table)
 
     for k in range(1, n + 1):
         for l in range(k, n + 1):
             sgn = kaehler_sign(q, chain[l])
             ql = MultiPoly.variable(table, f"Q[{chain[l]}]")
-            id1 = ct(l) * delta(k - 1, l) - ct(k - 1) - sgn * ql * delta(k - 1, l - 1) * ct(l + 1)
-            id2 = delta(k - 1, l) * delta(l, l + 1) - delta(k - 1, l + 1) - sgn * ql * delta(k - 1, l - 1)
+            id1 = (delta(l, n + 1, table) * delta(k - 1, l, table) - delta(k - 1, n + 1, table)
+                   - sgn * ql * delta(k - 1, l - 1, table) * delta(l + 1, n + 1, table))
+            id2 = (delta(k - 1, l, table) * delta(l, l + 1, table) - delta(k - 1, l + 1, table)
+                   - sgn * ql * delta(k - 1, l - 1, table))
             for tag, poly in (("quotient-product", id1), ("quotient-chain", id2)):
                 witness = _t_witness(poly, lambda c: ideal_contains(gb, c, budget), "t^%d: %s")
-                report.rows.append(
+                rows.append(
                     {"kind": tag, "k": k, "l": l, "ok": witness is None, "witness": witness}
                 )
 
     # zeta-side closed forms.
-    gb_z, t_z, znames = _substituted_ideal(q, gb, budget)
-
-    def delta_z(a: int, b: int) -> MultiPoly:
-        return node_chern_quotient(q, chain[a], chain[b], t_z)
-
+    gb_z, t_z = _substituted_ideal(q, gb, budget)
     for k in range(0, n + 1):
         for l in range(k, n + 1):
             zk = MultiPoly.variable(t_z, f"zeta[{chain[k]}]")
             zl_inv = MultiPoly.variable(t_z, f"zeta[{chain[l]}]", -1)
-            rhs = zk * zl_inv * delta_z(k, l)
+            rhs = zk * zl_inv * delta(k, l, t_z)
             if k == l:
                 diff = MultiPoly.const(t_z, 1) - rhs
                 ok = diff.is_zero()
-                report.rows.append(
+                rows.append(
                     {"kind": "image", "k": k, "l": l, "ok": ok,
                      "witness": None if ok else poly_to_text(diff)}
                 )
@@ -351,13 +328,11 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
             path = tuple(range(k + 1, l + 1))
             img = psi_of_cluster_variable(q, path, l, t_z)
             diff = img.num - rhs * img.den_poly()
-            witness = _t_witness(
-                diff, lambda c: laurent_contains(gb_z, c, znames, budget), "t^%d: %s"
-            )
-            report.rows.append(
+            witness = _t_witness(diff, lambda c: laurent_contains(gb_z, c, budget), "t^%d: %s")
+            rows.append(
                 {"kind": "image", "k": k, "l": l, "ok": witness is None, "witness": witness}
             )
-    return report
+    return rows
 
 
 # -- principal-coefficient monomial check -------------------------------------------
@@ -405,8 +380,7 @@ def injectivity_witness(q: Quiver, table: VarTable) -> list[tuple[str, str, int]
     out = []
     seen = set()
     for n in q.nodes:
-        img = psi_initial(q, n.id, table)
-        lead = img.num.coeff_of({f"zeta[{n.id}]": 1, "t": n.dim})
+        lead = node_image(q, n.id, table).coeff_of({f"zeta[{n.id}]": 1, "t": n.dim})
         if lead != 1:
             raise ArithmeticError(
                 "initial image at %s is not monic of degree %d in t" % (n.id, n.dim)

@@ -43,11 +43,11 @@ packed exponent vectors", CASC 2007).  For n variables and a field width
 of w bits the int holds, from the most significant end:
 
 * n order fields of w bits: for grevlex the total degree, then the
-  partial sums e1+...+e(n-1), ..., e1 of the exponents taken in the
-  order's variable order (first = largest); for lex the exponents in
-  that order.  Each field is a linear form with nonnegative
-  coefficients, so comparing packed ints compares monomials in the order
-  and adding packed ints multiplies monomials.
+  partial sums e1+...+e(n-1), ..., e1 of the exponents in table order
+  (first = largest); for lex the exponents in table order.  Each field
+  is a linear form with nonnegative coefficients, so comparing packed
+  ints compares monomials in the order and adding packed ints
+  multiplies monomials.
 * n + 1 low fields of w + 1 bits: the total degree, then the exponents
   in table order, each topped by a guard bit that is 0 in every packed
   monomial.  With G the mask of the guard bits, ``lead`` divides ``m``
@@ -78,7 +78,8 @@ basis computation.  A polynomial enters the extended ring with each
 negative power v^-a written inv.v^a, which equals it modulo the
 relations; clearing denominators (``clear_laurent``) would give another
 generating set of the same ideal, so the same reduced basis, at more
-work.  Negative exponents are rejected by ``buchberger`` and
+work.  ``laurent_contains`` reads the inverted variables from the
+basis's table.  Negative exponents are rejected by ``buchberger`` and
 ``normal_form`` alike.
 
 Membership in the ring of Weyl-symmetric polynomials is tested in the full
@@ -119,46 +120,29 @@ class Budget:
     max_basis: int = 5_000
     max_steps: int = 20_000_000
 
-    def exceeded_pairs(self, n: int) -> bool:
-        return n > self.max_pairs
-
-    def exceeded_basis(self, n: int) -> bool:
-        return n > self.max_basis
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Monomial order: kind 'grevlex' or 'lex' over an explicit variable
-    order (default: the table's canonical order)."""
+    """Monomial order: kind 'grevlex' or 'lex' over the table's canonical
+    variable order, first variable largest."""
 
     kind: str = "grevlex"
-    variables: tuple = ()  # names, first = largest; empty = table order
 
-    def permutation(self, table: VarTable) -> tuple:
-        """Table indices of the variables, largest first."""
+    def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if not self.variables:
-            return tuple(range(table.nvars))
-        perm = tuple(table.index(n) for n in self.variables)
-        if sorted(perm) != list(range(table.nvars)):
-            raise ContextError("order must list every table variable exactly once")
-        return perm
 
-    def key_fn(self, table: VarTable) -> Callable:
-        perm = self.permutation(table)
+    def key_fn(self) -> Callable:
         if self.kind == "grevlex":
             def key(e: tuple) -> tuple:
-                pe = [e[i] for i in perm]
-                out = [sum(pe)]
-                out.extend(-x for x in reversed(pe))
+                out = [sum(e)]
+                out.extend(-x for x in reversed(e))
                 return tuple(out)
             return key
-        return lambda e: tuple(e[i] for i in perm)
+        return tuple
 
     def describe(self) -> str:
-        vs = ",".join(self.variables) if self.variables else "<table>"
-        return f"{self.kind}({vs})"
+        return f"{self.kind}(<table>)"
 
 
 # -- packed monomials -----------------------------------------------------------------
@@ -180,11 +164,10 @@ def _width_for(degree: int) -> int:
 class _Packer:
     """Packed encoding of exponent tuples for one order, table and width."""
 
-    __slots__ = ("nvars", "perm", "grevlex", "width", "vmax", "deg_shift",
+    __slots__ = ("nvars", "grevlex", "width", "vmax", "deg_shift",
                  "low_bits", "guards")
 
     def __init__(self, order: MonomialOrder, table: VarTable, width: int):
-        self.perm = order.permutation(table)
         self.grevlex = order.kind == "grevlex"
         self.nvars = n = table.nvars
         self.width = width
@@ -205,15 +188,14 @@ class _Packer:
         low = d << self.deg_shift
         for i, x in enumerate(e):
             low |= x << (i * step)
-        pe = [e[i] for i in self.perm]
         if self.grevlex:
             high = s = d
-            for x in reversed(pe[1:]):
+            for x in reversed(e[1:]):
                 s -= x
                 high = (high << w) | s
         else:
             high = 0
-            for x in pe:
+            for x in e:
                 high = (high << w) | x
         return (high << self.low_bits) | low
 
@@ -388,7 +370,7 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
     while pairs:
         sugar, dl, i, j, l = heapq.heappop(pairs)
         processed += 1
-        if budget.exceeded_pairs(processed):
+        if processed > budget.max_pairs:
             raise BudgetError(f"pair budget exceeded ({budget.max_pairs} pairs)")
         # S-polynomial of monic rows: the leading terms cancel at l
         top = dl + max(rows[i][2], rows[j][2])
@@ -410,7 +392,7 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
         if not r:
             continue
         add_poly(r, sugar)
-        if budget.exceeded_basis(len(rows)):
+        if len(rows) > budget.max_basis:
             raise BudgetError(f"basis budget exceeded ({budget.max_basis} elements)")
 
     # the active rows form a minimal basis: no lead divides an earlier
@@ -572,7 +554,6 @@ def _with_inverses(p: MultiPoly, ext: VarTable, names: Sequence[str]) -> MultiPo
 def laurent_basis(
     generators: Iterable[MultiPoly],
     laurent_names: Sequence[str],
-    order: MonomialOrder | None = None,
     budget: Budget | None = None,
 ) -> GroebnerBasis:
     """Groebner basis of the ideal extended by inverses of the listed
@@ -589,18 +570,15 @@ def laurent_basis(
     table = gens[0].table
     ext, rels = laurent_extension(table, laurent_names)
     conv = [_with_inverses(g, ext, laurent_names) for g in gens]
-    return buchberger(conv + rels, order=order, budget=budget)
+    return buchberger(conv + rels, budget=budget)
 
 
-def laurent_contains(
-    gb: GroebnerBasis,
-    p: MultiPoly,
-    laurent_names: Sequence[str],
-    budget: Budget | None = None,
-) -> bool:
+def laurent_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = None) -> bool:
     """Membership of p in the Laurent extension (gb from laurent_basis):
-    p with its negative powers written as inverses reduces to zero."""
-    return ideal_contains(gb, _with_inverses(p, gb.table, laurent_names), budget)
+    p with its negative powers of the variables gb inverts (those with an
+    inv.* variable in gb.table) written as inverses reduces to zero."""
+    names = [n for n in gb.table.names if _inverse_var(n).name in gb.table]
+    return ideal_contains(gb, _with_inverses(p, gb.table, names), budget)
 
 
 @dataclass(frozen=True)
@@ -614,19 +592,16 @@ def ideal_equal_laurent(
     gens_a: Sequence[MultiPoly],
     gens_b: Sequence[MultiPoly],
     laurent_names: Sequence[str],
-    order: MonomialOrder | None = None,
     budget: Budget | None = None,
 ) -> LaurentComparison:
     """Mutual containment of two ideals after inverting the listed
     variables; witnesses list the generators that fail membership."""
-    gb_a = laurent_basis(gens_a, laurent_names, order, budget)
-    gb_b = laurent_basis(gens_b, laurent_names, order, budget)
+    gb_a = laurent_basis(gens_a, laurent_names, budget)
+    gb_b = laurent_basis(gens_b, laurent_names, budget)
     miss_a = tuple(
-        poly_to_text(g) for g in gens_b
-        if not laurent_contains(gb_a, g, laurent_names, budget)
+        poly_to_text(g) for g in gens_b if not laurent_contains(gb_a, g, budget)
     )
     miss_b = tuple(
-        poly_to_text(g) for g in gens_a
-        if not laurent_contains(gb_b, g, laurent_names, budget)
+        poly_to_text(g) for g in gens_a if not laurent_contains(gb_b, g, budget)
     )
     return LaurentComparison(not miss_a and not miss_b, miss_a, miss_b)

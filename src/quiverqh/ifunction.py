@@ -281,7 +281,7 @@ def qde_box_pairs(q: Quiver, box: int) -> list:
             slots.append((n.id, j, s))
     budget = Budget()
     count = (box + 1) ** len(slots) * len(slots)
-    if budget.exceeded_pairs(count):
+    if count > budget.max_pairs:
         raise BudgetError(
             f"degree box {box} has {count} pairs, over the pair budget "
             f"({budget.max_pairs} pairs)"

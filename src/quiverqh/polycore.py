@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
 Expvec = "tuple[int, ...]"
@@ -102,8 +102,8 @@ class Variable:
         return Variable("Qt", (_label_key(node), j), False, f"Qt[{node}][{j}]")
 
     @staticmethod
-    def zeta(node: str, laurent: bool = True) -> "Variable":
-        return Variable("zeta", (_label_key(node),), laurent, f"zeta[{node}]")
+    def zeta(node: str) -> "Variable":
+        return Variable("zeta", (_label_key(node),), True, f"zeta[{node}]")
 
     @staticmethod
     def x(i: int, laurent: bool = True) -> "Variable":
@@ -114,8 +114,8 @@ class Variable:
         return Variable("y", (i,), False, f"y[{i}]")
 
     @staticmethod
-    def aux(tag: str, laurent: bool = False) -> "Variable":
-        return Variable("aux", (tag,), laurent, tag)
+    def aux(tag: str) -> "Variable":
+        return Variable("aux", (tag,), False, tag)
 
 
 class VarTable:
@@ -359,14 +359,15 @@ class MultiPoly:
 
     # -- structure --------------------------------------------------------
 
-    def sorted_terms(self, key: Callable = grevlex_key, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """(exponent tuple, coefficient) pairs in descending grevlex."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def leading(self, key: Callable = grevlex_key) -> tuple:
-        """(exponent tuple, coefficient) of the largest monomial."""
+    def leading(self) -> tuple:
+        """(exponent tuple, coefficient) of the grevlex-largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
     def coefficients_in(self, name: str) -> list:

@@ -77,7 +77,6 @@ from .quiver import (
 )
 from .symfun import (
     antisymmetrize,
-    chern_from_roots,
     completes,
     elementaries,
     insertion_exponents,
@@ -180,9 +179,9 @@ def node_relations(
     for m in range(max(vm, vp) + 1):
         c = MultiPoly.zero(table)
         if m <= vm and e_in[vm - m]:
-            c = _signed(ls * (-1) ** (vm - m), e_in[vm - m])
+            c = ls * (-1) ** (vm - m) * e_in[vm - m]
         if m <= vp and e_out[vp - m]:
-            c = c + _signed(rs * (-1) ** m, qk * e_out[vp - m])
+            c = c + rs * (-1) ** m * (qk * e_out[vp - m])
         coeffs.append(c)
     h = completes(table, node_roots(q, table, k), len(coeffs) + top - v)
     out = []
@@ -194,10 +193,6 @@ def node_relations(
                 g = g + c * h[i]
         out.append(g)
     return out
-
-
-def _signed(sign: int, p: MultiPoly) -> MultiPoly:
-    return p if sign > 0 else -p
 
 
 def build_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
@@ -236,8 +231,9 @@ def _node_ideal(
 
 
 def chern_poly(q: Quiver, nid: str, table: VarTable) -> MultiPoly:
-    """Total Chern polynomial of the tautological bundle at a node."""
-    return chern_from_roots(table, node_roots(q, table, nid))
+    """Total Chern polynomial c_t(V) of the tautological bundle at a node,
+    as delta_t(V, 0)."""
+    return node_chern_quotient(q, nid, None, table)
 
 
 def chern_division(

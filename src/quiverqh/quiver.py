@@ -226,16 +226,6 @@ class ValidationReport:
     type_a: bool
     notes: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "structural_ok": self.structural_ok,
-            "acyclic": self.acyclic,
-            "feasible": self.feasible,
-            "quiver_flag": self.quiver_flag,
-            "type_a": self.type_a,
-            "notes": list(self.notes),
-        }
-
 
 def _is_acyclic(q: Quiver) -> bool:
     marks: dict[str, int] = {}

@@ -6,6 +6,8 @@ recurrences, staying exact throughout.  `elementaries` and `completes`
 build the whole list e_0..e_n, respectively h_0..h_N, of one root
 multiset in one pass; callers build each list once per multiset and
 index into it.  `elementary` and `complete` are single-entry views.
+`chern_from_roots`, c_t as a product, is the tests' reference route: the
+package builds c_t by the division in t of `presentation.chern_division`.
 
 Antisymmetrization is over the product of symmetric groups attached to a
 block structure (one block of Chern-root variables per gauge node):
@@ -40,10 +42,6 @@ class BlockStructure:
                 if n in seen:
                     raise ValueError(f"variable {n!r} appears in two blocks")
                 seen.add(n)
-
-    @property
-    def nodes(self) -> tuple:
-        return tuple(node for node, _ in self.blocks)
 
     def block(self, node: str) -> tuple:
         for n, names in self.blocks:

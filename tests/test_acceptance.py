@@ -172,11 +172,11 @@ def test_ac07_type_a_closed_forms(quivers):
     t0 = time.perf_counter()
     q = quivers("fl234")
     table = build_table(q, equivariant=False, with_t=True, with_q=True)
-    rep = verify_type_a(q, buchberger(build_ideal(q, default_pmax(q), table).generators))
-    assert len(rep.rows) == 12
-    assert rep.ok, rep.failures()
-    images = [r for r in rep.rows if r["kind"] == "image"]
-    quotients = [r for r in rep.rows if r["kind"] != "image"]
+    rows = verify_type_a(q, buchberger(build_ideal(q, default_pmax(q), table).generators))
+    assert len(rows) == 12
+    assert all(r["ok"] for r in rows), [r for r in rows if not r["ok"]]
+    images = [r for r in rows if r["kind"] == "image"]
+    quotients = [r for r in rows if r["kind"] != "image"]
     assert len(images) == 6 and len(quotients) == 6
     report("AC-7", t0, "all 6 closed-form images and 6 quotient identities hold")
 

@@ -429,6 +429,31 @@ def test_qde_text_report_golden(capsys, monkeypatch):
         "ca9b3ee6c26b00fa8f2f42bfaa55ccc9d77812179a910c624f7ff26c8233e615",
         id="enumerate-a3-frozen-json",
     ),
+    pytest.param(
+        ("validate", "quivers/fl234.json", "--json"),
+        "69739fcb29dfc1a1f4266ab67646051933fbb48e9bbfdb48f0734175a065fc81",
+        id="validate-fl234-json",
+    ),
+    pytest.param(
+        ("cluster", "mutate", "quivers/a3_frozen.json", "--path", "1,3,2", "--json"),
+        "dbd2ecba886203ea3778e8e63297d6f9af3bed422405558993f2c61d366164c5",
+        id="mutate-a3-frozen-json",
+    ),
+    pytest.param(
+        ("verify", "separation", "quivers/a2.json", "--path", "1,2", "--json"),
+        "955c1f8633a292d3bbdaf7d9afb44de0a87dfd7ba726d09bf72f2b274419e3b7",
+        id="separation-a2-json",
+    ),
+    pytest.param(
+        ("groebner", "quivers/fl234.json", "--order", "lex", "--json"),
+        "d4ebc4afa513e291df0cdb8fce7dcb418adfbf9bd12bfdbcb1b7683aedff58c4",
+        id="groebner-fl234-lex-json",
+    ),
+    pytest.param(
+        ("groebner", "quivers/fl234.json", "--equivariant", "--json"),
+        "221763a09a01a6541137abcd361bd5c05f2437fdc12901cdb1b61e52b7ec1566",
+        id="groebner-fl234-eq-json",
+    ),
 ])
 def test_embed_and_enumerate_report_golden(capsys, monkeypatch, argv, sha):
     monkeypatch.chdir(REPO_ROOT)

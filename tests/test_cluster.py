@@ -20,7 +20,6 @@ from quiverqh.polycore import MultiPoly, poly_to_text
 from quiverqh.quiver import load_quiver
 from quiverqh.cluster import (
     LaurentPhenomenonError,
-    MutationPath,
     Seed,
     SeedError,
     TropMonomial,
@@ -30,6 +29,7 @@ from quiverqh.cluster import (
     is_principal,
     mutate,
     mutate_path,
+    parse_path,
     principal_seed,
     seed_from_matrix,
     seed_from_quiver,
@@ -158,11 +158,11 @@ def test_chain_three_term_recursion(quivers, name):
 
 
 def test_mutation_path_parse():
-    assert MutationPath.parse("").steps == ()
-    assert MutationPath.parse("1,2,1").steps == (1, 2, 1)
-    assert MutationPath.parse(" 2 , 1 ".replace(" ", "")).steps == (2, 1)
+    assert parse_path("") == ()
+    assert parse_path("1,2,1") == (1, 2, 1)
+    assert parse_path(" 2 , 1 ".replace(" ", "")) == (2, 1)
     with pytest.raises(ValueError):
-        MutationPath.parse("1,a")
+        parse_path("1,a")
 
 
 def test_seed_from_quiver_matrix(quivers):

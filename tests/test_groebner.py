@@ -97,7 +97,7 @@ def test_hand_example_reduced_basis():
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
 def test_buchberger_criterion_independently(kind):
     order = MonomialOrder(kind)
-    key = order.key_fn(T)
+    key = order.key_fn()
     gb = buchberger([X ** 3 - Q * Y, X * Y - Q, Y ** 2 - X], order)
     for i, f in enumerate(gb.elements):
         for g in gb.elements[i + 1:]:
@@ -170,9 +170,9 @@ def test_laurent_membership():
     x = MultiPoly.variable(tl, "xi[1][1]")
     gb = laurent_basis([x * z - 1], ["zeta[a]"])
     # x - zeta^-1 lies in the localized ideal but not in the plain one
-    assert laurent_contains(gb, x - z ** -1, ["zeta[a]"])
-    assert laurent_contains(gb, x ** 2 - z ** -2, ["zeta[a]"])
-    assert not laurent_contains(gb, x - 1, ["zeta[a]"])
+    assert laurent_contains(gb, x - z ** -1)
+    assert laurent_contains(gb, x ** 2 - z ** -2)
+    assert not laurent_contains(gb, x - 1)
 
 
 def test_ideal_equal_laurent():
@@ -233,10 +233,22 @@ def test_laurent_contains_matches_cleared_route(which, mult, other):
     member = sum((_laurent_poly([t]) * gens[n % len(gens)] for n, t in enumerate(mult)),
                  MultiPoly.zero(TL))
     for p, known in ((member, True), (member + _laurent_poly(other), None)):
-        got = laurent_contains(gb, p, names, budget)
+        got = laurent_contains(gb, p, budget)
         cleared = clear_laurent(p, names).convert(ref.table)
         assert got == ideal_contains(ref, cleared, budget)
         assert known is None or got == known
+
+
+def test_laurent_contains_inverts_only_the_basis_variables():
+    # the inverted variables come from the basis: zeta[a] is inverted,
+    # zeta[b] is not, and a plain basis inverts nothing
+    gb = laurent_basis([XL * ZA - 1], ["zeta[a]"])
+    assert laurent_contains(gb, XL - ZA ** -1)
+    assert not laurent_contains(gb, XL - ZA ** -2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        laurent_contains(gb, XL - ZB ** -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        laurent_contains(buchberger([XL * ZA - 1]), XL - ZA ** -1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,8 +270,6 @@ T4 = VarTable([Variable.xi("1", j) for j in range(1, 5)])
 ORDERS = [
     MonomialOrder("grevlex"),
     MonomialOrder("lex"),
-    MonomialOrder("grevlex", ("xi[1][3]", "xi[1][1]", "xi[1][4]", "xi[1][2]")),
-    MonomialOrder("lex", ("xi[1][2]", "xi[1][4]", "xi[1][1]", "xi[1][3]")),
 ]
 _exp = st.tuples(*[st.integers(0, 40)] * 4)
 
@@ -273,7 +283,7 @@ def _packer(order):
 @given(_exp, _exp, st.sampled_from(ORDERS))
 def test_packed_comparison_matches_key_fn(a, b, order):
     pk = _packer(order)
-    key = order.key_fn(T4)
+    key = order.key_fn()
     assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b))
     assert (pk.pack(a) == pk.pack(b)) == (a == b)
 
