@@ -15,7 +15,9 @@ echoes the flags by one rule (`_config`).
 
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
 error (bad file, malformed JSON, bad flags, nothing to check), 3 resource
-budget exceeded.
+budget exceeded, 4 internal error (a polynomial in the wrong variable
+table or with a negative power where none is allowed: a bug, not bad
+input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -30,12 +32,12 @@ object to every check; the type-A suite adds only its zeta-side basis.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
-from .polycore import poly_to_text
+from .polycore import ContextError, LaurentViolationError, poly_to_text
 from .quiver import (
     build_table,
     load_quiver,
@@ -83,6 +85,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 # -- flags and report emission ------------------------------------------------------
@@ -119,10 +122,49 @@ def _config(ns: argparse.Namespace) -> dict:
     return out
 
 
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def to_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), the same string, in one
+    pass; the standard encoder runs its pure-Python path under indent.
+    Leaves are str, int, bool and None, containers dict (str keys), list
+    and tuple; any other type, a subclass of one or a key that is not a
+    str raises TypeError.  Leaves are encoded in the container's loop,
+    not by a call per leaf."""
+    inner = indent + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        parts = []
+        for k in sorted(obj):
+            v = obj[k]
+            leaf = _LEAVES.get(type(v))
+            parts.append(encode_basestring_ascii(k) + ": "
+                         + (leaf(v) if leaf else to_json(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        parts = []
+        for v in obj:
+            leaf = _LEAVES.get(type(v))
+            parts.append(leaf(v) if leaf else to_json(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if type(obj) in _LEAVES:
+        return _LEAVES[type(obj)](obj)
+    raise TypeError(f"not a JSON report value: {type(obj).__name__}")
+
+
 def _emit(ns: argparse.Namespace, report: dict, text_lines: list) -> None:
     if ns.json_out:
         report = {"schema": SCHEMA, "config": _config(ns), **report}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(to_json(report))
     else:
         for line in text_lines:
             print(line)
@@ -624,6 +666,10 @@ def main(argv: list | None = None) -> int:
         ns.command = f"{ns.command} {sub}"
     try:
         return _DISPATCH[ns.command](ns)
+    # both subclass ValueError, so they are caught before the input errors
+    except (ContextError, LaurentViolationError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

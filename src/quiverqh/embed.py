@@ -290,11 +290,16 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
     n = len(chain) - 1
     table = gb.table
     rows = []
+    built: dict = {}
 
     def delta(a: int, b: int, table: VarTable) -> MultiPoly:
-        na = chain[a] if a <= n else None
-        nb = chain[b] if b <= n else None
-        return node_chern_quotient(q, na, nb, table)
+        """delta_t(V_a, V_b) in table, built once per (a, b, table)."""
+        key = (a, b, table)
+        if key not in built:
+            na = chain[a] if a <= n else None
+            nb = chain[b] if b <= n else None
+            built[key] = node_chern_quotient(q, na, nb, table)
+        return built[key]
 
     for k in range(1, n + 1):
         for l in range(k, n + 1):

@@ -9,10 +9,24 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quiverqh.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, clamp_jobs, main
+from quiverqh.cli import (
+    EXIT_BUDGET,
+    EXIT_FAIL,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    clamp_jobs,
+    main,
+    to_json,
+)
+from quiverqh.polycore import ContextError, LaurentViolationError
 from quiverqh.presentation import build_ideal
 from quiverqh.quiver import build_table, default_pmax
 
@@ -203,7 +217,49 @@ def test_type_a_on_bad_chain_is_input_error(capsys, quivers):
     assert "type-A" in err
 
 
+@pytest.mark.parametrize("error", [ContextError, LaurentViolationError])
+def test_internal_error_exit(capsys, monkeypatch, quivers, error):
+    # both subclass ValueError, yet they are bugs, not bad input
+    import quiverqh.cli
+
+    def broken(q, table):
+        raise error("table mismatch")
+
+    monkeypatch.setattr(quiverqh.cli, "zeta_substitution", broken)
+    code, out, err = run(capsys, "embed", quivers.path("gr24"))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: table mismatch\n"
+
+
 # -- determinism --------------------------------------------------------------------
+
+
+_json_strings = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\x7f\n\t", "\u00e9\u2028\U0001f600", ""]
+)
+_json_trees = st.recursive(
+    _json_strings | st.integers() | st.integers(-2**80, 2**80) | st.booleans() | st.none(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_json_strings, kids, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_to_json_matches_json_dumps(obj):
+    assert to_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, [0.0], {"a": Fraction(1, 2)}, OrderedDict(a=1), {1: "x"}, {"a": {2: None}},
+    [type("Count", (int,), {})(3)],
+], ids=["float", "float-in-list", "fraction", "ordered-dict", "int-key", "nested-int-key",
+        "int-subclass"])
+def test_to_json_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        to_json(obj)
 
 
 def test_groebner_report_is_byte_identical(capsys, quivers):
@@ -295,11 +351,12 @@ def test_type_a_on_a_non_chain_fails_before_any_basis(capsys, monkeypatch, quive
 
 
 def count_calls(monkeypatch, func):
-    """Replace every quiverqh module attribute bound to func by a counter."""
+    """Replace every quiverqh module attribute bound to func by a counter;
+    the list it returns holds each call's positional arguments."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return func(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -325,6 +382,21 @@ def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
     )
     assert code == EXIT_OK and rep["ok"]
     assert (len(full), len(ideals), len(bases)) == (0, 1, 2)
+
+
+def test_type_a_builds_each_delta_once(capsys, monkeypatch, quivers):
+    # every delta_t(V_a, V_b) of the suite is built once per table; the
+    # psi images build their own c_t through presentation.chern_poly, so
+    # only the calls made from embed are counted
+    import quiverqh.presentation
+
+    func = quiverqh.presentation.node_chern_quotient
+    calls = count_calls(monkeypatch, func)
+    monkeypatch.setattr(quiverqh.presentation, "node_chern_quotient", func)
+    code, _, _ = run(capsys, "verify", "type-a", quivers.path("fl245"), "--equivariant")
+    assert code == EXIT_OK
+    distinct = {(num, den, id(table)) for _, num, den, table in calls}
+    assert len(calls) == len(distinct) == 15
 
 
 def test_build_ideal_builds_no_weights(monkeypatch, quivers):
@@ -453,6 +525,11 @@ def test_qde_text_report_golden(capsys, monkeypatch):
         ("groebner", "quivers/fl234.json", "--equivariant", "--json"),
         "221763a09a01a6541137abcd361bd5c05f2437fdc12901cdb1b61e52b7ec1566",
         id="groebner-fl234-eq-json",
+    ),
+    pytest.param(
+        ("present", "quivers/fl234.json", "--equivariant", "--json"),
+        "0d5437c193ea2cdc2330206a28f17ed3a028f37e7478fc630d0724b4821b182a",
+        id="present-fl234-eq-json",
     ),
 ])
 def test_embed_and_enumerate_report_golden(capsys, monkeypatch, argv, sha):
