@@ -22,7 +22,8 @@ input).
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
 input error.  Workers receive
-picklable arguments and rebuild their own state, results are collected in
+picklable arguments and rebuild their own state (each regenerates its own
+contiguous slice of the box's pairs), results are collected in
 submission order, so reports do not depend on scheduling.  `groebner`,
 `verify exchange`, `verify type-a` and `embed` build one Groebner basis
 of the spanning ideal per run, in this process (`_basis`), and hand that
@@ -35,6 +36,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .polycore import ContextError, LaurentViolationError, poly_to_text
@@ -55,7 +57,7 @@ from .groebner import (
     buchberger,
     ideal_equal_laurent,
 )
-from .ifunction import qde_box_pairs, qde_rows
+from .ifunction import qde_box_pairs, qde_box_size, qde_rows
 from .cluster import (
     LaurentPhenomenonError,
     cluster_variables,
@@ -178,9 +180,9 @@ def _flag(ok: bool) -> str:
 
 
 def _qde_chunk(args):
-    q, equivariant, pairs = args
+    q, equivariant, box, start, stop = args
     w = weights(q, build_table(q, equivariant=equivariant, with_h=True))
-    return qde_rows(w, pairs)
+    return qde_rows(w, islice(qde_box_pairs(q, box), start, stop))
 
 
 def clamp_jobs(requested: int, items: int) -> int:
@@ -354,12 +356,12 @@ def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
 
 def _qde_box_rows(q, equivariant: bool, box: int, jobs: int) -> list:
     """Report rows of the degree box in pair order, computed in one
-    contiguous chunk of pairs per job.  The pairs are freed on return,
-    before the report is serialised (about 2 MB for fl234 at box 3)."""
-    pairs = qde_box_pairs(q, box)
-    jobs = clamp_jobs(jobs, len(pairs))
-    size = -(-len(pairs) // jobs)
-    chunks = [(q, equivariant, pairs[i:i + size]) for i in range(0, len(pairs), size)]
+    contiguous slice of pairs per job.  Each job regenerates its slice
+    from the box, so no pair list is built or sent to a worker."""
+    count = qde_box_size(q, box)
+    jobs = clamp_jobs(jobs, count)
+    size = -(-count // jobs)
+    chunks = [(q, equivariant, box, i, i + size) for i in range(0, count, size)]
     return [r for out in _map(_qde_chunk, chunks, jobs) for r in out]
 
 

@@ -93,15 +93,27 @@ class PsiImage:
         if any(m < 0 for _, m in self.den):
             raise ValueError("denominator multiplicities must be nonnegative")
 
-    def den_poly(self) -> MultiPoly:
+    def den_poly(self, images: dict | None = None) -> MultiPoly:
+        """The denominator as a polynomial; images as for `_node_image`."""
         return product(self.table, (
-            node_image(self.quiver, nid, self.table) ** m for nid, m in self.den
+            _node_image(self.quiver, nid, self.table, images) ** m for nid, m in self.den
         ))
 
 
 def node_image(q: Quiver, i: str, table: VarTable) -> MultiPoly:
     """zeta_i * c_t(V_i), the image of the initial variable at node i."""
     return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(q, i, table)
+
+
+def _node_image(q: Quiver, i: str, table: VarTable, images: dict | None) -> MultiPoly:
+    """node_image(q, i, table), built once and kept in images, a dict
+    node id -> image in table that the caller shares between calls, when
+    one is given."""
+    if images is None:
+        return node_image(q, i, table)
+    if i not in images:
+        images[i] = node_image(q, i, table)
+    return images[i]
 
 
 def _zeta_column_parts(
@@ -135,12 +147,14 @@ def psi_of_cluster_variable(
     path: Sequence[int],
     k: int,
     table: VarTable,
+    images: dict | None = None,
 ) -> PsiImage:
     """Image of the cluster variable at position k after mutating along path.
 
     The Laurent normal form is split into a polynomial numerator and a
     monomial denominator; every variable slot is then replaced by its node
-    image zeta_i * c_t(V_i).
+    image zeta_i * c_t(V_i), built in table (or taken from images, see
+    `_node_image`).
     """
     seed, node_order = seed_from_quiver(q)
     s = mutate_path(seed, path)
@@ -160,7 +174,8 @@ def psi_of_cluster_variable(
 
     mix = table.extend(x.table.var(nm) for nm in slot_names)
     bindings = {
-        nm: node_image(q, node_order[pos], mix) for pos, nm in enumerate(slot_names)
+        nm: _node_image(q, node_order[pos], table, images).convert(mix)
+        for pos, nm in enumerate(slot_names)
     }
     num = cleared.convert(mix).substitute(bindings).convert(table)
     return PsiImage(q, table, num, tuple(sorted(den)))
@@ -315,8 +330,9 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
                     {"kind": tag, "k": k, "l": l, "ok": witness is None, "witness": witness}
                 )
 
-    # zeta-side closed forms.
+    # zeta-side closed forms; the psi images share one node image per node
     gb_z, t_z = _substituted_ideal(q, gb, budget)
+    images: dict = {}
     for k in range(0, n + 1):
         for l in range(k, n + 1):
             zk = MultiPoly.variable(t_z, f"zeta[{chain[k]}]")
@@ -331,8 +347,8 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
                 )
                 continue
             path = tuple(range(k + 1, l + 1))
-            img = psi_of_cluster_variable(q, path, l, t_z)
-            diff = img.num - rhs * img.den_poly()
+            img = psi_of_cluster_variable(q, path, l, t_z, images)
+            diff = img.num - rhs * img.den_poly(images)
             witness = _t_witness(diff, lambda c: laurent_contains(gb_z, c, budget), "t^%d: %s")
             rows.append(
                 {"kind": "image", "k": k, "l": l, "ok": witness is None, "witness": witness}

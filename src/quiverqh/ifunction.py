@@ -13,26 +13,6 @@ as multisets of linear forms, which both speeds up and sharpens the
 difference-equation check: common factors cancel exactly and only the
 residual products are expanded and compared.
 
-A factor is named by a pair (weight index i, shift s) and stands for the
-linear form w_i + s h.  Each name is built and canonicalised (the text of
-its sign- and scale-normalized form, plus the scalar it was divided by)
-once per WeightData and kept in the ``WeightData.factors`` memo, so a sweep
-over thousands of (d, d') pairs canonicalises only the few dozen distinct
-factors it meets and each check just counts names.  An empty numerator or
-denominator stands as the single factor 1, which takes part in the
-cancellation like any other factor.
-
-Everything that depends on one degree alone is likewise computed once per
-WeightData and kept in the ``WeightData.degrees`` memo: the pairing of
-every weight with d, the factor keys of c_d counted +1 in the numerator
-and -1 in the denominator, one normalized form per key, and the scalar of
-each side.  A box sweep checks every degree several times as d and as
-d - d', so a check only builds its two windows from the pairings of d'
-and merges c_d's counts minus c_{d-d'}'s counts.  d - d' is paired with
-every weight on its own rather than read off as <w,d> - <w,d'>: that
-difference is the pairing only for weights that pair linearly, and the
-check must judge the weights it is given, not assume that of them.
-
 The difference equation along a degree shift d' states
 
     prod_{<w,d'> > 0} prod_{m=0}^{<w,d'>-1} (w + <w,d> h - m h) * c_d
@@ -43,6 +23,33 @@ a weight w contributes to c_d and to c_{d-d'} differ by the ladder of
 linear forms w + l h for l strictly between <w,d-d'> and <w,d> inclusive
 on the larger end, and the two product ranges above are exactly that
 ladder written from the top.
+
+A factor is named by a pair (weight index i, shift s) and stands for the
+linear form w_i + s h.  Weight i's names in c_d, in c_{d-d'} and in the
+two windows cancel as multisets exactly when its ladder closes,
+<w_i,d> - <w_i,d-d'> = <w_i,d'>, and equal name multisets give equal
+products and equal scalars.  So the ladder certificate decides a pair:
+when every weight's ladder closes the pair passes, read off three integer
+vectors without building a polynomial.  The pairing of every weight with
+a degree is computed once per WeightData and kept in the
+``WeightData.degrees`` memo.  d - d' is paired with every weight on its
+own rather than read off as <w,d> - <w,d'>: that difference is the
+pairing only for weights that pair linearly, and the check must judge the
+weights it is given, not assume that of them.  Real weights pair
+linearly, so the certificate decides every pair of a real sweep.
+
+A pair with a weight whose ladder does not close falls back to counting
+canonical keys.  Each factor name is built and canonicalised (the text of
+its sign- and scale-normalized form, plus the scalar it was divided by)
+once per WeightData and kept in the ``WeightData.factors`` memo.  Each
+degree such a pair uses gets, once, its factor keys counted +1 in the
+numerator and -1 in the denominator, one normalized form per key and the
+scalar of each side, kept next to its pairings.  The check merges c_d's
+counts minus c_{d-d'}'s counts with the two windows, then expands and
+compares only the products that did not cancel, so a failure returns the
+nonzero residual, or the mismatched scalars, as witness.  An empty
+numerator or denominator stands as the single factor 1, which takes part
+in the cancellation like any other factor.
 
 Coefficients outside the effective cone are zero and recursions that step
 outside the cone are skipped with a notice rather than checked.
@@ -57,7 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product as iproduct
+from operator import sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import Budget, BudgetError
 from .polycore import (
@@ -143,18 +152,27 @@ def _factor(w: WeightData, name) -> tuple:
     return f
 
 
-def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> tuple:
-    """(pairings, counts, reps, num scalar, den scalar) of c_d, computed
-    once per WeightData and degree and kept in ``w.degrees``: the pairing
-    of every weight with d, the canonical keys of c_d's factors counted +1
-    in the numerator and -1 in the denominator (padding included), one
-    normalized form per key, and the product of the scalars on each side."""
+def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> list:
+    """[pairings, canonical data] of c_d, kept in ``w.degrees``: the
+    pairing of every weight with d, computed once per WeightData and
+    degree, and a slot that `_canon_degree` fills only when a check the
+    ladders do not decide needs it (None until then)."""
     key = _degree_key(d)
     entry = w.degrees.get(key)
     if entry is None:
         dmap = cocharacter(w.quiver, d)
-        pairings = tuple(wt.pair(dmap) for wt in w.weights)
-        num, den = _coeff_factors(pairings)
+        entry = w.degrees[key] = [tuple(wt.pair(dmap) for wt in w.weights), None]
+    return entry
+
+
+def _canon_degree(w: WeightData, entry: list) -> tuple:
+    """(counts, reps, num scalar, den scalar) of the degree of a
+    ``w.degrees`` entry, built on first use and kept in the entry: the
+    canonical keys of c_d's factors counted +1 in the numerator and -1 in
+    the denominator (padding included), one normalized form per key, and
+    the product of the scalars on each side."""
+    if entry[1] is None:
+        num, den = _coeff_factors(entry[0])
         counts: dict = {}
         reps: dict = {}
         scalars = []
@@ -166,8 +184,8 @@ def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> tuple:
                 counts[k] = counts.get(k, 0) + sign
                 reps[k] = unit
             scalars.append(scalar)
-        entry = w.degrees[key] = (pairings, counts, reps, *scalars)
-    return entry
+        entry[1] = (counts, reps, *scalars)
+    return entry[1]
 
 
 def _polys(w: WeightData, names: list) -> tuple:
@@ -210,10 +228,12 @@ def qde_check(
 ) -> QdeResult:
     """Exact difference-equation check relating c_d and c_{d-d'}.
 
-    Both sides are assembled as factor multisets; after cancellation the
-    residues are expanded and compared as polynomials, so a pass is an
-    exact identity and a failure returns the nonzero residual as witness.
-    A step d-d' outside the effective cone is reported as skipped.
+    A pair whose ladders all close passes on the ladder certificate.
+    Otherwise both sides are assembled as factor multisets; after
+    cancellation the residues are expanded and compared as polynomials,
+    so a pass is an exact identity and a failure returns the nonzero
+    residual as witness.  A step d-d' outside the effective cone is
+    reported as skipped.
     """
     q = w.quiver
     if not in_effective_cone(q, d):
@@ -221,9 +241,15 @@ def qde_check(
     dm = _sub_degree(d, dprime)
     if not in_effective_cone(q, dm):
         return QdeResult(True, True, "d - d' leaves the effective cone")
-    ad, cd, reps_d, num_d, den_d = _degree(w, d)
-    am, cdm, reps_dm, num_dm, den_dm = _degree(w, dm)
-    ap = _degree(w, dprime)[0]
+    entry_d = _degree(w, d)
+    entry_dm = _degree(w, dm)
+    ad, am, ap = entry_d[0], entry_dm[0], _degree(w, dprime)[0]
+    # the ladder certificate: weight i's factor names cancel as multisets
+    # exactly when <w_i,d> - <w_i,d-d'> = <w_i,d'>
+    if tuple(map(sub, ad, am)) == ap:
+        return QdeResult(True, False)
+    cd, reps_d, num_d, den_d = _canon_degree(w, entry_d)
+    cdm, reps_dm, num_dm, den_dm = _canon_degree(w, entry_dm)
     # lhs_factors * cd = rhs_factors * cdm, cross-multiplied: the left
     # holds lhs, c_d's numerator and c_{d-d'}'s denominator
     counts = dict(cd)
@@ -265,40 +291,50 @@ def qde_check(
     return QdeResult(False, False, witness=poly_to_text(diff))
 
 
-def qde_box_pairs(q: Quiver, box: int) -> list:
-    """All (d, d') pairs with d-coordinates 0..box (sign-adjusted by theta)
-    and d' running over coordinate generators, in deterministic order.
-    Raises BudgetError before building any pair when their number,
-    (box+1)^s * s for s coordinates, exceeds the default pair budget."""
-    from itertools import product as iproduct
-
+def qde_box_size(q: Quiver, box: int) -> int:
+    """Number of (d, d') pairs in the degree box, (box+1)^s * s for s
+    coordinates.  A negative box is an input error, and a count over the
+    default pair budget raises BudgetError."""
     if box < 0:
         raise ValueError(f"degree box bound must be >= 0, got {box}")
-    slots = []
-    for n in require_gauge_nodes(q):
-        s = 1 if n.theta > 0 else -1
-        for j in range(n.dim):
-            slots.append((n.id, j, s))
+    s = sum(n.dim for n in require_gauge_nodes(q))
+    count = (box + 1) ** s * s
     budget = Budget()
-    count = (box + 1) ** len(slots) * len(slots)
     if count > budget.max_pairs:
         raise BudgetError(
             f"degree box {box} has {count} pairs, over the pair budget "
             f"({budget.max_pairs} pairs)"
         )
+    return count
 
-    pairs = []
+
+def qde_box_pairs(q: Quiver, box: int) -> Iterator[tuple]:
+    """All (d, d') pairs with d-coordinates 0..box (sign-adjusted by theta)
+    and d' running over coordinate generators, in deterministic order,
+    yielded one at a time.  The box is checked by `qde_box_size` when this
+    is called, before any pair is built."""
+    qde_box_size(q, box)
+    slots = []
+    for n in q.gauge_nodes:
+        s = 1 if n.theta > 0 else -1
+        for j in range(n.dim):
+            slots.append((n.id, j, s))
+    return _box_pairs(q, slots, box)
+
+
+def _box_pairs(q: Quiver, slots: list, box: int) -> Iterator[tuple]:
+    """The pairs of `qde_box_pairs` over its (node id, slot, sign)
+    coordinates, in the same order."""
     for vec in iproduct(range(box + 1), repeat=len(slots)):
         d: dict = {}
         for (nid, j, s), v in zip(slots, vec):
             d.setdefault(nid, [0] * q.dim(nid))[j] = s * v
         for nid, j, s in slots:
             dp = {nid: [s if jj == j else 0 for jj in range(q.dim(nid))]}
-            pairs.append((d, dp))
-    return pairs
+            yield d, dp
 
 
-def qde_rows(w: WeightData, pairs: Sequence) -> list:
+def qde_rows(w: WeightData, pairs: Iterable) -> list:
     """Report rows of qde_check for the given (d, d') pairs, in order."""
     rows = []
     for d, dp in pairs:

@@ -375,9 +375,9 @@ class WeightData:
     # (weight index, shift) -> (key, scalar, p, normalized), see
     # ifunction._canon_factor.
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # per-degree data of c_d: degree key -> (pairing of every weight, signed
-    # factor-key counts, a normalized form per key, numerator scalar,
-    # denominator scalar), see ifunction._degree.
+    # per-degree data of c_d: degree key -> [pairing of every weight, None
+    # or (signed factor-key counts, a normalized form per key, numerator
+    # scalar, denominator scalar)], see ifunction._degree and _canon_degree.
     degrees: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

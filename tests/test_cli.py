@@ -279,6 +279,21 @@ def test_qde_rows_independent_of_jobs(capsys, monkeypatch, quivers):
     assert rep1 == rep2
 
 
+def test_qde_slices_split_a_degree_across_workers(capsys, monkeypatch, quivers):
+    # gr24 at box 3 has 4^2 degrees with 2 shifts each: 32 pairs in slices
+    # of 11, so pairs 10 and 11, which share a degree, go to two workers
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    code1, rep1, _ = jrun(capsys, "verify", "qde", quivers.path("gr24"), "--qorder", "3")
+    code3, rep3, _ = jrun(
+        capsys, "verify", "qde", quivers.path("gr24"), "--qorder", "3", "--jobs", "3"
+    )
+    assert code1 == code3 == EXIT_OK
+    assert (rep1["config"].pop("jobs"), rep3["config"].pop("jobs")) == (1, 3)
+    assert len(rep1["rows"]) == 32
+    assert rep1["rows"][10]["d"] == rep1["rows"][11]["d"]
+    assert rep1 == rep3
+
+
 @pytest.mark.parametrize("requested,items,cpus,expected", [
     (1, 10, 4, 1),
     (3, 10, 4, 3),
@@ -397,6 +412,19 @@ def test_type_a_builds_each_delta_once(capsys, monkeypatch, quivers):
     assert code == EXIT_OK
     distinct = {(num, den, id(table)) for _, num, den, table in calls}
     assert len(calls) == len(distinct) == 15
+
+
+def test_type_a_psi_images_build_each_chern_polynomial_once(capsys, monkeypatch, quivers):
+    # the whole run, psi images included: the 15 deltas above and one
+    # c_t(V_i) per node of the chain in the zeta table, shared by the three
+    # psi images and their denominators
+    import quiverqh.presentation
+
+    calls = count_calls(monkeypatch, quiverqh.presentation.node_chern_quotient)
+    code, _, _ = run(capsys, "verify", "type-a", quivers.path("fl245"), "--equivariant")
+    assert code == EXIT_OK
+    distinct = {(num, den, id(table)) for _, num, den, table in calls}
+    assert len(calls) == len(distinct) == 18
 
 
 def test_build_ideal_builds_no_weights(monkeypatch, quivers):

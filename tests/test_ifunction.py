@@ -112,7 +112,7 @@ def test_qde_equivariant_slice(quivers):
 
 def test_qde_pairs_enumeration(quivers):
     q = quivers("gr24")
-    pairs = qde_box_pairs(q, 2)
+    pairs = list(qde_box_pairs(q, 2))
     # 3^2 degree vectors, 2 coordinate directions each
     assert len(pairs) == 18
     seen = {tuple(tuple(v) for _, v in sorted(d.items())) for d, _ in pairs}
