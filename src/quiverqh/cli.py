@@ -14,10 +14,10 @@ what the library reads them from.  The `config` object of a JSON report
 echoes the flags by one rule (`_config`).
 
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
-error (bad file, malformed JSON, bad flags, nothing to check), 3 resource
-budget exceeded, 4 internal error (a polynomial in the wrong variable
-table or with a negative power where none is allowed: a bug, not bad
-input).
+error (bad file, malformed JSON, bad flags, an unknown node, nothing to
+check), 3 resource budget exceeded, 4 internal error (a polynomial in the
+wrong variable table or with a negative power where none is allowed, or a
+KeyError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -132,13 +132,21 @@ _LEAVES = {
 }
 
 
-def to_json(obj, indent: str = "\n") -> str:
+def to_json(obj, indent: str = "\n", memo: dict | None = None) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), the same string, in one
     pass; the standard encoder runs its pure-Python path under indent.
     Leaves are str, int, bool and None, containers dict (str keys), list
     and tuple; any other type, a subclass of one or a key that is not a
     str raises TypeError.  Leaves are encoded in the container's loop,
-    not by a call per leaf."""
+    not by a call per leaf.
+
+    A report may hold one object in many places (the QDE rows of a degree
+    share its d).  While a list is encoded, every container held as a
+    dict value anywhere inside its elements is encoded once per depth and
+    its text kept in `memo`, keyed by (id, indent); the memo is dropped
+    with the list, so it never outlives the report that keeps those ids
+    alive, nor holds the text of the list itself.  A container edited
+    between two calls is encoded from its new contents."""
     inner = indent + "  "
     if type(obj) is dict:
         if not obj:
@@ -147,16 +155,25 @@ def to_json(obj, indent: str = "\n") -> str:
         for k in sorted(obj):
             v = obj[k]
             leaf = _LEAVES.get(type(v))
-            parts.append(encode_basestring_ascii(k) + ": "
-                         + (leaf(v) if leaf else to_json(v, inner)))
+            if leaf:
+                text = leaf(v)
+            elif memo is None:
+                text = to_json(v, inner)
+            else:
+                text = memo.get((id(v), inner))
+                if text is None:
+                    text = memo[id(v), inner] = to_json(v, inner, memo)
+            parts.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if type(obj) is list or type(obj) is tuple:
         if not obj:
             return "[]"
+        if memo is None:
+            memo = {}
         parts = []
         for v in obj:
             leaf = _LEAVES.get(type(v))
-            parts.append(leaf(v) if leaf else to_json(v, inner))
+            parts.append(leaf(v) if leaf else to_json(v, inner, memo))
         return "[" + inner + ("," + inner).join(parts) + indent + "]"
     if type(obj) in _LEAVES:
         return _LEAVES[type(obj)](obj)
@@ -668,11 +685,13 @@ def main(argv: list | None = None) -> int:
         ns.command = f"{ns.command} {sub}"
     try:
         return _DISPATCH[ns.command](ns)
-    # both subclass ValueError, so they are caught before the input errors
-    except (ContextError, LaurentViolationError) as exc:
+    # both subclass ValueError, so they are caught before the input errors;
+    # a KeyError is a lookup the code got wrong, since input lookups raise
+    # ValueError (an unknown node id: quiver.QuiverFormatError)
+    except (ContextError, LaurentViolationError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:

@@ -225,6 +225,7 @@ def qde_check(
     w: WeightData,
     d: Mapping[str, Sequence[int]],
     dprime: Mapping[str, Sequence[int]],
+    d_entry: list | None = None,
 ) -> QdeResult:
     """Exact difference-equation check relating c_d and c_{d-d'}.
 
@@ -232,16 +233,21 @@ def qde_check(
     Otherwise both sides are assembled as factor multisets; after
     cancellation the residues are expanded and compared as polynomials,
     so a pass is an exact identity and a failure returns the nonzero
-    residual as witness.  A step d-d' outside the effective cone is
-    reported as skipped.
+    residual as witness.  A degree d or a step d-d' outside the effective
+    cone is reported as skipped.
+
+    A caller that already holds d's ``w.degrees`` entry (`_degree`) may
+    pass it as d_entry, and only for d in the effective cone: d's cone
+    test and entry lookup are then not repeated.  Without it the check
+    makes both itself; the verdict is the same either way.
     """
     q = w.quiver
-    if not in_effective_cone(q, d):
+    if d_entry is None and not in_effective_cone(q, d):
         return QdeResult(True, True, "d outside the effective cone")
     dm = _sub_degree(d, dprime)
     if not in_effective_cone(q, dm):
         return QdeResult(True, True, "d - d' leaves the effective cone")
-    entry_d = _degree(w, d)
+    entry_d = d_entry or _degree(w, d)
     entry_dm = _degree(w, dm)
     ad, am, ap = entry_d[0], entry_dm[0], _degree(w, dprime)[0]
     # the ladder certificate: weight i's factor names cancel as multisets
@@ -335,13 +341,33 @@ def _box_pairs(q: Quiver, slots: list, box: int) -> Iterator[tuple]:
 
 
 def qde_rows(w: WeightData, pairs: Iterable) -> list:
-    """Report rows of qde_check for the given (d, d') pairs, in order."""
+    """Report rows of qde_check for the given (d, d') pairs, in order.
+
+    The pairs are taken one degree at a time: a pair whose d equals, by
+    value, the report copy of the previous pair's d continues that
+    degree's run, so a caller may reuse and mutate one dict.  Each run
+    tests d's cone and looks up its ``w.degrees`` entry once, and all its
+    rows hold one report copy of d; rows with equal d' hold one copy of
+    d' between them.  qde_check still decides every pair, once.  The
+    shared row objects are read-only: a caller that edits one row's "d"
+    or "dprime" edits every row holding it.
+    """
+    q = w.quiver
     rows = []
+    shifts: dict = {}
+    d_row = None
     for d, dp in pairs:
-        res = qde_check(w, d, dp)
+        if d != d_row:
+            d_row = {nid: list(vec) for nid, vec in d.items()}
+            entry = _degree(w, d) if in_effective_cone(q, d) else None
+        key = tuple([(nid, tuple(vec)) for nid, vec in dp.items()])
+        dp_row = shifts.get(key)
+        if dp_row is None:
+            dp_row = shifts[key] = {nid: list(vec) for nid, vec in dp.items()}
+        res = qde_check(w, d, dp, entry)
         rows.append({
-            "d": {k: list(v) for k, v in d.items()},
-            "dprime": {k: list(v) for k, v in dp.items()},
+            "d": d_row,
+            "dprime": dp_row,
             "ok": res.ok,
             "skipped": res.skipped,
             "notice": res.notice,

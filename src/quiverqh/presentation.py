@@ -134,6 +134,13 @@ def nonabelian_relation(
     (-1)^<2rho,d> Q^dbar, multiplied by the staircase insertion monomial and
     Weyl-antisymmetrized.  dbar sums d over each block, so negative totals
     need a Laurent-capable Q table.
+
+    p_insert maps a gauge node to its inserted power (default 0).  The
+    prefactor is symmetric in the roots of a block that d does not touch,
+    so that block's exponents must be distinct or the relation is 0: such
+    a block with repeated exponents (p in 0..v-2 for dim v >= 2) raises
+    ValueError naming its node.  Giving it the full staircase, p = v-1,
+    leaves the relation of the blocks d touches.
     """
     q = w.quiver
     table = w.table
@@ -154,6 +161,11 @@ def nonabelian_relation(
     for nid, names in blocks.blocks:
         p = 0 if p_insert is None else p_insert.get(nid, 0)
         exps[nid] = insertion_exponents(len(names), p)
+        if len(set(exps[nid])) < len(names) and not any(d.get(nid, ())):
+            raise ValueError(
+                f"node {nid!r}: insertion exponents {exps[nid]} repeat on a block "
+                f"d does not touch, so the relation antisymmetrizes to 0"
+            )
     return antisymmetrize(table, blocks, exps, prefactor)
 
 

@@ -103,7 +103,10 @@ class Quiver:
                             key=lambda n: _label_key(n.id)))
 
     def node(self, nid: str) -> Node:
-        return self._by_id[nid]
+        try:
+            return self._by_id[nid]
+        except KeyError:
+            raise QuiverFormatError(f"unknown node {nid!r}") from None
 
     def dim(self, nid: str) -> int:
         return self.node(nid).dim

@@ -232,6 +232,20 @@ def test_internal_error_exit(capsys, monkeypatch, quivers, error):
     assert err == "internal error: table mismatch\n"
 
 
+def test_key_error_is_an_internal_error(capsys, monkeypatch, quivers):
+    # input lookups raise ValueError, so a KeyError is a bug, not bad input
+    import quiverqh.cli
+
+    def broken(ns):
+        raise KeyError("xi[9][1]")
+
+    monkeypatch.setitem(quiverqh.cli._DISPATCH, "validate", broken)
+    code, out, err = run(capsys, "validate", quivers.path("gr24"))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: 'xi[9][1]'\n"
+
+
 # -- determinism --------------------------------------------------------------------
 
 
@@ -250,6 +264,35 @@ _json_trees = st.recursive(
 @given(_json_trees)
 def test_to_json_matches_json_dumps(obj):
     assert to_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@st.composite
+def _shared_trees(draw):
+    """A tree that holds a few containers in several places, at one depth
+    and at different depths, as dict values and as list elements."""
+    shared = draw(st.lists(_json_trees.filter(lambda t: isinstance(t, (dict, list, tuple))),
+                           min_size=1, max_size=3))
+    node = st.sampled_from(shared) | _json_trees
+    rows = st.dictionaries(_json_strings, node, max_size=4)
+    nested = st.recursive(rows, lambda kids: st.lists(kids, max_size=3)
+                          | st.dictionaries(_json_strings, kids, max_size=3), max_leaves=12)
+    return draw(st.lists(nested | node, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_trees())
+def test_to_json_matches_json_dumps_on_shared_objects(obj):
+    assert to_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_to_json_encodes_shared_objects_by_depth_and_by_contents():
+    d = {"1": [0, 1]}
+    rows = [{"d": d, "k": 0}, {"d": d, "k": 1}, [{"deeper": d}], {"d": d}]
+    assert to_json(rows) == json.dumps(rows, sort_keys=True, indent=2)
+    d["1"].append(2)  # a container edited between calls is encoded anew
+    d["2"] = []
+    assert to_json(rows) == json.dumps(rows, sort_keys=True, indent=2)
+    assert to_json({"rows": rows}) == json.dumps({"rows": rows}, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("obj", [

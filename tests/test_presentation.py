@@ -98,6 +98,28 @@ def test_nonabelian_matches_antisymmetrized_abelian(quivers):
     assert nonab == direct
 
 
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
+def test_nonabelian_matches_node_relations_with_full_staircases(quivers, equivariant):
+    # d = sgn(theta_k) e_(k,1) touches block k only; every other block of
+    # fl234 has dim >= 2 and a prefactor symmetric in its roots, so it
+    # needs distinct exponents: naming only node k used to give 0 with no
+    # error, and the full staircase dim - 1 gives the closed form
+    q = quivers("fl234")
+    table = build_table(q, equivariant=equivariant, with_q=True, with_h=True)
+    w = weights(q, table)
+    full = {n.id: n.dim - 1 for n in q.gauge_nodes}
+    for n in q.gauge_nodes:
+        k, v = n.id, n.dim
+        d = {k: [1 if n.theta > 0 else -1] + [0] * (v - 1)}
+        (other,) = full.keys() - {k}
+        closed = node_relations(q, k, v - 1, table)
+        for p in range(v):
+            with pytest.raises(ValueError, match=f"node {other!r}: insertion exponents"):
+                nonabelian_relation(w, d, {k: p})
+            got = nonabelian_relation(w, d, {**full, k: p})
+            assert got == closed[p] and not got.is_zero()
+
+
 def test_abelian_relation_projective(quivers):
     q = quivers("p2")
     table = build_table(q, equivariant=False, with_qtilde=True, with_h=True)

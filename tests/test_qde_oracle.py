@@ -13,8 +13,13 @@ holds for any linear forms and every check passes.  The corrupted weight
 sets below pair with an offset, which breaks the telescoping and the
 first weight's ladder, so the fallback's failing checks (residual
 witnesses and scalar mismatches) are compared as well.
+
+The sweep, `qde_rows`, must give the rows of qde_check on fresh copies
+of each pair, also when the caller reuses one mutated d dict, while the
+rows of one degree share one copy of d.
 """
 
+import copy
 import dataclasses
 import glob
 import os
@@ -22,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverqh.ifunction import QdeResult, qde_box_pairs, qde_check
+from quiverqh.ifunction import QdeResult, qde_box_pairs, qde_check, qde_rows
 from quiverqh.polycore import MultiPoly, poly_to_text, product
 from quiverqh.quiver import Weight, build_table, cocharacter, in_effective_cone, weights
 
@@ -258,3 +263,57 @@ def test_residual_witness_counts_each_scalar_once(quivers):
     want = QdeResult(False, False, witness="8*xi[1][1] + 4*h - 4")
     assert qde_check(w, d, dp) == want
     assert oracle_qde_check(w, d, dp) == want
+
+
+# -- the sweep ---------------------------------------------------------------------
+
+
+def fresh_rows(w, pairs) -> list:
+    """Report rows from qde_check on fresh deep copies of each pair, with
+    every QdeResult field."""
+    rows = []
+    for d, dp in pairs:
+        d, dp = copy.deepcopy(d), copy.deepcopy(dp)
+        rows.append({"d": d, "dprime": dp, **dataclasses.asdict(qde_check(w, d, dp))})
+    return rows
+
+
+def reused_dict_pairs(pairs):
+    """The given pairs with every d written into one dict, whose lists are
+    overwritten in place from degree to degree."""
+    d: dict = {}
+    for dd, dp in pairs:
+        for nid, vec in dd.items():
+            d.setdefault(nid, [0] * len(vec))[:] = vec
+        yield d, dp
+
+
+@pytest.mark.parametrize("corruption", [None] + CORRUPTIONS, ids=str)
+@pytest.mark.parametrize("name,box", [("fl234", 2), ("gr24", 3)])
+def test_sweep_rows_match_checks_on_fresh_copies(quivers, name, box, corruption):
+    q = quivers(name)
+    w = qweights(q, False)
+    if corruption:
+        w = corrupted(w, *corruption)
+    # each route starts empty memos, so none reads what another filled
+    want = fresh_rows(dataclasses.replace(w), qde_box_pairs(q, box))
+    rows = qde_rows(dataclasses.replace(w), qde_box_pairs(q, box))
+    assert rows == want
+    assert rows == qde_rows(dataclasses.replace(w), reused_dict_pairs(qde_box_pairs(q, box)))
+    assert rows == qde_rows(dataclasses.replace(w), map(copy.deepcopy, qde_box_pairs(q, box)))
+    assert any(not r["ok"] for r in rows) == bool(corruption)
+
+
+def test_sweep_rows_of_a_degree_share_one_d(quivers):
+    q = quivers("fl234")
+    shifts = sum(n.dim for n in q.gauge_nodes)
+    # equal degrees share by value, even when every pair is a fresh copy
+    for pairs in (qde_box_pairs(q, 2), map(copy.deepcopy, qde_box_pairs(q, 2))):
+        rows = qde_rows(qweights(q, False), pairs)
+        runs = [rows[i:i + shifts] for i in range(0, len(rows), shifts)]
+        assert len(runs) == 3 ** 5
+        assert all(r["d"] is run[0]["d"] for run in runs for r in run)
+        assert len({id(run[0]["d"]) for run in runs}) == len(runs)
+        assert len({id(r["dprime"]) for r in rows}) == shifts
+        assert all(r["dprime"] is runs[0][j]["dprime"]
+                   for run in runs for j, r in enumerate(run))

@@ -153,7 +153,7 @@ def test_node_roots_of_a_frozen_node_follow_the_table(quivers):
 def test_node_index_stays_out_of_equality_and_follows_replace(quivers):
     q = quivers("fl234")
     assert q.node("1").dim == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(QuiverFormatError, match="unknown node '9'"):
         q.node("9")
     assert "_by_id" not in repr(q)
     assert quiver_from_dict(quiver_to_dict(q)) == q
