@@ -14,10 +14,11 @@ what the library reads them from.  The `config` object of a JSON report
 echoes the flags by one rule (`_config`).
 
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
-error (bad file, malformed JSON, bad flags, an unknown node, nothing to
-check), 3 resource budget exceeded, 4 internal error (a polynomial in the
-wrong variable table or with a negative power where none is allowed, or a
-KeyError: a bug, not bad input).
+error (a missing or unreadable file, malformed JSON, bad flags, an
+unknown node, two quivers for `verify vgit` that differ in more than
+theta, nothing to check), 3 resource budget exceeded, 4 internal error
+(a polynomial in the wrong variable table or with a negative power where
+none is allowed, or a KeyError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -44,6 +45,7 @@ from .quiver import (
     build_table,
     load_quiver,
     quiver_to_dict,
+    require_gauge_nodes,
     resolve_pmax,
     validate,
     weights,
@@ -230,6 +232,7 @@ def _map(fn, items: list, jobs: int) -> list:
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
+    require_gauge_nodes(q)
     rep = validate(q)
     ok = rep.acyclic and rep.feasible
     report = {
@@ -341,10 +344,19 @@ def _cmd_verify_type_a(ns: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _shape(q) -> tuple:
+    """The nodes and edges of q with the stability weights left out."""
+    return ({(n.id, n.kind, n.dim) for n in q.nodes},
+            {(e.src, e.dst, e.count) for e in q.edges})
+
+
 def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
     first, second = ns.quiver
     qa = load_quiver(first)
     qb = load_quiver(second)
+    if _shape(qa) != _shape(qb):
+        raise ValueError(f"{first} and {second} are not one quiver: "
+                         "only the stability weights theta may differ")
     pmax = max(resolve_pmax(qa, ns.pmax), resolve_pmax(qb, ns.pmax))
     ia = build_ideal(qa, pmax, build_table(qa, equivariant=ns.equivariant, with_q=True))
     ib = build_ideal(qb, pmax, build_table(qb, equivariant=ns.equivariant, with_q=True))
@@ -691,7 +703,7 @@ def main(argv: list | None = None) -> int:
     except (ContextError, LaurentViolationError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:

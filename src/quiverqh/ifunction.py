@@ -39,17 +39,17 @@ weights it is given, not assume that of them.  Real weights pair
 linearly, so the certificate decides every pair of a real sweep.
 
 A pair with a weight whose ladder does not close falls back to counting
-canonical keys.  Each factor name is built and canonicalised (the text of
-its sign- and scale-normalized form, plus the scalar it was divided by)
-once per WeightData and kept in the ``WeightData.factors`` memo.  Each
-degree such a pair uses gets, once, its factor keys counted +1 in the
-numerator and -1 in the denominator, one normalized form per key and the
-scalar of each side, kept next to its pairings.  The check merges c_d's
-counts minus c_{d-d'}'s counts with the two windows, then expands and
-compares only the products that did not cancel, so a failure returns the
-nonzero residual, or the mismatched scalars, as witness.  An empty
-numerator or denominator stands as the single factor 1, which takes part
-in the cancellation like any other factor.
+factors by name.  The names of c_d, of c_{d-d'} and of the two windows
+are read off the three pairing tuples; each name is built and
+canonicalised (the text of its sign- and scale-normalized form, plus the
+scalar it was divided by) once per WeightData and kept in the
+``WeightData.factors`` memo.  The left side (the lhs window, c_d's
+numerator and c_{d-d'}'s denominator) counts each canonical key +1 and
+the right side -1; only the products that did not cancel are expanded
+and compared, so a failure returns the nonzero residual, or the
+mismatched scalars, as witness.  An empty numerator or denominator of a
+coefficient stands as the single factor 1, which takes part in the
+cancellation like any other factor.
 
 Coefficients outside the effective cone are zero and recursions that step
 outside the cone are skipped with a notice rather than checked.
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -152,40 +152,15 @@ def _factor(w: WeightData, name) -> tuple:
     return f
 
 
-def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> list:
-    """[pairings, canonical data] of c_d, kept in ``w.degrees``: the
-    pairing of every weight with d, computed once per WeightData and
-    degree, and a slot that `_canon_degree` fills only when a check the
-    ladders do not decide needs it (None until then)."""
+def _degree(w: WeightData, d: Mapping[str, Sequence[int]]) -> tuple:
+    """The pairing of every weight with d, computed once per WeightData and
+    degree and kept in ``w.degrees``."""
     key = _degree_key(d)
-    entry = w.degrees.get(key)
-    if entry is None:
+    pairings = w.degrees.get(key)
+    if pairings is None:
         dmap = cocharacter(w.quiver, d)
-        entry = w.degrees[key] = [tuple(wt.pair(dmap) for wt in w.weights), None]
-    return entry
-
-
-def _canon_degree(w: WeightData, entry: list) -> tuple:
-    """(counts, reps, num scalar, den scalar) of the degree of a
-    ``w.degrees`` entry, built on first use and kept in the entry: the
-    canonical keys of c_d's factors counted +1 in the numerator and -1 in
-    the denominator (padding included), one normalized form per key, and
-    the product of the scalars on each side."""
-    if entry[1] is None:
-        num, den = _coeff_factors(entry[0])
-        counts: dict = {}
-        reps: dict = {}
-        scalars = []
-        for names, sign in ((num, 1), (den, -1)):
-            scalar = 1
-            for n in names or _PAD:
-                k, s, _, unit = _factor(w, n)
-                scalar *= s
-                counts[k] = counts.get(k, 0) + sign
-                reps[k] = unit
-            scalars.append(scalar)
-        entry[1] = (counts, reps, *scalars)
-    return entry[1]
+        pairings = w.degrees[key] = tuple(wt.pair(dmap) for wt in w.weights)
+    return pairings
 
 
 def _polys(w: WeightData, names: list) -> tuple:
@@ -197,7 +172,7 @@ def ifun_coeff(w: WeightData, d: Mapping[str, Sequence[int]]) -> IfunCoeff:
     q = w.quiver
     if not in_effective_cone(q, d):
         raise ValueError("degree outside the effective cone has zero coefficient")
-    num, den = _coeff_factors(_degree(w, d)[0])
+    num, den = _coeff_factors(_degree(w, d))
     return IfunCoeff(_degree_key(d), _polys(w, num), _polys(w, den))
 
 
@@ -225,7 +200,7 @@ def qde_check(
     w: WeightData,
     d: Mapping[str, Sequence[int]],
     dprime: Mapping[str, Sequence[int]],
-    d_entry: list | None = None,
+    d_entry: tuple | None = None,
 ) -> QdeResult:
     """Exact difference-equation check relating c_d and c_{d-d'}.
 
@@ -236,10 +211,10 @@ def qde_check(
     residual as witness.  A degree d or a step d-d' outside the effective
     cone is reported as skipped.
 
-    A caller that already holds d's ``w.degrees`` entry (`_degree`) may
-    pass it as d_entry, and only for d in the effective cone: d's cone
-    test and entry lookup are then not repeated.  Without it the check
-    makes both itself; the verdict is the same either way.
+    A caller that already holds d's pairings (`_degree`) may pass them as
+    d_entry, and only for d in the effective cone: d's cone test and
+    pairing lookup are then not repeated.  Without them the check makes
+    both itself; the verdict is the same either way.
     """
     q = w.quiver
     if d_entry is None and not in_effective_cone(q, d):
@@ -247,39 +222,31 @@ def qde_check(
     dm = _sub_degree(d, dprime)
     if not in_effective_cone(q, dm):
         return QdeResult(True, True, "d - d' leaves the effective cone")
-    entry_d = d_entry or _degree(w, d)
-    entry_dm = _degree(w, dm)
-    ad, am, ap = entry_d[0], entry_dm[0], _degree(w, dprime)[0]
+    ad = _degree(w, d) if d_entry is None else d_entry
+    am, ap = _degree(w, dm), _degree(w, dprime)
     # the ladder certificate: weight i's factor names cancel as multisets
     # exactly when <w_i,d> - <w_i,d-d'> = <w_i,d'>
     if tuple(map(sub, ad, am)) == ap:
         return QdeResult(True, False)
-    cd, reps_d, num_d, den_d = _canon_degree(w, entry_d)
-    cdm, reps_dm, num_dm, den_dm = _canon_degree(w, entry_dm)
-    # lhs_factors * cd = rhs_factors * cdm, cross-multiplied: the left
-    # holds lhs, c_d's numerator and c_{d-d'}'s denominator
-    counts = dict(cd)
-    for k, n in cdm.items():
-        counts[k] = counts.get(k, 0) - n
-    reps = {**reps_d, **reps_dm}
-    scalar = num_d * den_dm
-    rscalar = num_dm * den_d
-    memo = w.factors
-    for i, a in enumerate(ap):
-        if a > 0:
-            for m in range(a):
-                n = (i, ad[i] - m)
-                key, s, _, unit = memo.get(n) or _factor(w, n)
-                scalar *= s
-                counts[key] = counts.get(key, 0) + 1
-                reps[key] = unit
-        elif a < 0:
-            for m in range(-a):
-                n = (i, am[i] - m)
-                key, s, _, unit = memo.get(n) or _factor(w, n)
-                rscalar *= s
-                counts[key] = counts.get(key, 0) - 1
-                reps[key] = unit
+    # lhs_window * c_d = rhs_window * c_{d-d'}, cross-multiplied: the left
+    # holds the lhs window, c_d's numerator and c_{d-d'}'s denominator and
+    # counts +1, the right the rest and counts -1
+    num_d, den_d = _coeff_factors(ad)
+    num_dm, den_dm = _coeff_factors(am)
+    lwin = [(i, ad[i] - m) for i, a in enumerate(ap) for m in range(a)]
+    rwin = [(i, am[i] - m) for i, a in enumerate(ap) for m in range(-a)]
+    counts: dict = {}
+    reps: dict = {}
+    scalars = []
+    for sign, window, num, den in ((1, lwin, num_d, den_dm), (-1, rwin, num_dm, den_d)):
+        scalar = 1
+        for n in chain(window, num or _PAD, den or _PAD):
+            key, s, _, unit = _factor(w, n)
+            scalar *= s
+            counts[key] = counts.get(key, 0) + sign
+            reps[key] = unit
+        scalars.append(scalar)
+    scalar, rscalar = scalars
 
     residual = {k: n for k, n in counts.items() if n}
     if not residual:
@@ -346,11 +313,11 @@ def qde_rows(w: WeightData, pairs: Iterable) -> list:
     The pairs are taken one degree at a time: a pair whose d equals, by
     value, the report copy of the previous pair's d continues that
     degree's run, so a caller may reuse and mutate one dict.  Each run
-    tests d's cone and looks up its ``w.degrees`` entry once, and all its
-    rows hold one report copy of d; rows with equal d' hold one copy of
-    d' between them.  qde_check still decides every pair, once.  The
-    shared row objects are read-only: a caller that edits one row's "d"
-    or "dprime" edits every row holding it.
+    tests d's cone and looks up d's pairings once, and all its rows hold
+    one report copy of d; rows with equal d' hold one copy of d' between
+    them.  qde_check still decides every pair, once.  The shared row
+    objects are read-only: a caller that edits one row's "d" or "dprime"
+    edits every row holding it.
     """
     q = w.quiver
     rows = []

@@ -209,11 +209,13 @@ def quiver_to_dict(q: Quiver) -> dict:
 
 
 def load_quiver(path: str) -> Quiver:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise QuiverFormatError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise QuiverFormatError(f"cannot read quiver file {path!r}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise QuiverFormatError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}")
     return quiver_from_dict(data)
 
 
@@ -378,9 +380,8 @@ class WeightData:
     # (weight index, shift) -> (key, scalar, p, normalized), see
     # ifunction._canon_factor.
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # per-degree data of c_d: degree key -> [pairing of every weight, None
-    # or (signed factor-key counts, a normalized form per key, numerator
-    # scalar, denominator scalar)], see ifunction._degree and _canon_degree.
+    # degree key -> pairing of every weight with that degree, see
+    # ifunction._degree.
     degrees: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

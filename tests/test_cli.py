@@ -64,6 +64,13 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+def test_directory_as_quiver_is_one_line_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: cannot read quiver file {str(tmp_path)!r}: Is a directory\n"
+
+
 def test_malformed_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": [,]}')
@@ -93,7 +100,7 @@ def test_malformed_quiver_is_one_line_input_error(capsys, tmp_path, data, comman
 
 @pytest.mark.parametrize("command", [
     ["groebner"], ["embed"], ["verify", "exchange"], ["verify", "qde"],
-    ["cluster", "enumerate"], ["cluster", "mutate"], ["verify", "type-a"],
+    ["cluster", "enumerate"], ["cluster", "mutate"], ["verify", "type-a"], ["validate"],
 ])
 def test_no_gauge_node_is_one_line_input_error(capsys, tmp_path, command):
     path = tmp_path / "q.json"
@@ -114,6 +121,19 @@ def test_exchange_node_selection_is_one_line_input_error(capsys, quivers, argv, 
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("vgit312_plus", "gr24"),  # the basis work fails on a variable of one table only
+    ("gr24", "p2"),  # the basis work compares two unrelated ideals
+], ids=["different-nodes", "unrelated-quivers"])
+def test_vgit_on_two_different_quivers_is_one_line_input_error(capsys, quivers, first, second):
+    a, b = quivers.path(first), quivers.path(second)
+    code, out, err = run(capsys, "verify", "vgit", a, b)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (f"input error: {a} and {b} are not one quiver: "
+                   "only the stability weights theta may differ\n")
 
 
 def test_negative_qde_box_is_input_error(capsys, quivers):

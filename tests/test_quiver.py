@@ -5,6 +5,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverqh.polycore import MultiPoly
 from quiverqh.quiver import (
@@ -71,6 +73,48 @@ def test_format_rejections(data, fragment):
     with pytest.raises(QuiverFormatError) as e:
         quiver_from_dict(data)
     assert fragment in str(e.value)
+
+
+# JSON-like values, and quiver-like objects whose entries mostly carry
+# the right field names over a few ids, so the draws reach the node, edge
+# and graph checks and not only the top-level ones
+_LEAVES = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+           | st.sampled_from(["gauge", "frozen", "a", "b"]) | st.text(max_size=2))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["nodes", "edges", "id"]) | st.text(max_size=2),
+                      kids, max_size=4),
+    max_leaves=10,
+)
+_IDS = st.sampled_from(["a", "b", "c"]) | _LEAVES
+_SMALL = st.integers(-1, 3) | _LEAVES
+_NODE = st.fixed_dictionaries(
+    {"id": _IDS, "kind": st.sampled_from(["gauge", "frozen"]) | _LEAVES, "dim": _SMALL},
+    optional={"theta": _SMALL},
+)
+_EDGE = st.fixed_dictionaries({"src": _IDS, "dst": _IDS}, optional={"count": _SMALL})
+
+
+def _entries(entry):
+    return st.lists(entry, max_size=3) | st.lists(entry | _JSON, max_size=2)
+
+
+_QUIVER_LIKE = st.fixed_dictionaries({"nodes": _entries(_NODE)},
+                                     optional={"edges": _entries(_EDGE)})
+# three in four draws are quiver-like
+_DATA = st.sampled_from([False, True, True, True]).flatmap(
+    lambda quiver_like: _QUIVER_LIKE if quiver_like else _JSON)
+
+
+@given(_DATA)
+@settings(max_examples=300, deadline=None)
+def test_quiver_from_dict_returns_a_quiver_or_a_format_error(data):
+    try:
+        q = quiver_from_dict(data)
+    except QuiverFormatError:
+        return
+    assert isinstance(q, Quiver)
 
 
 def test_default_pmax(quivers):
