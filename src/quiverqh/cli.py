@@ -516,6 +516,22 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     lines.append("  images:")
     lines += [f"    {k} = {v}" for k, v in sorted(images.items())]
 
+    # a bad --path or --at fails before any basis work
+    extra: dict = {}
+    if ns.path:
+        steps = parse_path(ns.path)
+        at = ns.at if ns.at is not None else steps[-1]
+        img = psi_of_cluster_variable(q, steps, at, tqz)
+        extra["cluster_image"] = {
+            "path": list(steps),
+            "position": at,
+            "num": poly_to_text(img.num),
+            "den": [[i, m] for i, m in img.den],
+        }
+        lines.append(f"  image of position {at} after path {list(steps)}:")
+        lines.append(f"    num = {poly_to_text(img.num)}")
+        lines.append(f"    den = {extra['cluster_image']['den']}")
+
     nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
     budget = _budget(ns)
     if ns.type_a:  # a quiver that is not a chain fails before any basis work
@@ -536,20 +552,6 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     checks.append({"check": "injectivity-witness", "node": None, "ok": True,
                    "witness": None})
 
-    extra: dict = {}
-    if ns.path:
-        steps = parse_path(ns.path)
-        at = ns.at if ns.at is not None else steps[-1]
-        img = psi_of_cluster_variable(q, steps, at, tqz)
-        extra["cluster_image"] = {
-            "path": list(steps),
-            "position": at,
-            "num": poly_to_text(img.num),
-            "den": [[i, m] for i, m in img.den],
-        }
-        lines.append(f"  image of position {at} after path {list(steps)}:")
-        lines.append(f"    num = {poly_to_text(img.num)}")
-        lines.append(f"    den = {extra['cluster_image']['den']}")
     if ns.type_a:
         for r in verify_type_a(q, gb, budget=budget):
             checks.append({"check": f"type-a-{r['kind']}", "node": f"{r['k']},{r['l']}",

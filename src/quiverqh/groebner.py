@@ -44,10 +44,7 @@ of w bits the int holds, from the most significant end:
 
 * n order fields of w bits: for grevlex the total degree, then the
   partial sums e1+...+e(n-1), ..., e1 of the exponents in table order
-  (first = largest); for lex the exponents in table order.  Each field
-  is a linear form with nonnegative coefficients, so comparing packed
-  ints compares monomials in the order and adding packed ints
-  multiplies monomials.
+  (first = largest); for lex the exponents in table order.
 * n + 1 low fields of w + 1 bits: the total degree, then the exponents
   in table order, each topped by a guard bit that is 0 in every packed
   monomial.  With G the mask of the guard bits, ``lead`` divides ``m``
@@ -55,15 +52,20 @@ of w bits the int holds, from the most significant end:
   than the one of ``lead`` borrows its guard bit and the borrow stops
   there.
 
-No field exceeds the total degree, so nothing carries between fields
-while every degree stays below 2**w.  The width is derived from the
-input degrees, with room for four times the largest.  Degrees are
-checked before they are formed: each lcm when its pair is made, each
-S-polynomial, and each reduction step whose reducer has a tail of
-higher degree than its lead (possible under lex).  A degree that does
-not fit raises an internal overflow and the computation is restarted
-at a wider width, so a carry can never pass unnoticed.  ``normal_form``
-widens the packed rows of its basis the same way.
+Every field is a linear form in the exponents with nonnegative
+coefficients, so packing is one linear map, pack(e) = sum e_i *
+pack(unit_i), and adding packed ints multiplies monomials.  No field
+exceeds the total degree, so nothing carries between fields while every
+degree stays below 2**w, and comparing packed ints then compares
+monomials in the order.  The width is derived from the input degrees,
+with room for four times the largest.  Degrees are checked before they
+are formed: each lcm when its pair is made, each S-polynomial, and each
+reduction step whose reducer has a tail of higher degree than its lead
+(possible under lex).  A degree that does not fit raises an internal
+overflow and the computation is restarted at a wider width, so a carry
+can never pass unnoticed.  A basis keeps its packer and reducer rows; a
+``normal_form`` that overflows them packs the basis and its input again
+at a width that fits, for that call only.
 
 Packing is a bijection that preserves order, products and divisibility,
 the reducer visits the same terms with the same reducers in the same
@@ -98,6 +100,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .polycore import (
@@ -164,18 +167,24 @@ def _width_for(degree: int) -> int:
 class _Packer:
     """Packed encoding of exponent tuples for one order, table and width."""
 
-    __slots__ = ("nvars", "grevlex", "width", "vmax", "deg_shift",
-                 "low_bits", "guards")
+    __slots__ = ("nvars", "width", "vmax", "deg_shift", "guards", "units")
 
     def __init__(self, order: MonomialOrder, table: VarTable, width: int):
-        self.grevlex = order.kind == "grevlex"
         self.nvars = n = table.nvars
         self.width = width
         self.vmax = (1 << width) - 1
         step = width + 1
         self.deg_shift = n * step
-        self.low_bits = (n + 1) * step
+        low_bits = (n + 1) * step
         self.guards = sum(1 << (i * step + width) for i in range(n + 1))
+        # the packing of each unit exponent: its order fields, its degree
+        # field and its own exponent field
+        if order.kind == "grevlex":
+            highs = [sum(1 << (width * k) for k in range(i, n)) for i in range(n)]
+        else:
+            highs = [1 << (width * (n - 1 - i)) for i in range(n)]
+        self.units = tuple((h << low_bits) | (1 << self.deg_shift) | (1 << (i * step))
+                           for i, h in enumerate(highs))
 
     def pack(self, e: tuple) -> int:
         if e and min(e) < 0:
@@ -183,21 +192,7 @@ class _Packer:
         d = sum(e)
         if d > self.vmax:
             raise _Overflow(d)
-        w = self.width
-        step = w + 1
-        low = d << self.deg_shift
-        for i, x in enumerate(e):
-            low |= x << (i * step)
-        if self.grevlex:
-            high = s = d
-            for x in reversed(e[1:]):
-                s -= x
-                high = (high << w) | s
-        else:
-            high = 0
-            for x in e:
-                high = (high << w) | x
-        return (high << self.low_bits) | low
+        return sum(map(mul, e, self.units))
 
     def unpack(self, m: int) -> tuple:
         step = self.width + 1
@@ -222,27 +217,6 @@ def _reducer_key(row: tuple) -> tuple:
     """Preference among reducers of one term: least excess, then
     shortest tail (the caller breaks ties by basis or lead order)."""
     return row[2], len(row[1])
-
-
-class _PackedBasis:
-    """Reducer rows of a basis at one packing, in reducer-key order."""
-
-    __slots__ = ("packer", "rows")
-
-    def __init__(self, packer: _Packer, rows: list):
-        self.packer = packer
-        self.rows = rows
-
-    def widen(self, gb: "GroebnerBasis", degree: int) -> None:
-        """Re-pack the basis elements at a width that fits the degree."""
-        top = max(sum(e) for g in gb.elements for e in g.terms)
-        pk = _Packer(gb.order, gb.table, _width_for(max(degree, top)))
-        rows = []
-        for g in gb.elements:
-            terms = {pk.pack(e): c for e, c in g.terms.items()}
-            lead = max(terms)
-            rows.append(pk.row(lead, [(m, c) for m, c in terms.items() if m != lead]))
-        self.packer, self.rows = pk, sorted(rows, key=_reducer_key)
 
 
 def _reduce(terms: dict, rows: Sequence, pk: _Packer, steps: list, budget: Budget) -> dict:
@@ -305,6 +279,13 @@ def _monic(terms: dict) -> tuple:
         inv = Fraction(1, lc) if isinstance(lc, int) else 1 / lc
         terms = {m: _coeff(c * inv) for m, c in terms.items()}
     return lead, [(m, c) for m, c in terms.items() if m != lead]
+
+
+def _rows(elements: Iterable[MultiPoly], pk: _Packer) -> tuple:
+    """Reducer rows of monic basis elements at one packing, in reducer-key
+    order, ties in element order."""
+    rows = (pk.row(*_monic({pk.pack(e): c for e, c in g.terms.items()})) for g in elements)
+    return tuple(sorted(rows, key=_reducer_key))
 
 
 def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
@@ -414,8 +395,9 @@ class GroebnerBasis:
     order: MonomialOrder
     elements: tuple  # reduced, monic, sorted by increasing leading monomial
     fingerprint: str
-    # reducer rows of the elements, packed once per basis
-    packed: _PackedBasis = field(compare=False, repr=False)
+    # reducer rows of the elements, packed once per basis by packer
+    packer: _Packer = field(compare=False, repr=False)
+    rows: tuple = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -449,10 +431,8 @@ def buchberger(
         except _Overflow as exc:
             degree = exc.degree
 
-    rows = []
     elements = []
     for lead, tail in final:
-        rows.append(pk.row(lead, list(tail.items())))
         terms = {pk.unpack(m): c for m, c in tail.items()}
         terms[pk.unpack(lead)] = 1
         elements.append(MultiPoly(table, terms))
@@ -462,23 +442,25 @@ def buchberger(
         fp.update(poly_to_text(p).encode())
         fp.update(b"\n")
     return GroebnerBasis(table, order, tuple(elements), fp.hexdigest(),
-                         _PackedBasis(pk, sorted(rows, key=_reducer_key)))
+                         pk, _rows(elements, pk))
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -> MultiPoly:
-    """Unique remainder of p modulo the reduced basis."""
+    """Unique remainder of p modulo the reduced basis.  A degree past the
+    basis width packs the basis and p again at a width that fits, for
+    this call only."""
     if p.table is not gb.table:
         raise ContextError("polynomial and basis bound to different tables")
     budget = budget or Budget()
-    packed = gb.packed
+    pk, rows = gb.packer, gb.rows
     while True:
-        pk = packed.packer
         try:
             terms = {pk.pack(e): c for e, c in p.terms.items()}
-            r = _reduce(terms, packed.rows, pk, [0], budget)
+            r = _reduce(terms, rows, pk, [0], budget)
             break
         except _Overflow as exc:
-            packed.widen(gb, exc.degree)
+            pk = _Packer(gb.order, gb.table, _width_for(exc.degree))
+            rows = _rows(gb.elements, pk)
     return MultiPoly(p.table, {pk.unpack(m): c for m, c in r.items()})
 
 

@@ -210,10 +210,14 @@ def quiver_to_dict(q: Quiver) -> dict:
 
 def load_quiver(path: str) -> Quiver:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise QuiverFormatError(f"cannot read quiver file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise QuiverFormatError(
+            f"cannot read quiver file {path!r}: not UTF-8 at byte {exc.start}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise QuiverFormatError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}")
     return quiver_from_dict(data)
@@ -233,22 +237,23 @@ class ValidationReport:
 
 
 def _is_acyclic(q: Quiver) -> bool:
-    marks: dict[str, int] = {}
-
-    def visit(nid: str) -> bool:
-        state = marks.get(nid, 0)
-        if state == 1:
-            return False
-        if state == 2:
-            return True
-        marks[nid] = 1
-        for e in q.out_edges(nid):
-            if not visit(e.dst):
-                return False
-        marks[nid] = 2
-        return True
-
-    return all(visit(n.id) for n in q.nodes)
+    """Kahn's algorithm: repeatedly remove a node with no edge left in;
+    every node is removed exactly when there is no oriented cycle."""
+    indeg = {n.id: 0 for n in q.nodes}
+    succ: dict[str, list] = {n.id: [] for n in q.nodes}
+    for e in q.edges:
+        indeg[e.dst] += 1
+        succ[e.src].append(e.dst)
+    ready = [nid for nid, d in indeg.items() if d == 0]
+    removed = 0
+    while ready:
+        nid = ready.pop()
+        removed += 1
+        for dst in succ[nid]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+    return removed == len(indeg)
 
 
 def _chain_order(q: Quiver) -> list | None:

@@ -71,6 +71,40 @@ def test_directory_as_quiver_is_one_line_input_error(capsys, tmp_path):
     assert err == f"input error: cannot read quiver file {str(tmp_path)!r}: Is a directory\n"
 
 
+def test_quiver_file_not_utf8_is_one_line_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: cannot read quiver file {str(bad)!r}: not UTF-8 at byte 0\n"
+
+
+def _long_quiver(tmp_path, n, cycle):
+    # nodes 0 -> 1 -> ... -> n-1 of dim 1, gauge with theta 1 but for a
+    # frozen node 0 in the chain; the cycle closes back to node 0
+    nodes = [{"id": str(i), "kind": "gauge", "dim": 1, "theta": 1} for i in range(n)]
+    if not cycle:
+        nodes[0] = {"id": "0", "kind": "frozen", "dim": 1}
+    edges = [{"src": str(i), "dst": str(i + 1)} for i in range(n - 1)]
+    if cycle:
+        edges.append({"src": str(n - 1), "dst": "0"})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize("cycle, code, acyclic",
+                         [(False, EXIT_OK, "pass"), (True, EXIT_FAIL, "FAIL")],
+                         ids=["chain", "cycle"])
+def test_validate_a_quiver_longer_than_the_recursion_limit(capsys, tmp_path, cycle, code, acyclic):
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    got, out, err = run(capsys, "validate", _long_quiver(tmp_path, n, cycle))
+    assert (got, err) == (code, "")
+    assert f"  acyclic:      {acyclic}\n" in out
+
+
 def test_malformed_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": [,]}')
@@ -425,6 +459,21 @@ def test_type_a_on_a_non_chain_fails_before_any_basis(capsys, monkeypatch, quive
     assert out == ""
     assert err.startswith("input error: quiver is not a type-A chain for this suite: ")
     assert err.count("\n") == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--type-a", "--equivariant", "--path", "1,7"], "mutation direction 7 out of range 1..2"),
+    (["--path", "1", "--at", "5"], "cluster position 5 out of range 1..2"),
+], ids=["direction", "position"])
+def test_embed_bad_path_fails_before_any_basis(capsys, monkeypatch, quivers, flags, message):
+    import quiverqh.groebner
+
+    calls = count_calls(monkeypatch, quiverqh.groebner.buchberger)
+    code, out, err = run(capsys, "embed", quivers.path("fl245"), *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: {message}\n"
     assert len(calls) == 0
 
 

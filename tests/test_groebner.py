@@ -308,6 +308,55 @@ def test_packed_product_and_round_trip(a, b, order):
     assert pk.unpack(pk.pack(ab)) == ab
 
 
+@st.composite
+def _narrow(draw):
+    """(order, packer, a, b, a + b) over 1 to 8 variables at 4-bit fields:
+    a + b has degree at most vmax = 15, and often exactly 15."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from(ORDERS))
+    pk = _Packer(order, VarTable([Variable.xi("1", j) for j in range(1, n + 1)]), 4)
+    total = draw(st.just(pk.vmax) | st.integers(0, pk.vmax))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    ab = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+    a = tuple(draw(st.integers(0, x)) for x in ab)
+    return order, pk, a, tuple(x - y for x, y in zip(ab, a)), ab
+
+
+@settings(max_examples=300, deadline=None)
+@given(_narrow())
+def test_narrow_packing_is_linear_and_exact(case):
+    order, pk, a, b, ab = case
+    pack = pk.pack
+    assert pack(a) + pack(b) == pack(ab)
+    for e in (a, b, ab):
+        assert pk.unpack(pack(e)) == e
+        assert pk.degree(pack(e)) == sum(e)
+    key = order.key_fn()
+    for x, y in ((a, b), (a, ab), (b, ab)):
+        assert (pack(x) < pack(y)) == (key(x) < key(y))
+        assert (pack(x) == pack(y)) == (x == y)
+    assert pk.divides(pack(a), pack(b)) == _divides(a, b)
+    assert pk.divides(pack(a), pack(ab)) and pk.divides(pack(b), pack(ab))
+    assert pk.divides(pack(ab), pack(a)) == (a == ab)
+    with pytest.raises(_Overflow):
+        pack((ab[0] + pk.vmax + 1 - sum(ab),) + ab[1:])
+
+
+def test_normal_form_past_the_basis_width_leaves_the_basis_alone():
+    # lex with x > y at the width of degree 2: y^40 overflows the basis rows
+    tv = VarTable([Variable.xi("1", 1), Variable.xi("1", 2)])
+    x = MultiPoly.variable(tv, "xi[1][1]")
+    y = MultiPoly.variable(tv, "xi[1][2]")
+    gb = buchberger([x - y ** 2], MonomialOrder("lex"))
+    packer, rows = gb.packer, gb.rows
+    assert 40 > packer.vmax
+    first = normal_form(y ** 40 + x, gb)
+    assert first == y ** 40 + y ** 2
+    assert gb.packer is packer and gb.rows is rows
+    assert normal_form(y ** 40 + x, gb) == first
+    assert gb.packer is packer and gb.rows is rows
+
+
 def test_degree_past_the_field_width_widens():
     # lex with x > y: reducing x^8 - 1 by x - y^d raises the degree to 8d,
     # past the width chosen from the input degree d
@@ -317,10 +366,10 @@ def test_degree_past_the_field_width_widens():
     d = 2 ** 15 + 3
     gb = buchberger([x - y ** d, x ** 8 - 1], MonomialOrder("lex"))
     assert list(gb.elements) == [y ** (8 * d) - 1, x - y ** d]
-    assert gb.packed.packer.width > _width_for(d)
+    assert gb.packer.width > _width_for(d)
     # normal_form widens again for an input beyond the basis width
     big = 2 ** 23
-    assert big > gb.packed.packer.vmax
+    assert big > gb.packer.vmax
     assert normal_form(y ** big + x, gb) == y ** (big % (8 * d)) + y ** d
 
 
