@@ -20,36 +20,11 @@ lex, the 3-generator ideal of the test
 coefficients and took half a minute that way.  Under grevlex with the
 criteria below, some small random ideals did the same.
 
-Under lex no single selection is safe.  By sugar, about one small random
-ideal in a hundred (3 generators of up to 3 terms in 3 variables) swells
-to elements of 200 terms and 40 000-bit coefficients, where the reduced
-basis needs 23 terms and 70 bits, and runs for minutes.  By least lcm in
-the order (Buchberger's normal strategy, as in Becker & Weispfenning,
-*Groebner Bases*, 1993, p. 232) those ideals finish in seconds, but the
-lex basis of the equivariant fl123 ideal did not finish in a minute.
-So under lex both routes run, interleaved: the route with less work so
-far takes its next pair, and the first to finish gives the basis.  The
-work of a reduction step is its tail length times the bit lengths of
-the two coefficients that multiply it, which tracks the time of the
-big-int arithmetic, so the race costs a small multiple of the faster
-route.
-
 Reducers: each term is reduced by the first row that divides it in
 reducer-key order: least excess (how far a tail's top degree passes its
 lead's degree; always 0 under grevlex), then shortest tail, then basis
 index.  The rows are kept in that order with bisect as the basis grows;
-a final basis keeps its rows in the same order, ties in lead order.  On
-the least-lcm route a row stops reducing once a later lead divides its
-lead, as in the normal strategy of Becker & Weispfenning; by sugar it
-keeps reducing, as before.
-
-Coefficients: rows hold coprime int coefficients with a positive lead,
-and reduction stays in the integers.  Where a row's leading coefficient
-does not divide the term's, the work is first scaled by the cofactor
-(fraction-free division), and the remainder is divided through once at
-the end.  The terms visited and the reducers chosen do not depend on
-the scaling.  With ``Fraction`` arithmetic every operation takes gcds,
-which took most of the time of the lex runs above.
+a final basis keeps its rows in the same order, ties in lead order.
 
 Pair criteria: the Gebauer-Moeller update ("On an installation of
 Buchberger's algorithm", J. Symb. Comp. 6, 1988), run as each element h
@@ -114,9 +89,8 @@ polynomial ring: for a symmetric polynomial p and symmetric generators,
 p = sum a_i g_i implies p = sum avg_W(a_i) g_i with symmetric
 coefficients, so full-ring membership is equivalent and nothing is lost.
 
-Budgets cap the number of reduction steps, pairs and the basis size, for
-each route; exceeding one raises BudgetError rather than returning a
-partial answer.
+Budgets cap the number of S-pair reductions and the basis size; exceeding
+one raises BudgetError rather than returning a partial answer.
 """
 
 from __future__ import annotations
@@ -126,7 +100,6 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -194,10 +167,9 @@ def _width_for(degree: int) -> int:
 class _Packer:
     """Packed encoding of exponent tuples for one order, table and width."""
 
-    __slots__ = ("order", "nvars", "width", "vmax", "deg_shift", "guards", "units")
+    __slots__ = ("nvars", "width", "vmax", "deg_shift", "guards", "units")
 
     def __init__(self, order: MonomialOrder, table: VarTable, width: int):
-        self.order = order
         self.nvars = n = table.nvars
         self.width = width
         self.vmax = (1 << width) - 1
@@ -234,12 +206,11 @@ class _Packer:
         g = self.guards
         return ((m | g) - lead) & g == g
 
-    def row(self, lead: int, lc: int, tail: list) -> tuple:
-        """Reducer row (lead, tail, excess, lc) of an int polynomial with
-        leading coefficient lc: excess is how far the tail's top degree
-        exceeds the lead's, 0 when it does not."""
+    def row(self, lead: int, tail: list) -> tuple:
+        """Reducer row (lead, tail, excess): excess is how far the tail's
+        top degree exceeds the lead's, 0 when it does not."""
         top = max((self.degree(m) for m, _ in tail), default=0)
-        return lead, tail, max(top - self.degree(lead), 0), lc
+        return lead, tail, max(top - self.degree(lead), 0)
 
 
 def _reducer_key(row: tuple) -> tuple:
@@ -248,18 +219,14 @@ def _reducer_key(row: tuple) -> tuple:
     return row[2], len(row[1])
 
 
-def _reduce(terms: dict, rows: Sequence, pk: _Packer, tally: list, budget: Budget) -> tuple:
-    """Full normal form of a packed term dict with int coefficients
-    against int reducer rows, each term reduced by its first divisor in
-    row order (rows come in reducer-key order).  Returns (remainder,
-    scale): the irreducible remainder of scale times the terms, largest
-    monomial first, with int coefficients.  Counts the reduction steps
-    in tally[0] and their work, tail terms times coefficient bits, in
-    tally[1]."""
+def _reduce(terms: dict, rows: Sequence, pk: _Packer, steps: list, budget: Budget) -> dict:
+    """Full normal form of a packed term dict against monic reducer rows,
+    each term reduced by its first divisor in row order (rows come in
+    reducer-key order).  Returns the irreducible remainder, largest
+    monomial first."""
     out: dict = {}
-    scale = 1
     if not terms:
-        return out, scale
+        return out
     work = dict(terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -285,98 +252,58 @@ def _reduce(terms: dict, rows: Sequence, pk: _Packer, tally: list, budget: Budge
         else:
             out[m] = c
             continue
-        tally[0] += 1
-        if tally[0] > max_steps:
+        steps[0] += 1
+        if steps[0] > max_steps:
             raise BudgetError(f"reduction budget exceeded ({max_steps} steps)")
-        lead, tail, excess, lc = row
+        lead, tail, excess = row
         if excess and ((m >> dshift) & vmax) + excess > vmax:
             raise _Overflow(((m >> dshift) & vmax) + excess)
-        if lc != 1:
-            # scale everything by lc/g so that the row's multiple c/g is
-            # an int
-            g = gcd(c, lc)
-            c //= g
-            s = lc // g
-            if s != 1:
-                scale *= s
-                for k in work:
-                    work[k] *= s
-                for k in out:
-                    out[k] *= s
-        tally[1] += len(tail) * (c.bit_length() + 64) * (lc.bit_length() + 64)
         shift = m - lead
         for te, tc in tail:
             ne = te + shift
             old = get(ne)
             if old is None:
-                work[ne] = -c * tc
+                s = -c * tc
                 heappush(heap, -ne)
             else:
-                work[ne] = old - c * tc
-    return out, scale
+                s = old - c * tc
+            work[ne] = s if type(s) is int else _coeff(s)
+    return out
 
 
-def _integral(terms: dict) -> tuple:
-    """(terms times den, den), den the least common denominator of the
-    coefficients."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    if den == 1:
-        return terms, 1
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
-def _primitive(terms: dict) -> tuple:
-    """(lead, lc, tail list) of the terms scaled to coprime int
-    coefficients with a positive leading one, lc."""
-    terms = _integral(terms)[0]
+def _monic(terms: dict) -> tuple:
+    """(lead, tail list) after dividing by the lead coeff."""
     lead = max(terms)
-    g = gcd(*terms.values())
-    if terms[lead] < 0:
-        g = -g
-    if g != 1:
-        terms = {m: c // g for m, c in terms.items()}
-    return lead, terms[lead], [(m, c) for m, c in terms.items() if m != lead]
+    lc = terms[lead]
+    if lc != 1:
+        inv = Fraction(1, lc) if isinstance(lc, int) else 1 / lc
+        terms = {m: _coeff(c * inv) for m, c in terms.items()}
+    return lead, [(m, c) for m, c in terms.items() if m != lead]
 
 
 def _rows(elements: Iterable[MultiPoly], pk: _Packer) -> tuple:
-    """Reducer rows of basis elements at one packing, in reducer-key
+    """Reducer rows of monic basis elements at one packing, in reducer-key
     order, ties in element order."""
-    rows = (pk.row(*_primitive({pk.pack(e): c for e, c in g.terms.items()})) for g in elements)
+    rows = (pk.row(*_monic({pk.pack(e): c for e, c in g.terms.items()})) for g in elements)
     return tuple(sorted(rows, key=_reducer_key))
 
 
 def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
     """Reduced basis of packed term dicts as (lead, reduced tail dict)
-    pairs, sorted by increasing lead.  Under lex two routes race, by
-    sugar and by least lcm: the one with less work so far takes the next
-    pair, and the first to finish gives the basis."""
-    routes = [[0, n, _route(polys, pk, budget, by_lcm)]
-              for n, by_lcm in enumerate([False] if pk.order.kind == "grevlex" else [False, True])]
-    while True:
-        route = min(routes)
-        try:
-            route[0] = next(route[2])
-        except StopIteration as done:
-            return done.value
-
-
-def _route(polys: list, pk: _Packer, budget: Budget, by_lcm: bool):
-    """Buchberger's algorithm on packed term dicts, pairs selected by
-    sugar or, if by_lcm, by least lcm.  Yields its work so far after
-    each pair and returns the reduced basis as _packed_basis does."""
-    tally = [0, 0]        # reduction steps and work
-    rows: list = []       # int rows (lead, tail, excess, lc), in basis order
+    pairs, sorted by increasing lead."""
+    steps = [0]
+    rows: list = []       # monic rows (lead, tail, excess), in basis order
     exps: list = []       # leading exponent tuples, for lcms
     sugars: list = []     # sugar degree of each row
-    reducers: list = []   # the reducing rows in reducer-key order ...
+    reducers: list = []   # the rows in reducer-key order ...
     keys: list = []       # ... and their keys, with the basis index last
     active: list = []     # rows whose lead no later lead divides
-    pairs: list = []      # heap of (rank, i, j, lcm, lcm degree, sugar)
+    pairs: list = []      # heap of (sugar, lcm degree, i, j, lcm)
 
     def add_poly(terms: dict, sugar: int) -> None:
         nonlocal pairs, active
-        row = pk.row(*_primitive(terms))
-        lead = row[0]
+        lead, tail = _monic(terms)
+        row = pk.row(lead, tail)
         h = len(rows)
         key = _reducer_key(row) + (h,)
         at = bisect.bisect(keys, key)
@@ -394,7 +321,7 @@ def _route(polys: list, pk: _Packer, budget: Budget, by_lcm: bool):
         ldeg = [sum(l) for l in lcms]
         pairs = [
             p for p in pairs
-            if not pk.divides(lead, p[3]) or ldeg[p[1]] == p[4] or ldeg[p[2]] == p[4]
+            if not pk.divides(lead, p[4]) or ldeg[p[2]] == p[1] or ldeg[p[3]] == p[1]
         ]
         dh = pk.degree(lead)
         new = [(i, pk.pack(lcms[i])) for i in active]
@@ -410,49 +337,39 @@ def _route(polys: list, pk: _Packer, budget: Budget, by_lcm: bool):
                 continue
             dl = ldeg[i]
             s = max(sugars[i] - pk.degree(rows[i][0]), sugar - dh) + dl
-            pairs.append((l if by_lcm else (s, dl), i, h, l, dl, s))
+            pairs.append((s, dl, i, h, l))
         heapq.heapify(pairs)
-        if by_lcm:
-            # a row whose lead lead(h) divides stops reducing
-            for i in active:
-                if pk.divides(lead, rows[i][0]):
-                    at = keys.index(_reducer_key(rows[i]) + (i,))
-                    del keys[at], reducers[at]
         active = [i for i in active if not pk.divides(lead, rows[i][0])] + [h]
 
     # seed with interreduced input, in input order
     for terms in polys:
-        r = _reduce(_integral(terms)[0], reducers, pk, tally, budget)[0]
+        r = _reduce(terms, reducers, pk, steps, budget)
         if r:
             add_poly(r, max(pk.degree(m) for m in terms))
 
     processed = 0
     while pairs:
-        yield tally[1]
-        _, i, j, l, dl, sugar = heapq.heappop(pairs)
+        sugar, dl, i, j, l = heapq.heappop(pairs)
         processed += 1
         if processed > budget.max_pairs:
             raise BudgetError(f"pair budget exceeded ({budget.max_pairs} pairs)")
-        # S-polynomial of int rows: the leading terms cancel at l
+        # S-polynomial of monic rows: the leading terms cancel at l
         top = dl + max(rows[i][2], rows[j][2])
         if top > pk.vmax:
             raise _Overflow(top)
         si = l - rows[i][0]
         sj = l - rows[j][0]
-        g = gcd(rows[i][3], rows[j][3])
-        ci = rows[j][3] // g
-        cj = rows[i][3] // g
-        s = {m + si: ci * c for m, c in rows[i][1]}
+        s = {m + si: c for m, c in rows[i][1]}
         for m, c in rows[j][1]:
             ne = m + sj
-            v = s.get(ne, 0) - cj * c
+            v = s.get(ne, 0) - c
             if v:
                 s[ne] = v
             else:
                 s.pop(ne, None)
         if not s:
             continue
-        r = _reduce(s, reducers, pk, tally, budget)[0]
+        r = _reduce(s, reducers, pk, steps, budget)
         if not r:
             continue
         add_poly(r, sugar)
@@ -461,16 +378,13 @@ def _route(polys: list, pk: _Packer, budget: Budget, by_lcm: bool):
 
     # the active rows form a minimal basis: no lead divides an earlier
     # lead (each row is reduced before it is added) and the update drops
-    # every row whose lead a later lead divides.  Inter-reduce the tails
-    # and divide through by the leading coefficients.
+    # every row whose lead a later lead divides.  Inter-reduce the tails.
     leads = {rows[idx][0] for idx in active}
     final = []
     for idx in active:
-        lead, tail, _, lc = rows[idx]
+        lead = rows[idx][0]
         others = [row for row in reducers if row[0] in leads and row[0] != lead]
-        tail, scale = _reduce(dict(tail), others, pk, tally, budget)
-        lc *= scale
-        final.append((lead, {m: _coeff(Fraction(c, lc)) for m, c in tail.items()}))
+        final.append((lead, _reduce(dict(rows[idx][1]), others, pk, steps, budget)))
     final.sort(key=lambda t: t[0])
     return final
 
@@ -541,14 +455,13 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -
     pk, rows = gb.packer, gb.rows
     while True:
         try:
-            terms, den = _integral({pk.pack(e): c for e, c in p.terms.items()})
-            r, scale = _reduce(terms, rows, pk, [0, 0], budget)
+            terms = {pk.pack(e): c for e, c in p.terms.items()}
+            r = _reduce(terms, rows, pk, [0], budget)
             break
         except _Overflow as exc:
             pk = _Packer(gb.order, gb.table, _width_for(exc.degree))
             rows = _rows(gb.elements, pk)
-    den *= scale
-    return MultiPoly(p.table, {pk.unpack(m): _coeff(Fraction(c, den)) for m, c in r.items()})
+    return MultiPoly(p.table, {pk.unpack(m): c for m, c in r.items()})
 
 
 def ideal_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = None) -> bool:

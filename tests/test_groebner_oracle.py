@@ -2,9 +2,7 @@
 
 sympy is an independent implementation: both sides' reduced bases are
 compared as sets of monic polynomials over QQ, with the table's variable
-order as the variable order of both engines.  On random small ideals our
-basis is checked with sympy's reduction and grevlex basis instead, as
-sympy's own lex run can take minutes there.
+order as the variable order of both engines.
 """
 
 from fractions import Fraction
@@ -14,9 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
-
-from sympy.polys.groebnertools import is_groebner, is_reduced  # noqa: E402
-from sympy.polys.rings import ring  # noqa: E402
 
 from quiverqh.groebner import (  # noqa: E402
     Budget,
@@ -47,26 +42,6 @@ def _assert_same_basis(generators, kind):
     want = {sympy.Poly(p, *gens, domain=sympy.QQ).monic() for p in theirs.exprs}
     got = {_to_sympy(g, gens).monic() for g in ours.elements}
     assert got == want
-
-
-def _assert_reduced_basis_of(generators, kind):
-    # our basis checked with sympy's arithmetic but without sympy's own
-    # Buchberger run under kind, which takes minutes on some small lex
-    # ideals: it is a reduced Groebner basis, each generator reduces to 0
-    # by it, and each of its elements lies in the generators' ideal,
-    # decided by sympy's grevlex basis.  A reduced basis is unique, so it
-    # is the one sympy's run would give.
-    table = generators[0].table
-    gens = sympy.symbols(f"v0:{table.nvars}")
-    ours = [_to_sympy(g, gens).as_expr() for g in buchberger(generators, MonomialOrder(kind))]
-    theirs = sympy.groebner(
-        [_to_sympy(g, gens) for g in generators], *gens, order="grevlex", domain=sympy.QQ
-    )
-    assert all(theirs.contains(g) for g in ours)
-    r = ring(gens, sympy.QQ, kind)[0]
-    basis = [r(g) for g in ours]
-    assert is_groebner(basis, r) and is_reduced(list(basis), r)
-    assert all(not r(_to_sympy(g, gens).as_expr()).rem(basis) for g in generators)
 
 
 # sympy's lex engine takes minutes on the equivariant flag ideals, so
@@ -106,26 +81,9 @@ def test_slow_lex_ideal_matches_sympy_in_pinned_steps():
     ]
     _assert_same_basis(gens, "lex")
     order = MonomialOrder("lex")
-    assert len(buchberger(gens, order, Budget(max_steps=1510))) == 5
+    assert len(buchberger(gens, order, Budget(max_steps=736))) == 5
     with pytest.raises(BudgetError):
-        buchberger(gens, order, Budget(max_steps=1509))
-
-
-def test_swelling_lex_ideal_matches_sympy_in_pinned_steps():
-    # a draw of the random test below that ran for minutes with pairs
-    # selected by sugar alone (40 000-bit coefficients in 200-term
-    # elements); the least-lcm route of the lex race finishes it
-    gens = [
-        MultiPoly(T3, {(3, 0, 1): -2, (1, 1, 1): 3, (3, 0, 0): 1}),
-        MultiPoly(T3, {(3, 3, 1): 2, (0, 2, 1): 3, (2, 0, 1): 1}),
-        MultiPoly(T3, {(3, 2, 2): -1, (0, 1, 0): 1, (2, 0, 1): 3}),
-    ]
-    _assert_same_basis(gens, "lex")
-    order = MonomialOrder("lex")
-    assert len(buchberger(gens, order, Budget(max_steps=9841))) == 5
-    with pytest.raises(BudgetError):
-        buchberger(gens, order, Budget(max_steps=9840))
-
+        buchberger(gens, order, Budget(max_steps=735))
 
 _term = st.tuples(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
@@ -137,4 +95,4 @@ _poly = st.lists(_term, min_size=1, max_size=3).map(lambda ts: MultiPoly(T3, dic
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_poly, min_size=1, max_size=3), st.sampled_from(["grevlex", "lex"]))
 def test_random_small_ideals_match_sympy(polys, kind):
-    _assert_reduced_basis_of(polys, kind)
+    _assert_same_basis(polys, kind)
