@@ -16,9 +16,10 @@ echoes the flags by one rule (`_config`).
 Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
 error (a missing or unreadable file, malformed JSON, bad flags, an
 unknown node, two quivers for `verify vgit` that differ in more than
-theta, nothing to check), 3 resource budget exceeded, 4 internal error
-(a polynomial in the wrong variable table or with a negative power where
-none is allowed, or a KeyError: a bug, not bad input).
+theta, a `verify vgit` side that `validate` rejects, nothing to check), 3
+resource budget exceeded, 4 internal error (a polynomial in the wrong
+variable table or with a negative power where none is allowed, a KeyError
+or a ZeroDivisionError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -357,6 +358,10 @@ def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
     if _shape(qa) != _shape(qb):
         raise ValueError(f"{first} and {second} are not one quiver: "
                          "only the stability weights theta may differ")
+    for path, q in ((first, qa), (second, qb)):
+        rep = validate(q)
+        if not (rep.acyclic and rep.feasible):
+            raise ValueError(f"{path} fails validate: {'; '.join(rep.notes)}")
     pmax = max(resolve_pmax(qa, ns.pmax), resolve_pmax(qb, ns.pmax))
     ia = build_ideal(qa, pmax, build_table(qa, equivariant=ns.equivariant, with_q=True))
     ib = build_ideal(qb, pmax, build_table(qb, equivariant=ns.equivariant, with_q=True))
@@ -701,8 +706,9 @@ def main(argv: list | None = None) -> int:
         return _DISPATCH[ns.command](ns)
     # both subclass ValueError, so they are caught before the input errors;
     # a KeyError is a lookup the code got wrong, since input lookups raise
-    # ValueError (an unknown node id: quiver.QuiverFormatError)
-    except (ContextError, LaurentViolationError, KeyError) as exc:
+    # ValueError (an unknown node id: quiver.QuiverFormatError); a
+    # ZeroDivisionError is an ArithmeticError, but no check raises one
+    except (ContextError, LaurentViolationError, KeyError, ZeroDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -279,7 +279,9 @@ def type_a_chain(q: Quiver) -> list:
     the suite of `verify_type_a`; any other quiver is an input error."""
     rep = validate(q)
     if not rep.type_a:
-        raise ValueError("quiver is not a type-A chain for this suite: %s" % (rep.notes,))
+        why = "; ".join(rep.notes) or ("not a single oriented chain from its one frozen "
+                                       "node, with theta > 0 and falling dims")
+        raise ValueError(f"quiver is not a type-A chain for this suite: {why}")
     return _chain_order(q)
 
 

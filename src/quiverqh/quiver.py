@@ -13,6 +13,11 @@ The JSON wire format:
 Matrix row/column order is by sorted node label (gauge labels first for the
 extended matrix), using a length-then-lexicographic label sort so numeric
 labels order numerically.
+
+A `Quiver` builds its graph index once: each node by id, its in- and
+out-edges, and the sorted gauge and frozen nodes.  `node`, `in_edges` and
+`out_edges` are one lookup, `vminus`, `vplus` and `btilde_column` cost the
+node's degree, `validate` is linear in nodes plus edges.
 """
 
 from __future__ import annotations
@@ -71,6 +76,8 @@ class Quiver:
             elif n.theta is not None:
                 raise QuiverFormatError(f"frozen node {n.id!r} must not carry theta")
         arrows = set()
+        ins: dict[str, list] = {nid: [] for nid in by_id}
+        outs: dict[str, list] = {nid: [] for nid in by_id}
         for e in self.edges:
             if e.src not in by_id or e.dst not in by_id:
                 raise QuiverFormatError(f"edge {e.src!r}->{e.dst!r}: unknown endpoint")
@@ -83,30 +90,32 @@ class Quiver:
                     f"parallel edge entries {e.src!r}->{e.dst!r}; use count"
                 )
             arrows.add((e.src, e.dst))
+            ins[e.dst].append(e)
+            outs[e.src].append(e)
         for s, d in arrows:
             if (d, s) in arrows:
                 raise QuiverFormatError(f"oriented 2-cycle between {s!r} and {d!r}")
-        # the id -> node index of `node`: a plain attribute, not a field, so
-        # it stays out of == and repr, and dataclasses.replace rebuilds it
-        object.__setattr__(self, "_by_id", by_id)
+        # the graph index: plain attributes, not fields, so they stay out of
+        # == and repr, and dataclasses.replace rebuilds them.  Edge tuples
+        # keep the order of `edges`; node tuples are in matrix order.
+        ordered = sorted(self.nodes, key=lambda n: _label_key(n.id))
+        for name, value in (
+            ("_by_id", by_id),
+            ("_in", {nid: tuple(es) for nid, es in ins.items()}),
+            ("_out", {nid: tuple(es) for nid, es in outs.items()}),
+            ("gauge_nodes", tuple(n for n in ordered if n.kind == "gauge")),
+            ("frozen_nodes", tuple(n for n in ordered if n.kind == "frozen")),
+        ):
+            object.__setattr__(self, name, value)
 
-    # -- ordered views ----------------------------------------------------
-
-    @property
-    def gauge_nodes(self) -> tuple:
-        return tuple(sorted((n for n in self.nodes if n.kind == "gauge"),
-                            key=lambda n: _label_key(n.id)))
-
-    @property
-    def frozen_nodes(self) -> tuple:
-        return tuple(sorted((n for n in self.nodes if n.kind == "frozen"),
-                            key=lambda n: _label_key(n.id)))
-
-    def node(self, nid: str) -> Node:
+    def _lookup(self, index: dict, nid: str):
         try:
-            return self._by_id[nid]
+            return index[nid]
         except KeyError:
             raise QuiverFormatError(f"unknown node {nid!r}") from None
+
+    def node(self, nid: str) -> Node:
+        return self._lookup(self._by_id, nid)
 
     def dim(self, nid: str) -> int:
         return self.node(nid).dim
@@ -117,14 +126,11 @@ class Quiver:
             raise QuiverFormatError(f"node {nid!r} is frozen, has no stability weight")
         return th
 
-    def arrow_count(self, src: str, dst: str) -> int:
-        return sum(e.count for e in self.edges if e.src == src and e.dst == dst)
-
     def in_edges(self, nid: str) -> tuple:
-        return tuple(e for e in self.edges if e.dst == nid)
+        return self._lookup(self._in, nid)
 
     def out_edges(self, nid: str) -> tuple:
-        return tuple(e for e in self.edges if e.src == nid)
+        return self._lookup(self._out, nid)
 
     def vminus(self, nid: str) -> int:
         """Total dimension flowing in: sum of source dims over in-edges."""
@@ -239,41 +245,31 @@ class ValidationReport:
 def _is_acyclic(q: Quiver) -> bool:
     """Kahn's algorithm: repeatedly remove a node with no edge left in;
     every node is removed exactly when there is no oriented cycle."""
-    indeg = {n.id: 0 for n in q.nodes}
-    succ: dict[str, list] = {n.id: [] for n in q.nodes}
-    for e in q.edges:
-        indeg[e.dst] += 1
-        succ[e.src].append(e.dst)
+    indeg = {n.id: len(q.in_edges(n.id)) for n in q.nodes}
     ready = [nid for nid, d in indeg.items() if d == 0]
     removed = 0
     while ready:
         nid = ready.pop()
         removed += 1
-        for dst in succ[nid]:
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                ready.append(dst)
+        for e in q.out_edges(nid):
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                ready.append(e.dst)
     return removed == len(indeg)
 
 
 def _chain_order(q: Quiver) -> list | None:
     """Node ids in path order when the quiver is a single oriented chain."""
-    succ: dict[str, list] = {n.id: [] for n in q.nodes}
-    pred: dict[str, list] = {n.id: [] for n in q.nodes}
-    for e in q.edges:
-        if e.count != 1:
-            return None
-        succ[e.src].append(e.dst)
-        pred[e.dst].append(e.src)
-    heads = [nid for nid in succ if not pred[nid]]
+    if any(e.count != 1 for e in q.edges):
+        return None
+    heads = [n.id for n in q.nodes if not q.in_edges(n.id)]
     if len(heads) != 1:
         return None
     order = [heads[0]]
-    while succ[order[-1]]:
-        nxt = succ[order[-1]]
-        if len(nxt) != 1 or len(pred[nxt[0]]) != 1:
+    while nxt := q.out_edges(order[-1]):
+        if len(nxt) != 1 or len(q.in_edges(nxt[0].dst)) != 1:
             return None
-        order.append(nxt[0])
+        order.append(nxt[0].dst)
     return order if len(order) == len(q.nodes) else None
 
 
@@ -347,9 +343,12 @@ def exchange_matrices(q: Quiver) -> tuple:
 
 def btilde_column(q: Quiver, k: str) -> list:
     """Nonzero entries of column k of Btilde as (row label, b_ik), rows in
-    matrix order; b_ik is arrows i->k minus arrows k->i."""
-    rows = [n.id for n in q.gauge_nodes + q.frozen_nodes]
-    return [(i, b) for i in rows if (b := q.arrow_count(i, k) - q.arrow_count(k, i))]
+    matrix order; b_ik is arrows i->k minus arrows k->i, read off the one
+    edge entry between i and k (no parallel entries, no 2-cycles)."""
+    column = {e.src: e.count for e in q.in_edges(k)}
+    column.update((e.dst, -e.count) for e in q.out_edges(k))
+    return sorted(column.items(),
+                  key=lambda ib: (q.node(ib[0]).kind == "frozen", _label_key(ib[0])))
 
 
 def kaehler_sign(q: Quiver, k: str) -> int:

@@ -170,6 +170,19 @@ def test_vgit_on_two_different_quivers_is_one_line_input_error(capsys, quivers, 
                    "only the stability weights theta may differ\n")
 
 
+def test_vgit_side_that_validate_rejects_is_one_line_input_error(capsys, quivers, tmp_path):
+    # gr24 at theta = -1 has no outflow, so validate rejects it
+    data = json.loads(open(quivers.path("gr24")).read())
+    data["nodes"][1]["theta"] = -1
+    minus = tmp_path / "gr24_minus.json"
+    minus.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "vgit", quivers.path("gr24"), str(minus))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (f"input error: {minus} fails validate: "
+                   "node 1: negative stability needs outflow >= dim\n")
+
+
 def test_negative_qde_box_is_input_error(capsys, quivers):
     code, out, err = run(capsys, "verify", "qde", quivers.path("p2"), "--qorder", "-1")
     assert code == EXIT_INPUT
@@ -268,12 +281,23 @@ def test_unknown_command_exits_two(capsys):
 def test_type_a_on_bad_chain_is_input_error(capsys, quivers):
     code, _, err = run(capsys, "verify", "type-a", quivers.path("fl123"))
     assert code == EXIT_INPUT
-    assert "type-A" in err
+    assert err == ("input error: quiver is not a type-A chain for this suite: "
+                   "chain inequality fails at position 1\n")
 
 
-@pytest.mark.parametrize("error", [ContextError, LaurentViolationError])
+def test_type_a_on_a_non_chain_names_the_shape(capsys, quivers):
+    # two frozen nodes, so validate leaves no note to name
+    code, _, err = run(capsys, "verify", "type-a", quivers.path("vgit312_plus"))
+    assert code == EXIT_INPUT
+    assert err == ("input error: quiver is not a type-A chain for this suite: "
+                   "not a single oriented chain from its one frozen node, "
+                   "with theta > 0 and falling dims\n")
+
+
+@pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ZeroDivisionError])
 def test_internal_error_exit(capsys, monkeypatch, quivers, error):
-    # both subclass ValueError, yet they are bugs, not bad input
+    # each is a bug, not bad input: the first two subclass ValueError, and a
+    # ZeroDivisionError is an ArithmeticError, not a failed check
     import quiverqh.cli
 
     def broken(q, table):

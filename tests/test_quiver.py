@@ -1,19 +1,27 @@
 """Quiver file format, validation flags, exchange matrices and weights."""
 
 import dataclasses
+import glob
 import json
+import os
 import pickle
+import time
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quiverqh.cluster import mutate, seed_from_quiver
 from quiverqh.polycore import MultiPoly
 from quiverqh.quiver import (
     Edge,
     Node,
     Quiver,
     QuiverFormatError,
+    _chain_order,
+    _is_acyclic,
+    btilde_column,
     build_table,
     cocharacter,
     default_pmax,
@@ -115,6 +123,136 @@ def test_quiver_from_dict_returns_a_quiver_or_a_format_error(data):
     except QuiverFormatError:
         return
     assert isinstance(q, Quiver)
+
+
+# -- the graph index against edge-scan definitions ------------------------------------
+
+
+def _scan_in(q, nid):
+    return tuple(e for e in q.edges if e.dst == nid)
+
+
+def _scan_out(q, nid):
+    return tuple(e for e in q.edges if e.src == nid)
+
+
+def _scan_column(q, k):
+    """Column k of Btilde: arrows i->k minus arrows k->i, nonzero only, rows
+    gauge ids then frozen ids, each sorted length-first."""
+    def arrows(src, dst):
+        return sum(e.count for e in q.edges if (e.src, e.dst) == (src, dst))
+    rows = [n.id for kind in ("gauge", "frozen")
+            for n in sorted((n for n in q.nodes if n.kind == kind),
+                            key=lambda n: (len(n.id), n.id))]
+    return [(i, b) for i in rows if (b := arrows(i, k) - arrows(k, i))]
+
+
+def _scan_acyclic(q):
+    """No node reaches itself in the transitive closure of the arrows."""
+    reach = {(e.src, e.dst) for e in q.edges}
+    while True:
+        wider = reach | {(a, d) for a, b in reach for c, d in reach if b == c}
+        if wider == reach:
+            return all(a != b for a, b in reach)
+        reach = wider
+
+
+def _scan_chain(q):
+    """The node order whose consecutive pairs are exactly the arrows, each
+    of count 1, if there is one."""
+    arrows = {(e.src, e.dst) for e in q.edges}
+    if not q.nodes or any(e.count != 1 for e in q.edges):
+        return None
+    for order in permutations(n.id for n in q.nodes):
+        if set(zip(order, order[1:])) == arrows:
+            return list(order)
+    return None
+
+
+def _assert_index_matches_scans(q):
+    dims = {n.id: n.dim for n in q.nodes}
+    for n in q.nodes:
+        ins, outs = _scan_in(q, n.id), _scan_out(q, n.id)
+        assert q.in_edges(n.id) == ins and q.out_edges(n.id) == outs
+        assert q.vminus(n.id) == sum(e.count * dims[e.src] for e in ins)
+        assert q.vplus(n.id) == sum(e.count * dims[e.dst] for e in outs)
+        assert btilde_column(q, n.id) == _scan_column(q, n.id)
+    assert _is_acyclic(q) == _scan_acyclic(q)
+    assert _chain_order(q) == _scan_chain(q)
+
+
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_QUIVER_FILES = sorted(glob.glob(os.path.join(_ROOT, "quivers", "*.json"))
+                       + glob.glob(os.path.join(_ROOT, "perfbench", "fixtures", "*.json")))
+
+
+@pytest.mark.parametrize("path", _QUIVER_FILES, ids=os.path.basename)
+def test_graph_index_matches_edge_scans_on_files(path):
+    _assert_index_matches_scans(load_quiver(path))
+
+
+@st.composite
+def _graphs(draw):
+    """Well-formed quivers on two to five nodes with random arrows, so the
+    draws reach cycles, chains and multiple arrows; ids come in an order
+    other than the label order."""
+    ids = draw(st.permutations(["0", "1", "2", "10", "a"]))[:draw(st.integers(2, 5))]
+    nodes = [{"id": i, "kind": "frozen", "dim": draw(st.integers(1, 3))} if draw(st.booleans())
+             else {"id": i, "kind": "gauge", "dim": draw(st.integers(1, 3)),
+                   "theta": draw(st.sampled_from([-1, 1]))} for i in ids]
+    arrows = {}
+    for src, dst in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                  max_size=8)):
+        if src != dst and (dst, src) not in arrows:
+            arrows.setdefault((src, dst), draw(st.sampled_from([1, 1, 2])))
+    return {"nodes": nodes,
+            "edges": [{"src": s, "dst": d, "count": c} for (s, d), c in arrows.items()]}
+
+
+@given(_DATA | _graphs())
+# one node without in-edges, then the 3-cycle 1 -> 2 -> 3 -> 1: a chain walk
+# that does not check in-degrees never ends here
+@example({"nodes": [{"id": "0", "kind": "frozen", "dim": 1}]
+          + [{"id": i, "kind": "gauge", "dim": 1, "theta": 1} for i in "123"],
+          "edges": [{"src": s, "dst": d} for s, d in ("01", "12", "23", "31")]})
+@settings(max_examples=300, deadline=None)
+def test_graph_index_matches_edge_scans_on_fuzzed_quivers(data):
+    try:
+        q = quiver_from_dict(data)
+    except QuiverFormatError:
+        return
+    _assert_index_matches_scans(q)
+
+
+def test_graph_queries_on_an_unknown_node_are_format_errors(quivers):
+    q = quivers("fl234")
+    for query in (q.in_edges, q.out_edges, q.vminus, q.vplus):
+        with pytest.raises(QuiverFormatError, match="unknown node '9'"):
+            query("9")
+
+
+def test_long_chain_graph_work_is_linear(tmp_path):
+    # frozen 0 -> gauge 1 -> ... -> 1499, dims 1: edge scans per node made
+    # exchange_matrices take minutes on this chain; the index takes seconds
+    n = 1500
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "0", "kind": "frozen", "dim": 1}]
+        + [{"id": str(i), "kind": "gauge", "dim": 1, "theta": 1} for i in range(1, n)],
+        "edges": [{"src": str(i), "dst": str(i + 1)} for i in range(n - 1)],
+    }))
+    start = time.perf_counter()
+    q = load_quiver(str(path))
+    rep = validate(q)
+    assert rep.acyclic and rep.feasible and not rep.type_a
+    b, btilde, rows = exchange_matrices(q)
+    assert rows[0] == "1" and rows[-1] == "0" and len(btilde) == n
+    assert btilde[-1][0] == 1 and b[0][1] == 1 and b[1][0] == -1
+    seed, labels = seed_from_quiver(q)
+    assert labels == tuple(rows)
+    mutated = mutate(seed, 1)
+    assert mutated.btilde[0][1] == -1 and mutated.btilde[-1][1] == 1
+    assert time.perf_counter() - start < 60
 
 
 def test_default_pmax(quivers):
