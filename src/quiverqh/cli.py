@@ -18,8 +18,9 @@ error (a missing or unreadable file, malformed JSON, bad flags, an
 unknown node, two quivers for `verify vgit` that differ in more than
 theta, a `verify vgit` side that `validate` rejects, nothing to check), 3
 resource budget exceeded, 4 internal error (a polynomial in the wrong
-variable table or with a negative power where none is allowed, a KeyError
-or a ZeroDivisionError: a bug, not bad input).
+variable table or with a negative power where none is allowed, a
+ZeroDivisionError, or any other exception the codes above do not name,
+such as a KeyError, TypeError or IndexError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -73,7 +74,7 @@ from .cluster import (
 )
 from .embed import (
     injectivity_witness,
-    node_image,
+    node_images,
     psi_adjacent,
     psi_of_cluster_variable,
     require_exchange_node,
@@ -508,9 +509,8 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     lines.append("  Kaehler elimination:")
     lines += [f"    {k} -> {v}" for k, v in subst.items()]
 
-    images = {}
-    for n in q.nodes:
-        images[f"x[{n.id}]"] = poly_to_text(node_image(q, n.id, tqz))
+    initial = node_images(q, tqz)
+    images = {f"x[{nid}]": poly_to_text(img) for nid, img in initial.items()}
     for n in q.gauge_nodes:
         if n.theta > 0:
             adj = psi_adjacent(q, n.id, tqz)
@@ -526,7 +526,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     if ns.path:
         steps = parse_path(ns.path)
         at = ns.at if ns.at is not None else steps[-1]
-        img = psi_of_cluster_variable(q, steps, at, tqz)
+        img = psi_of_cluster_variable(q, steps, at, initial)
         extra["cluster_image"] = {
             "path": list(steps),
             "position": at,
@@ -705,10 +705,8 @@ def main(argv: list | None = None) -> int:
     try:
         return _DISPATCH[ns.command](ns)
     # both subclass ValueError, so they are caught before the input errors;
-    # a KeyError is a lookup the code got wrong, since input lookups raise
-    # ValueError (an unknown node id: quiver.QuiverFormatError); a
-    # ZeroDivisionError is an ArithmeticError, but no check raises one
-    except (ContextError, LaurentViolationError, KeyError, ZeroDivisionError) as exc:
+    # a ZeroDivisionError is an ArithmeticError, but no check raises one
+    except (ContextError, LaurentViolationError, ZeroDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
@@ -720,6 +718,11 @@ def main(argv: list | None = None) -> int:
     except (LaurentPhenomenonError, ArithmeticError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    # any other exception (a KeyError, TypeError, IndexError, ...) is a bug:
+    # input lookups raise ValueError (an unknown node id: quiver.QuiverFormatError)
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ fractions are cross-multiplied into polynomial form and decided by ideal
 membership (zeta inverses are adjoined as explicit auxiliary variables).
 
 Each formula has one definition: the sign is `quiver.kaehler_sign`, the
-column b_(.k) is `quiver.btilde_column`, the node image zeta_i * c_t(V_i)
-is `node_image`, and every t-coefficient membership check with its
-witness goes through `_t_witness`.
+column b_(.k) is `quiver.btilde_column`, the image of one Q[k] is
+`kaehler_image` (a check at node k substitutes only that one; the whole
+map is `zeta_substitution`), the node image zeta_i * c_t(V_i) is
+`node_image`, and every t-coefficient membership check with its witness
+goes through `_t_witness`.
 
 Every mode is read from the table the caller built: a frozen node's
 roots are its u variables when the table holds them and zeros otherwise
@@ -27,7 +29,8 @@ roots, builds its own table.
 Images of general cluster variables are carried as PsiImage fractions: a
 polynomial numerator and a denominator recorded as a product of node
 images (zeta_i * c_t(V_i))^mult, coming from the monomial denominator of
-the cluster variable's Laurent normal form.
+the cluster variable's Laurent normal form.  A run builds its node images
+once (`node_images`) and hands that table to every psi image.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .quiver import (
     btilde_column,
     build_table,
     kaehler_sign,
-    validate,
+    type_a_failures,
 )
 from .presentation import (
     chern_poly,
@@ -68,13 +71,15 @@ from . import groebner
 buchberger = groebner.buchberger
 
 
+def kaehler_image(q: Quiver, k: str, table: VarTable) -> MultiPoly:
+    """The image of Q[k], (-1)^(vminus_k - v_k) * prod_i zeta_i^(-b_ik)."""
+    exps = {f"zeta[{i}]": -b for i, b in btilde_column(q, k)}
+    return MultiPoly.monomial(table, exps, kaehler_sign(q, k))
+
+
 def zeta_substitution(q: Quiver, table: VarTable) -> dict[str, MultiPoly]:
-    """Kaehler-to-zeta elimination map, one signed monomial per gauge node."""
-    out = {}
-    for n in q.gauge_nodes:
-        exps = {f"zeta[{i}]": -b for i, b in btilde_column(q, n.id)}
-        out[f"Q[{n.id}]"] = MultiPoly.monomial(table, exps, kaehler_sign(q, n.id))
-    return out
+    """Kaehler-to-zeta elimination map, Q[k] -> `kaehler_image` per gauge node."""
+    return {f"Q[{n.id}]": kaehler_image(q, n.id, table) for n in q.gauge_nodes}
 
 
 # -- psi images --------------------------------------------------------------------
@@ -84,8 +89,6 @@ def zeta_substitution(q: Quiver, table: VarTable) -> dict[str, MultiPoly]:
 class PsiImage:
     """Fraction num / prod_(i, m) (zeta_i * c_t(V_i))^m in the zeta ring."""
 
-    quiver: Quiver
-    table: VarTable
     num: MultiPoly
     den: tuple[tuple[str, int], ...] = ()
 
@@ -93,11 +96,10 @@ class PsiImage:
         if any(m < 0 for _, m in self.den):
             raise ValueError("denominator multiplicities must be nonnegative")
 
-    def den_poly(self, images: dict | None = None) -> MultiPoly:
-        """The denominator as a polynomial; images as for `_node_image`."""
-        return product(self.table, (
-            _node_image(self.quiver, nid, self.table, images) ** m for nid, m in self.den
-        ))
+    def den_poly(self, images: dict) -> MultiPoly:
+        """The denominator as a polynomial; images is the `node_images`
+        table in the variable table of num."""
+        return product(self.num.table, (images[nid] ** m for nid, m in self.den))
 
 
 def node_image(q: Quiver, i: str, table: VarTable) -> MultiPoly:
@@ -105,15 +107,10 @@ def node_image(q: Quiver, i: str, table: VarTable) -> MultiPoly:
     return MultiPoly.variable(table, f"zeta[{i}]") * chern_poly(q, i, table)
 
 
-def _node_image(q: Quiver, i: str, table: VarTable, images: dict | None) -> MultiPoly:
-    """node_image(q, i, table), built once and kept in images, a dict
-    node id -> image in table that the caller shares between calls, when
-    one is given."""
-    if images is None:
-        return node_image(q, i, table)
-    if i not in images:
-        images[i] = node_image(q, i, table)
-    return images[i]
+def node_images(q: Quiver, table: VarTable) -> dict[str, MultiPoly]:
+    """Node id -> `node_image` in table, for every node: a run's one table
+    of initial images."""
+    return {n.id: node_image(q, n.id, table) for n in q.nodes}
 
 
 def _zeta_column_parts(
@@ -139,46 +136,37 @@ def psi_adjacent(q: Quiver, k: str, table: VarTable) -> PsiImage:
     dplus = truncated_chern_quotient(table, outflow_roots(q, k, table), vk)
     pos, neg = _zeta_column_parts(q, k, table)
     num = ct_k * (pos * dminus + neg * dplus)
-    return PsiImage(q, table, num, ((k, 1),))
+    return PsiImage(num, ((k, 1),))
 
 
 def psi_of_cluster_variable(
-    q: Quiver,
-    path: Sequence[int],
-    k: int,
-    table: VarTable,
-    images: dict | None = None,
+    q: Quiver, path: Sequence[int], k: int, images: dict
 ) -> PsiImage:
     """Image of the cluster variable at position k after mutating along path.
 
     The Laurent normal form is split into a polynomial numerator and a
     monomial denominator; every variable slot is then replaced by its node
-    image zeta_i * c_t(V_i), built in table (or taken from images, see
-    `_node_image`).
+    image zeta_i * c_t(V_i), read from images, the `node_images` table of
+    q, whose table the result is in.
     """
     seed, node_order = seed_from_quiver(q)
     s = mutate_path(seed, path)
     x = s.position(k)
+    table = images[node_order[0]].table
 
     slot_names = s.xnames + s.cnames
-    idxs = {nm: x.table.index(nm) for nm in slot_names}
-    den = []
-    shift = {}
-    for nm in slot_names:
-        m = min((e[idxs[nm]] for e in x.terms), default=0)
-        if m < 0:
-            nid = node_order[slot_names.index(nm)]
-            den.append((nid, -m))
-            shift[nm] = -m
-    cleared = x * MultiPoly.monomial(x.table, shift) if shift else x
+    slots = [x.table.index(nm) for nm in slot_names]
+    lows = [min((e[i] for e in x.terms), default=0) for i in slots]
+    lift = [0] * x.table.nvars
+    for i, m in zip(slots, lows):
+        lift[i] = max(-m, 0)
+    cleared = x.shift(tuple(lift))
+    den = sorted((nid, -m) for nid, m in zip(node_order, lows) if m < 0)
 
     mix = table.extend(x.table.var(nm) for nm in slot_names)
-    bindings = {
-        nm: _node_image(q, node_order[pos], table, images).convert(mix)
-        for pos, nm in enumerate(slot_names)
-    }
+    bindings = {nm: images[nid].convert(mix) for nm, nid in zip(slot_names, node_order)}
     num = cleared.convert(mix).substitute(bindings).convert(table)
-    return PsiImage(q, table, num, tuple(sorted(den)))
+    return PsiImage(num, tuple(den))
 
 
 # -- exchange-relation verification -------------------------------------------------
@@ -246,7 +234,8 @@ def transformation_link_check(q: Quiver, k: str, table: VarTable) -> bool:
 
     diff = exchange_image_diff(q, k, table)
     pos, _ = _zeta_column_parts(q, k, table)
-    linked = pos * diff.substitute(zeta_substitution(q, table))
+    # the difference holds no Kaehler variable but Q[k]
+    linked = pos * diff.substitute({f"Q[{k}]": kaehler_image(q, k, table)})
     return cluster_image == linked
 
 
@@ -277,11 +266,9 @@ def _substituted_ideal(
 def type_a_chain(q: Quiver) -> list:
     """Node ids along q, frozen node first, when q is a type-A chain for
     the suite of `verify_type_a`; any other quiver is an input error."""
-    rep = validate(q)
-    if not rep.type_a:
-        why = "; ".join(rep.notes) or ("not a single oriented chain from its one frozen "
-                                       "node, with theta > 0 and falling dims")
-        raise ValueError(f"quiver is not a type-A chain for this suite: {why}")
+    why = type_a_failures(q)
+    if why:
+        raise ValueError(f"quiver is not a type-A chain for this suite: {'; '.join(why)}")
     return _chain_order(q)
 
 
@@ -334,7 +321,7 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
 
     # zeta-side closed forms; the psi images share one node image per node
     gb_z, t_z = _substituted_ideal(q, gb, budget)
-    images: dict = {}
+    images = node_images(q, t_z)
     for k in range(0, n + 1):
         for l in range(k, n + 1):
             zk = MultiPoly.variable(t_z, f"zeta[{chain[k]}]")
@@ -349,7 +336,7 @@ def verify_type_a(q: Quiver, gb: GroebnerBasis, *, budget: Budget | None = None)
                 )
                 continue
             path = tuple(range(k + 1, l + 1))
-            img = psi_of_cluster_variable(q, path, l, t_z, images)
+            img = psi_of_cluster_variable(q, path, l, images)
             diff = img.num - rhs * img.den_poly(images)
             witness = _t_witness(diff, lambda c: laurent_contains(gb_z, c, budget), "t^%d: %s")
             rows.append(
@@ -373,23 +360,11 @@ def psi_yhat_qfactor(q: Quiver, k: str) -> bool:
     """
     table = build_table(q, equivariant=False, with_zeta=True)
     seed, node_order = seed_from_quiver(q)
-    gauge = [n.id for n in q.gauge_nodes]
-    col = gauge.index(k)
-
-    yk = seed.coeffs[col]
-    exps: dict[str, int] = {}
-    for nm, e in zip(seed.cnames, yk.exps):
-        if e:
-            nid = node_order[(seed.xnames + seed.cnames).index(nm)]
-            exps[f"zeta[{nid}]"] = exps.get(f"zeta[{nid}]", 0) + e
-    for i in range(seed.n):
-        e = seed.btilde[i][col]
-        if e:
-            exps[f"zeta[{node_order[i]}]"] = exps.get(f"zeta[{node_order[i]}]", 0) + e
-    lhs = MultiPoly.monomial(table, exps)
-
-    image = zeta_substitution(q, table)[f"Q[{k}]"]
-    rhs = image.invert_monomial()
+    col = [n.id for n in q.gauge_nodes].index(k)
+    # slots follow node_order: the gauge column, then the tropical coefficient
+    exps = [seed.btilde[i][col] for i in range(seed.n)] + list(seed.coeffs[col].exps)
+    lhs = MultiPoly.monomial(table, {f"zeta[{i}]": e for i, e in zip(node_order, exps)})
+    rhs = kaehler_image(q, k, table).invert_monomial()
     return lhs == kaehler_sign(q, k) * rhs
 
 

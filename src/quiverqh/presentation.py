@@ -88,14 +88,9 @@ from .symfun import (
 class IdealPresentation:
     """Polynomial generators of the relation ideal, with build metadata."""
 
-    quiver: Quiver
     table: VarTable
     generators: tuple
-    p_max: int
     degrees: tuple  # one (node id, sign) per gauge node
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def abelian_relation(w: WeightData, d: Mapping[str, Sequence[int]]) -> MultiPoly:
@@ -214,29 +209,24 @@ def build_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     coordinate cocharacter; negative-stability relations are already
     normalized to polynomials in Q.
     """
-    return _node_ideal(q, p_max, lambda v: p_max, table)
+    return _node_ideal(q, lambda v: p_max, table)
 
 
 def spanning_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     """The ideal of `build_ideal`, generated by the relations with
     insertion powers 0..min(p_max, v-1) at each node of dimension v; the
     others are redundant (see the module docstring)."""
-    return _node_ideal(q, p_max, lambda v: min(p_max, v - 1), table)
+    return _node_ideal(q, lambda v: min(p_max, v - 1), table)
 
 
-def _node_ideal(
-    q: Quiver,
-    p_max: int,
-    top: Callable[[int], int],
-    table: VarTable,
-) -> IdealPresentation:
+def _node_ideal(q: Quiver, top: Callable[[int], int], table: VarTable) -> IdealPresentation:
     """Nonzero node relations for insertion powers 0..top(v) per node."""
     gens = []
     degrees = []
     for n in q.gauge_nodes:
         degrees.append((n.id, 1 if n.theta > 0 else -1))
         gens.extend(g for g in node_relations(q, n.id, top(n.dim), table) if not g.is_zero())
-    return IdealPresentation(q, table, tuple(gens), p_max, tuple(degrees))
+    return IdealPresentation(table, tuple(gens), tuple(degrees))
 
 
 # -- Chern classes and truncated quotients ----------------------------------------

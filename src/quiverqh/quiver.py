@@ -273,6 +273,26 @@ def _chain_order(q: Quiver) -> list | None:
     return order if len(order) == len(q.nodes) else None
 
 
+def type_a_failures(q: Quiver) -> list[str]:
+    """Why q is not a type-A chain, one line per failing condition at its
+    first node or position; empty when it is one.  The conditions: a
+    single oriented chain from its one frozen node, theta > 0 at every
+    gauge node, dims that fall along the chain, and the chain inequality
+    v_0 - v_k < v_(k+1) - v_(k+2) at every position k < n, with v_(n+1) = 0."""
+    order = _chain_order(q)
+    if order is None or len(q.frozen_nodes) != 1 or order[0] != q.frozen_nodes[0].id:
+        return ["not a single oriented chain from its one frozen node"]
+    dims = [q.dim(nid) for nid in order] + [0]
+    n = len(order) - 1
+    failing = (
+        ("node %s: theta <= 0", [nid for nid in order[1:] if q.theta(nid) <= 0]),
+        ("dims do not fall at position %d", [k for k in range(n) if dims[k] <= dims[k + 1]]),
+        ("chain inequality fails at position %d",
+         [k for k in range(n) if dims[0] - dims[k] >= dims[k + 1] - dims[k + 2]]),
+    )
+    return [fmt % bad[0] for fmt, bad in failing if bad]
+
+
 def validate(q: Quiver) -> ValidationReport:
     """Structural and assumption checks; never raises on a well-formed quiver."""
     notes: list[str] = []
@@ -305,21 +325,10 @@ def validate(q: Quiver) -> ValidationReport:
                 notes.append(f"node {n.id}: inflow excess below 2")
                 break
 
-    type_a = False
-    order = _chain_order(q)
-    if order is not None and len(q.frozen_nodes) == 1 and order[0] == q.frozen_nodes[0].id:
-        dims = [q.dim(nid) for nid in order]
-        n = len(order) - 1
-        ok = all(q.theta(nid) > 0 for nid in order[1:])
-        ok = ok and all(dims[k] > dims[k + 1] for k in range(n))
-        for k in range(n):
-            vk2 = dims[k + 2] if k + 2 <= n else 0
-            vk1 = dims[k + 1]
-            if not dims[0] - dims[k] < vk1 - vk2:
-                ok = False
-                notes.append(f"chain inequality fails at position {k}")
-                break
-        type_a = ok
+    # of the type-A conditions, only a failed chain inequality is noted
+    why = type_a_failures(q)
+    notes += [w for w in why if w.startswith("chain inequality")]
+    type_a = not why
 
     return ValidationReport(True, acyclic, feasible, quiver_flag, type_a, tuple(notes))
 

@@ -290,14 +290,27 @@ def test_type_a_on_a_non_chain_names_the_shape(capsys, quivers):
     code, _, err = run(capsys, "verify", "type-a", quivers.path("vgit312_plus"))
     assert code == EXIT_INPUT
     assert err == ("input error: quiver is not a type-A chain for this suite: "
-                   "not a single oriented chain from its one frozen node, "
-                   "with theta > 0 and falling dims\n")
+                   "not a single oriented chain from its one frozen node\n")
 
 
-@pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ZeroDivisionError])
+@pytest.mark.parametrize("name, why", [
+    ("a2", "not a single oriented chain from its one frozen node"),
+    ("principal_rank1", "dims do not fall at position 0"),
+], ids=["a2", "principal_rank1"])
+def test_type_a_names_the_failing_condition(capsys, quivers, name, why):
+    # validate's notes about stability and inflow say nothing of the chain
+    code, out, err = run(capsys, "verify", "type-a", quivers.path(name))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: quiver is not a type-A chain for this suite: {why}\n"
+
+
+@pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ZeroDivisionError,
+                                   TypeError, IndexError])
 def test_internal_error_exit(capsys, monkeypatch, quivers, error):
-    # each is a bug, not bad input: the first two subclass ValueError, and a
-    # ZeroDivisionError is an ArithmeticError, not a failed check
+    # each is a bug, not bad input: the first two subclass ValueError, a
+    # ZeroDivisionError is an ArithmeticError, not a failed check, and an
+    # exception no exit code names exits 4 with one line, not 1 with a traceback
     import quiverqh.cli
 
     def broken(q, table):
@@ -561,6 +574,18 @@ def test_type_a_psi_images_build_each_chern_polynomial_once(capsys, monkeypatch,
     assert code == EXIT_OK
     distinct = {(num, den, id(table)) for _, num, den, table in calls}
     assert len(calls) == len(distinct) == 18
+
+
+def test_embed_eliminates_each_kaehler_variable_per_node(capsys, monkeypatch, tmp_path):
+    # each check reads the column of its own node only, so the columns
+    # read by one embed run grow linearly along a chain, not quadratically
+    import quiverqh.embed
+
+    n = 40
+    calls = count_calls(monkeypatch, quiverqh.embed.btilde_column)
+    code, rep, _ = jrun(capsys, "embed", _long_quiver(tmp_path, n, cycle=False))
+    assert code == EXIT_OK and rep["ok"]
+    assert len(calls) < 8 * n
 
 
 def test_build_ideal_builds_no_weights(monkeypatch, quivers):

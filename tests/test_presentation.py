@@ -346,7 +346,7 @@ def test_spanning_ideal_has_the_full_basis(quivers, name, equivariant, kind):
     full = build_ideal(q, pmax, build_table(q, equivariant=equivariant, with_q=True))
     span = spanning_ideal(q, pmax, build_table(q, equivariant=equivariant, with_q=True))
     assert span.table.names == full.table.names
-    assert (span.p_max, span.degrees) == (full.p_max, full.degrees)
+    assert span.degrees == full.degrees
     texts = {poly_to_text(g) for g in full.generators}
     assert {poly_to_text(g) for g in span.generators} < texts
     order = MonomialOrder(kind)
