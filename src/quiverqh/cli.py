@@ -19,8 +19,9 @@ unknown node, two quivers for `verify vgit` that differ in more than
 theta, a `verify vgit` side that `validate` rejects, nothing to check), 3
 resource budget exceeded, 4 internal error (a polynomial in the wrong
 variable table or with a negative power where none is allowed, a
-ZeroDivisionError, or any other exception the codes above do not name,
-such as a KeyError, TypeError or IndexError: a bug, not bad input).
+ZeroDivisionError, a DivisibilityError from an inexact polynomial
+division, or any other exception the codes above do not name, such as a
+KeyError, TypeError or IndexError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -38,11 +39,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .polycore import ContextError, LaurentViolationError, poly_to_text
+from .polycore import ContextError, DivisibilityError, LaurentViolationError, poly_to_text
 from .quiver import (
     build_table,
     load_quiver,
@@ -239,7 +239,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     ok = rep.acyclic and rep.feasible
     report = {
         "ok": ok,
-        "flags": asdict(rep),
+        "flags": rep._asdict(),
         "notes": list(rep.notes),
         "quiver": quiver_to_dict(q),
     }
@@ -704,9 +704,10 @@ def main(argv: list | None = None) -> int:
         ns.command = f"{ns.command} {sub}"
     try:
         return _DISPATCH[ns.command](ns)
-    # both subclass ValueError, so they are caught before the input errors;
-    # a ZeroDivisionError is an ArithmeticError, but no check raises one
-    except (ContextError, LaurentViolationError, ZeroDivisionError) as exc:
+    # the first two subclass ValueError, so they are caught before the input
+    # errors; the last two are ArithmeticErrors, but no check raises one
+    # (cluster.mutate re-raises a DivisibilityError as LaurentPhenomenonError)
+    except (ContextError, LaurentViolationError, ZeroDivisionError, DivisibilityError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

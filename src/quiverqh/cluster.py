@@ -22,7 +22,6 @@ equality of these normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .polycore import (
@@ -49,16 +48,16 @@ class SeedError(ValueError):
 # -- tropical semifield -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TropMonomial:
     """Element of the tropical semifield on a fixed tuple of generators."""
 
-    gens: tuple[str, ...]
-    exps: tuple[int, ...]
+    __slots__ = ("gens", "exps")
 
-    def __post_init__(self):
-        if len(self.gens) != len(self.exps):
+    def __init__(self, gens: tuple[str, ...], exps: tuple[int, ...]):
+        if len(gens) != len(exps):
             raise SeedError("tropical exponent length mismatch")
+        self.gens = gens
+        self.exps = exps
 
     @staticmethod
     def one(gens: Sequence[str]) -> "TropMonomial":
@@ -123,41 +122,43 @@ def parse_path(text: str) -> tuple[int, ...]:
         ) from None
 
 
-@dataclass(frozen=True)
 class Seed:
     """Labeled seed: cluster expressions, tropical coefficients, matrix.
 
     Rows of btilde follow xnames then cnames; columns follow xnames.
     """
 
-    table: VarTable
-    xnames: tuple[str, ...]
-    cnames: tuple[str, ...]
-    cluster: tuple[MultiPoly, ...]
-    coeffs: tuple[TropMonomial, ...]
-    btilde: tuple[tuple[int, ...], ...]
+    __slots__ = ("table", "xnames", "cnames", "cluster", "coeffs", "btilde")
 
-    def __post_init__(self):
-        n, m = len(self.xnames), len(self.cnames)
-        if len(self.cluster) != n or len(self.coeffs) != n:
+    def __init__(self, table: VarTable, xnames: tuple[str, ...], cnames: tuple[str, ...],
+                 cluster: tuple[MultiPoly, ...], coeffs: tuple[TropMonomial, ...],
+                 btilde: tuple[tuple[int, ...], ...]):
+        n, m = len(xnames), len(cnames)
+        if len(cluster) != n or len(coeffs) != n:
             raise SeedError("cluster/coefficient length must equal the rank")
-        if len(self.btilde) != n + m or any(len(r) != n for r in self.btilde):
+        if len(btilde) != n + m or any(len(r) != n for r in btilde):
             raise SeedError("extended matrix must be (rank+frozen) x rank")
         for i in range(n):
             for j in range(n):
-                if self.btilde[i][j] != -self.btilde[j][i]:
+                if btilde[i][j] != -btilde[j][i]:
                     raise SeedError("principal part must be skew-symmetric")
-        for k, y in enumerate(self.coeffs):
-            if y.gens != self.cnames:
+        for k, y in enumerate(coeffs):
+            if y.gens != cnames:
                 raise SeedError("coefficient generators must match cnames")
-            col = tuple(self.btilde[n + j][k] for j in range(m))
+            col = tuple(btilde[n + j][k] for j in range(m))
             if y.exps != col:
                 raise SeedError(
                     "coefficient %d disagrees with frozen rows of column %d"
                     % (k + 1, k + 1)
                 )
-        for p in self.cluster:
+        for p in cluster:
             _check_strong_laurent(p)
+        self.table = table
+        self.xnames = xnames
+        self.cnames = cnames
+        self.cluster = cluster
+        self.coeffs = coeffs
+        self.btilde = btilde
 
     @property
     def n(self) -> int:

@@ -35,7 +35,6 @@ once (`node_images`) and hands that table to every psi image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .polycore import MultiPoly, Variable, VarTable, poly_to_text, product
@@ -85,16 +84,16 @@ def zeta_substitution(q: Quiver, table: VarTable) -> dict[str, MultiPoly]:
 # -- psi images --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PsiImage:
     """Fraction num / prod_(i, m) (zeta_i * c_t(V_i))^m in the zeta ring."""
 
-    num: MultiPoly
-    den: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if any(m < 0 for _, m in self.den):
+    def __init__(self, num: MultiPoly, den: tuple[tuple[str, int], ...] = ()):
+        if any(m < 0 for _, m in den):
             raise ValueError("denominator multiplicities must be nonnegative")
+        self.num = num
+        self.den = den
 
     def den_poly(self, images: dict) -> MultiPoly:
         """The denominator as a polynomial; images is the `node_images`

@@ -98,10 +98,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .polycore import (
     ContextError,
@@ -117,23 +117,22 @@ class BudgetError(RuntimeError):
     """Computation exceeded its configured budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     max_pairs: int = 500_000
     max_basis: int = 5_000
     max_steps: int = 20_000_000
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Monomial order: kind 'grevlex' or 'lex' over the table's canonical
     variable order, first variable largest."""
 
-    kind: str = "grevlex"
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+    def __init__(self, kind: str = "grevlex"):
+        if kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind = kind
 
     def key_fn(self) -> Callable:
         if self.kind == "grevlex":
@@ -294,6 +293,8 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
     steps = [0]
     rows: list = []       # monic rows (lead, tail, excess), in basis order
     exps: list = []       # leading exponent tuples, for lcms
+    masks: list = []      # bit v set when leading exponent v is nonzero
+    degs: list = []       # degree of each lead
     sugars: list = []     # sugar degree of each row
     reducers: list = []   # the rows in reducer-key order ...
     keys: list = []       # ... and their keys, with the basis index last
@@ -313,31 +314,45 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
         sugars.append(sugar)
         eh = pk.unpack(lead)
         exps.append(eh)
+        mh = sum(1 << v for v, x in enumerate(eh) if x)
+        masks.append(mh)
+        dh = pk.degree(lead)
+        degs.append(dh)
+        ldeg: dict = {}
+
+        def lcm_degree(i: int) -> int:
+            # leads with disjoint supports are coprime: their degrees add
+            if i not in ldeg:
+                ldeg[i] = sum(map(max, exps[i], eh)) if masks[i] & mh else degs[i] + dh
+            return ldeg[i]
 
         # Gebauer-Moeller update.  lcm(i, h) divides the lcm of any old
         # pair (i, j) that lead(h) divides, so the two are equal exactly
         # when their degrees are.
-        lcms = [tuple(x if x > y else y for x, y in zip(e, eh)) for e in exps[:h]]
-        ldeg = [sum(l) for l in lcms]
         pairs = [
             p for p in pairs
-            if not pk.divides(lead, p[4]) or ldeg[p[2]] == p[1] or ldeg[p[3]] == p[1]
+            if not pk.divides(lead, p[4]) or lcm_degree(p[2]) == p[1] or lcm_degree(p[3]) == p[1]
         ]
-        dh = pk.degree(lead)
-        new = [(i, pk.pack(lcms[i])) for i in active]
+        # new pairs (i, packed lcm, coprime); a coprime lcm is the sum of
+        # the packed leads
+        new = []
+        for i in active:
+            if masks[i] & mh:
+                new.append((i, pk.pack(tuple(map(max, exps[i], eh))), False))
+            elif degs[i] + dh > pk.vmax:
+                raise _Overflow(degs[i] + dh)
+            else:
+                new.append((i, rows[i][0] + lead, True))
         kept = []
-        for n, (i, l) in enumerate(new):
-            # coprime leads have an lcm of summed degree
-            coprime = ldeg[i] == pk.degree(rows[i][0]) + dh
-            others = [x[1] for x in kept] + [x[1] for x in new[n + 1:]]
-            if coprime or not any(pk.divides(l2, l) for l2 in others):
-                kept.append((i, l, coprime))
+        for n, x in enumerate(new):
+            if x[2] or not any(pk.divides(o[1], x[1])
+                               for o in chain(kept, islice(new, n + 1, None))):
+                kept.append(x)
         for i, l, coprime in kept:
-            if coprime:
-                continue
-            dl = ldeg[i]
-            s = max(sugars[i] - pk.degree(rows[i][0]), sugar - dh) + dl
-            pairs.append((s, dl, i, h, l))
+            if not coprime:
+                dl = pk.degree(l)
+                s = max(sugars[i] - degs[i], sugar - dh) + dl
+                pairs.append((s, dl, i, h, l))
         heapq.heapify(pairs)
         active = [i for i in active if not pk.divides(lead, rows[i][0])] + [h]
 
@@ -389,15 +404,18 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
     return final
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    table: VarTable
-    order: MonomialOrder
-    elements: tuple  # reduced, monic, sorted by increasing leading monomial
-    fingerprint: str
-    # reducer rows of the elements, packed once per basis by packer
-    packer: _Packer = field(compare=False, repr=False)
-    rows: tuple = field(compare=False, repr=False)
+    __slots__ = ("table", "order", "elements", "fingerprint", "packer", "rows")
+
+    def __init__(self, table: VarTable, order: MonomialOrder, elements: tuple,
+                 fingerprint: str, packer: _Packer, rows: tuple):
+        self.table = table
+        self.order = order
+        self.elements = elements  # reduced, monic, sorted by increasing leading monomial
+        self.fingerprint = fingerprint
+        # reducer rows of the elements, packed once per basis by packer
+        self.packer = packer
+        self.rows = rows
 
     def __iter__(self):
         return iter(self.elements)
@@ -563,8 +581,7 @@ def laurent_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = No
     return ideal_contains(gb, _with_inverses(p, gb.table, names), budget)
 
 
-@dataclass(frozen=True)
-class LaurentComparison:
+class LaurentComparison(NamedTuple):
     equal: bool
     missing_from_first: tuple  # canonical texts of second's generators not in first
     missing_from_second: tuple

@@ -62,11 +62,10 @@ the pairing with the sum of positive roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as iproduct
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .groebner import Budget, BudgetError
 from .polycore import (
@@ -87,8 +86,7 @@ from .quiver import (
 from .symfun import BlockStructure, positive_root_pairing
 
 
-@dataclass(frozen=True)
-class IfunCoeff:
+class IfunCoeff(NamedTuple):
     """Factored coefficient: products of linear forms, numerator and
     denominator kept as tuples of polynomials."""
 
@@ -185,8 +183,7 @@ def _sub_degree(d: Mapping, dp: Mapping) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class QdeResult:
+class QdeResult(NamedTuple):
     ok: bool
     skipped: bool
     notice: str = ""

@@ -22,9 +22,8 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 Expvec = "tuple[int, ...]"
@@ -63,8 +62,7 @@ def _label_key(label: str) -> tuple:
     return (len(label), label)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A named variable: class tag, sort key, Laurent permission, display name."""
 
     cls: str
@@ -549,18 +547,18 @@ def _poly_exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # -- rational functions ------------------------------------------------------
 
 
-@dataclass
 class RationalFunction:
     """Quotient of polynomials; compared exactly by cross-multiplication."""
 
-    num: MultiPoly
-    den: MultiPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.num.table is not self.den.table:
+    def __init__(self, num: MultiPoly, den: MultiPoly):
+        if num.table is not den.table:
             raise ContextError("numerator and denominator in different tables")
-        if self.den.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self.num = num
+        self.den = den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -62,8 +62,7 @@ u variables when the table holds them and zeros otherwise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polycore import MultiPoly, VarTable
 from .quiver import (
@@ -84,8 +83,7 @@ from .symfun import (
 )
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(NamedTuple):
     """Polynomial generators of the relation ideal, with build metadata."""
 
     table: VarTable

@@ -23,8 +23,7 @@ node's degree, `validate` is linear in nodes plus edges.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polycore import MultiPoly, Variable, VarTable, _label_key
 from .symfun import BlockStructure
@@ -39,31 +38,33 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str  # "gauge" | "frozen"
     dim: int
     theta: int | None = None
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     count: int = 1
 
 
-@dataclass(frozen=True)
 class Quiver:
-    nodes: tuple
-    edges: tuple
+    """Nodes and edges, validated, with the graph index built once.  Two
+    quivers are equal when their nodes and edges are; the index stays out
+    of ==."""
 
-    def __post_init__(self):
-        by_id = {n.id: n for n in self.nodes}
-        if len(by_id) != len(self.nodes):
+    __slots__ = ("nodes", "edges", "_by_id", "_in", "_out", "gauge_nodes", "frozen_nodes")
+
+    def __init__(self, nodes: tuple, edges: tuple):
+        self.nodes = nodes
+        self.edges = edges
+        by_id = {n.id: n for n in nodes}
+        if len(by_id) != len(nodes):
             raise QuiverFormatError("duplicate node ids")
-        for n in self.nodes:
+        for n in nodes:
             if n.kind not in ("gauge", "frozen"):
                 raise QuiverFormatError(f"node {n.id!r}: unknown kind {n.kind!r}")
             if not _is_int(n.dim) or n.dim < 1:
@@ -78,7 +79,7 @@ class Quiver:
         arrows = set()
         ins: dict[str, list] = {nid: [] for nid in by_id}
         outs: dict[str, list] = {nid: [] for nid in by_id}
-        for e in self.edges:
+        for e in edges:
             if e.src not in by_id or e.dst not in by_id:
                 raise QuiverFormatError(f"edge {e.src!r}->{e.dst!r}: unknown endpoint")
             if e.src == e.dst:
@@ -95,18 +96,19 @@ class Quiver:
         for s, d in arrows:
             if (d, s) in arrows:
                 raise QuiverFormatError(f"oriented 2-cycle between {s!r} and {d!r}")
-        # the graph index: plain attributes, not fields, so they stay out of
-        # == and repr, and dataclasses.replace rebuilds them.  Edge tuples
-        # keep the order of `edges`; node tuples are in matrix order.
-        ordered = sorted(self.nodes, key=lambda n: _label_key(n.id))
-        for name, value in (
-            ("_by_id", by_id),
-            ("_in", {nid: tuple(es) for nid, es in ins.items()}),
-            ("_out", {nid: tuple(es) for nid, es in outs.items()}),
-            ("gauge_nodes", tuple(n for n in ordered if n.kind == "gauge")),
-            ("frozen_nodes", tuple(n for n in ordered if n.kind == "frozen")),
-        ):
-            object.__setattr__(self, name, value)
+        # the graph index.  Edge tuples keep the order of `edges`; node
+        # tuples are in matrix order.
+        ordered = sorted(nodes, key=lambda n: _label_key(n.id))
+        self._by_id = by_id
+        self._in = {nid: tuple(es) for nid, es in ins.items()}
+        self._out = {nid: tuple(es) for nid, es in outs.items()}
+        self.gauge_nodes = tuple(n for n in ordered if n.kind == "gauge")
+        self.frozen_nodes = tuple(n for n in ordered if n.kind == "frozen")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quiver):
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
 
     def _lookup(self, index: dict, nid: str):
         try:
@@ -232,8 +234,7 @@ def load_quiver(path: str) -> Quiver:
 # -- validation -----------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     structural_ok: bool
     acyclic: bool
     feasible: bool
@@ -369,8 +370,7 @@ def kaehler_sign(q: Quiver, k: str) -> int:
 # -- weight data -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """One torus weight of the linear-map space: a linear form plus its
     gauge part as an exponent map over xi variables."""
 
@@ -382,20 +382,30 @@ class Weight:
         return sum(c * d.get(name, 0) for name, c in self.gauge_part)
 
 
-@dataclass(frozen=True)
 class WeightData:
-    quiver: Quiver
-    table: VarTable
-    weights: tuple  # tuple[Weight]
-    # memos filled lazily by ifunction; not init fields, so
-    # dataclasses.replace never carries them to other weights.
-    # canonicalised linear factors w_i + s*h:
-    # (weight index, shift) -> (key, scalar, p, normalized), see
-    # ifunction._canon_factor.
-    factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # degree key -> pairing of every weight with that degree, see
-    # ifunction._degree.
-    degrees: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """The torus weights of a quiver in one table, with memos that
+    ifunction fills lazily.  Equal when quiver, table and weights are;
+    the memos stay out of == and repr, and a new WeightData starts them
+    empty."""
+
+    __slots__ = ("quiver", "table", "weights", "factors", "degrees")
+
+    def __init__(self, quiver: Quiver, table: VarTable, weights: tuple):
+        self.quiver = quiver
+        self.table = table
+        self.weights = weights  # tuple[Weight]
+        # canonicalised linear factors w_i + s*h:
+        # (weight index, shift) -> (key, scalar, p, normalized), see
+        # ifunction._canon_factor.
+        self.factors: dict = {}
+        # degree key -> pairing of every weight with that degree, see
+        # ifunction._degree.
+        self.degrees: dict = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightData):
+            return NotImplemented
+        return (self.quiver, self.table, self.weights) == (other.quiver, other.table, other.weights)
 
 
 def node_roots(q: Quiver, table: VarTable, nid: str) -> list:

@@ -23,25 +23,24 @@ truncation.  Variables outside the blocks are inert.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .polycore import MultiPoly, VarTable, exact_divide, product
 
 
-@dataclass(frozen=True)
 class BlockStructure:
     """Ordered blocks of variable names, one block per gauge node."""
 
-    blocks: tuple  # tuple[(node label, tuple of variable names)]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple):
         seen = set()
-        for _, names in self.blocks:
+        for _, names in blocks:
             for n in names:
                 if n in seen:
                     raise ValueError(f"variable {n!r} appears in two blocks")
                 seen.add(n)
+        self.blocks = blocks  # tuple[(node label, tuple of variable names)]
 
     def block(self, node: str) -> tuple:
         for n, names in self.blocks:

@@ -26,7 +26,7 @@ from quiverqh.cli import (
     main,
     to_json,
 )
-from quiverqh.polycore import ContextError, LaurentViolationError
+from quiverqh.polycore import ContextError, DivisibilityError, LaurentViolationError
 from quiverqh.presentation import build_ideal
 from quiverqh.quiver import build_table, default_pmax
 
@@ -306,11 +306,12 @@ def test_type_a_names_the_failing_condition(capsys, quivers, name, why):
 
 
 @pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ZeroDivisionError,
-                                   TypeError, IndexError])
+                                   TypeError, IndexError, DivisibilityError])
 def test_internal_error_exit(capsys, monkeypatch, quivers, error):
     # each is a bug, not bad input: the first two subclass ValueError, a
-    # ZeroDivisionError is an ArithmeticError, not a failed check, and an
-    # exception no exit code names exits 4 with one line, not 1 with a traceback
+    # ZeroDivisionError or DivisibilityError is an ArithmeticError, not a
+    # failed check, and an exception no exit code names exits 4 with one
+    # line, not 1 with a traceback
     import quiverqh.cli
 
     def broken(q, table):
@@ -753,15 +754,26 @@ def test_cluster_census_script_golden(args, sha):
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == sha
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # only `verify qde --jobs N` with N > 1 needs multiprocessing
-    probe = "import sys, quiverqh.cli; print('multiprocessing' in sys.modules)"
+def cli_import_loads(module: str) -> bool:
+    """Whether `import quiverqh.cli` in a fresh interpreter loads module."""
+    probe = f"import sys, quiverqh.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `verify qde --jobs N` with N > 1 needs multiprocessing
+    assert not cli_import_loads("multiprocessing")
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # records are NamedTuples or slotted classes: importing dataclasses
+    # (and the inspect, ast and dis it loads) would cost every run
+    assert not cli_import_loads("dataclasses")
 
 
 def test_json_schema_and_config_echo(capsys, quivers):

@@ -27,8 +27,8 @@ from quiverqh.groebner import (
     normal_form,
 )
 from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for
-from quiverqh.presentation import build_ideal
-from quiverqh.quiver import build_table, resolve_pmax
+from quiverqh.presentation import build_ideal, spanning_ideal
+from quiverqh.quiver import build_table, quiver_from_dict, resolve_pmax
 
 from conftest import cleared_laurent_basis, zeta_side_generators
 
@@ -412,3 +412,22 @@ def test_reduction_step_count_is_pinned(quivers, name, pmax, equivariant, kind, 
     buchberger(gens, order, Budget(max_steps=steps))
     with pytest.raises(BudgetError):
         buchberger(gens, order, Budget(max_steps=steps - 1))
+
+
+def test_coprime_pairs_pack_no_lcm(monkeypatch):
+    # on a chain of dim-1 nodes almost every pair of leads is coprime; their
+    # lcms are sums of packed leads, so the packings done while the basis
+    # grows stay linear in the chain length (the input terms are 4n)
+    n = 60
+    q = quiver_from_dict({
+        "nodes": [{"id": "0", "kind": "frozen", "dim": 1}]
+        + [{"id": str(i), "kind": "gauge", "dim": 1, "theta": 1} for i in range(1, n)],
+        "edges": [{"src": str(i), "dst": str(i + 1)} for i in range(n - 1)],
+    })
+    gens = spanning_ideal(q, resolve_pmax(q, None), build_table(q, equivariant=False,
+                                                                with_t=True, with_q=True))
+    calls = []
+    pack = _Packer.pack
+    monkeypatch.setattr(_Packer, "pack", lambda pk, e: calls.append(e) or pack(pk, e))
+    assert len(buchberger(gens.generators)) == n - 1
+    assert len(calls) < 10 * n

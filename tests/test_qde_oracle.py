@@ -29,7 +29,14 @@ import pytest
 
 from quiverqh.ifunction import QdeResult, qde_box_pairs, qde_check, qde_rows
 from quiverqh.polycore import MultiPoly, poly_to_text, product
-from quiverqh.quiver import Weight, build_table, cocharacter, in_effective_cone, weights
+from quiverqh.quiver import (
+    Weight,
+    WeightData,
+    build_table,
+    cocharacter,
+    in_effective_cone,
+    weights,
+)
 
 from conftest import QUIVER_DIR
 
@@ -156,12 +163,18 @@ class SkewedWeight:
         return Weight.pair(self, d) + self.offset
 
 
+def fresh(w):
+    """A copy of w that shares its quiver, table and weights and starts
+    empty memos."""
+    return WeightData(w.quiver, w.table, w.weights)
+
+
 def corrupted(w, offset, scale, const):
     """Weights with the first one's form replaced by scale * form + const
     and its pairing shifted by offset (the copy starts an empty factor memo)."""
     first = w.weights[0]
     skewed = SkewedWeight(first.form * scale + const, first.gauge_part, offset)
-    return dataclasses.replace(w, weights=(skewed,) + w.weights[1:])
+    return WeightData(w.quiver, w.table, (skewed,) + w.weights[1:])
 
 
 # (offset, scale, const): residual witnesses; scalars 2^k in the residual;
@@ -174,7 +187,7 @@ def assert_agrees(w, q, box) -> list:
     for d, dp in qde_box_pairs(q, box):
         got = qde_check(w, d, dp)
         want = oracle_qde_check(w, d, dp)
-        assert dataclasses.asdict(got) == dataclasses.asdict(want), (d, dp)
+        assert got._asdict() == want._asdict(), (d, dp)
         results.append(got)
     return results
 
@@ -234,7 +247,7 @@ def test_factor_memo_is_small_and_outside_equality(quivers):
     for d, dp in qde_box_pairs(q, 2):
         qde_check(bad, d, dp)
     assert 0 < len(bad.factors) < 100
-    copy = dataclasses.replace(w)
+    copy = fresh(w)
     assert copy == w
     assert not copy.factors and not copy.degrees
     assert "factors" not in repr(w) and "degrees" not in repr(w)
@@ -274,7 +287,7 @@ def fresh_rows(w, pairs) -> list:
     rows = []
     for d, dp in pairs:
         d, dp = copy.deepcopy(d), copy.deepcopy(dp)
-        rows.append({"d": d, "dprime": dp, **dataclasses.asdict(qde_check(w, d, dp))})
+        rows.append({"d": d, "dprime": dp, **qde_check(w, d, dp)._asdict()})
     return rows
 
 
@@ -296,11 +309,11 @@ def test_sweep_rows_match_checks_on_fresh_copies(quivers, name, box, corruption)
     if corruption:
         w = corrupted(w, *corruption)
     # each route starts empty memos, so none reads what another filled
-    want = fresh_rows(dataclasses.replace(w), qde_box_pairs(q, box))
-    rows = qde_rows(dataclasses.replace(w), qde_box_pairs(q, box))
+    want = fresh_rows(fresh(w), qde_box_pairs(q, box))
+    rows = qde_rows(fresh(w), qde_box_pairs(q, box))
     assert rows == want
-    assert rows == qde_rows(dataclasses.replace(w), reused_dict_pairs(qde_box_pairs(q, box)))
-    assert rows == qde_rows(dataclasses.replace(w), map(copy.deepcopy, qde_box_pairs(q, box)))
+    assert rows == qde_rows(fresh(w), reused_dict_pairs(qde_box_pairs(q, box)))
+    assert rows == qde_rows(fresh(w), map(copy.deepcopy, qde_box_pairs(q, box)))
     assert any(not r["ok"] for r in rows) == bool(corruption)
 
 

@@ -1,6 +1,5 @@
 """Quiver file format, validation flags, exchange matrices and weights."""
 
-import dataclasses
 import glob
 import json
 import os
@@ -339,9 +338,9 @@ def test_node_index_stays_out_of_equality_and_follows_replace(quivers):
         q.node("9")
     assert "_by_id" not in repr(q)
     assert quiver_from_dict(quiver_to_dict(q)) == q
-    wider = dataclasses.replace(q, nodes=tuple(
+    wider = Quiver(tuple(
         Node(n.id, n.kind, 5, n.theta) if n.id == "1" else n for n in q.nodes
-    ))
+    ), q.edges)
     assert (wider.node("1").dim, q.node("1").dim) == (5, 3)
     assert pickle.loads(pickle.dumps(wider)).node("1").dim == 5
 
