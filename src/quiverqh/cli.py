@@ -13,15 +13,16 @@ and passes them on in one step; the modes among them (`--equivariant`,
 what the library reads them from.  The `config` object of a JSON report
 echoes the flags by one rule (`_config`).
 
-Exit codes: 0 all requested checks pass, 1 verification failure, 2 input
-error (a missing or unreadable file, malformed JSON, bad flags, an
-unknown node, two quivers for `verify vgit` that differ in more than
-theta, a `verify vgit` side that `validate` rejects, nothing to check), 3
-resource budget exceeded, 4 internal error (a polynomial in the wrong
-variable table or with a negative power where none is allowed, a
-ZeroDivisionError, a DivisibilityError from an inexact polynomial
-division, or any other exception the codes above do not name, such as a
-KeyError, TypeError or IndexError: a bug, not bad input).
+Exit codes: 0 all requested checks pass, 1 verification failure (a
+failed check, or a `LaurentPhenomenonError` from a mutation), 2 input
+error (`quiver.InputError`: a missing or unreadable file, malformed JSON,
+bad flags, an unknown node, two quivers for `verify vgit` that differ in
+more than theta, a `verify vgit` side that `validate` rejects, nothing to
+check), 3 resource budget exceeded, 4 internal error (any other
+exception: a polynomial in the wrong variable table or with a negative
+power where none is allowed, any other ValueError, a ZeroDivisionError, a
+DivisibilityError from an inexact polynomial division, a KeyError,
+TypeError or IndexError: a bug, not bad input).
 
 `verify qde --jobs N` distributes the QDE pairs over N worker processes,
 N clamped to the number of pairs and to the CPU count; N below 1 is an
@@ -42,8 +43,9 @@ import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .polycore import ContextError, DivisibilityError, LaurentViolationError, poly_to_text
+from .polycore import DivisibilityError, poly_to_text
 from .quiver import (
+    InputError,
     build_table,
     load_quiver,
     quiver_to_dict,
@@ -63,7 +65,6 @@ from .groebner import (
 )
 from .ifunction import qde_box_pairs, qde_box_size, qde_rows
 from .cluster import (
-    LaurentPhenomenonError,
     cluster_variables,
     f_polynomial_and_g_vector,
     mutate_path,
@@ -103,7 +104,7 @@ def _budget(ns: argparse.Namespace) -> Budget:
     if ns.budget_steps is None:
         return Budget()
     if ns.budget_steps < 0:
-        raise ValueError(f"budget steps must be >= 0, got {ns.budget_steps}")
+        raise InputError(f"budget steps must be >= 0, got {ns.budget_steps}")
     return Budget(max_steps=ns.budget_steps)
 
 
@@ -211,7 +212,7 @@ def clamp_jobs(requested: int, items: int) -> int:
     item and one per CPU, at least one.  A request below one is an input
     error."""
     if requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
+        raise InputError(f"worker count must be >= 1, got {requested}")
     return max(1, min(requested, items, os.cpu_count() or 1))
 
 
@@ -304,11 +305,11 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     ids = {n.id for n in q.nodes}
     for k in ns.node:  # a bad node fails before any basis work
         if k not in ids:
-            raise ValueError(f"unknown node {k!r}")
+            raise InputError(f"unknown node {k!r}")
         require_exchange_node(q, k)
     nodes = ns.node or [n.id for n in q.gauge_nodes if n.theta > 0]
     if not nodes:  # a run that checks nothing must not report a pass
-        raise ValueError("no gauge node with theta > 0 to check")
+        raise InputError("no gauge node with theta > 0 to check")
     # the classical slice Q -> 0 is the ideal in a table without Q
     table = build_table(
         q, equivariant=ns.equivariant, with_t=True, with_q=not ns.classical
@@ -357,12 +358,12 @@ def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
     qa = load_quiver(first)
     qb = load_quiver(second)
     if _shape(qa) != _shape(qb):
-        raise ValueError(f"{first} and {second} are not one quiver: "
+        raise InputError(f"{first} and {second} are not one quiver: "
                          "only the stability weights theta may differ")
     for path, q in ((first, qa), (second, qb)):
         rep = validate(q)
         if not (rep.acyclic and rep.feasible):
-            raise ValueError(f"{path} fails validate: {'; '.join(rep.notes)}")
+            raise InputError(f"{path} fails validate: {'; '.join(rep.notes)}")
     pmax = max(resolve_pmax(qa, ns.pmax), resolve_pmax(qb, ns.pmax))
     ia = build_ideal(qa, pmax, build_table(qa, equivariant=ns.equivariant, with_q=True))
     ib = build_ideal(qb, pmax, build_table(qb, equivariant=ns.equivariant, with_q=True))
@@ -430,7 +431,7 @@ def _cmd_verify_separation(ns: argparse.Namespace) -> int:
     s0 = principal_seed(b)
     path = parse_path(ns.path)
     if not path and ns.at is None:
-        raise ValueError("--path is required")
+        raise InputError("--path is required")
     k = ns.at if ns.at is not None else path[-1]
     f, g = f_polynomial_and_g_vector(s0, path, k)
     sep = separation_check(s0, path, k)
@@ -499,7 +500,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     q = load_quiver(path)
     pmax = resolve_pmax(q, ns.pmax)
     if ns.at is not None and not ns.path:
-        raise ValueError("--at needs --path")
+        raise InputError("--at needs --path")
     eq = ns.equivariant
     lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
 
@@ -704,23 +705,23 @@ def main(argv: list | None = None) -> int:
         ns.command = f"{ns.command} {sub}"
     try:
         return _DISPATCH[ns.command](ns)
-    # the first two subclass ValueError, so they are caught before the input
-    # errors; the last two are ArithmeticErrors, but no check raises one
-    # (cluster.mutate re-raises a DivisibilityError as LaurentPhenomenonError)
-    except (ContextError, LaurentViolationError, ZeroDivisionError, DivisibilityError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
+    # only quiver.InputError is bad input; a ValueError of any other kind
+    # (a ContextError, a LaurentViolationError, a slip inside the engine) is
+    # a bug.  A ZeroDivisionError or DivisibilityError is an ArithmeticError,
+    # but no check raises one (cluster.mutate re-raises a DivisibilityError
+    # as LaurentPhenomenonError)
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (LaurentPhenomenonError, ArithmeticError) as exc:
+    except (ZeroDivisionError, DivisibilityError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ArithmeticError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    # any other exception (a KeyError, TypeError, IndexError, ...) is a bug:
-    # input lookups raise ValueError (an unknown node id: quiver.QuiverFormatError)
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

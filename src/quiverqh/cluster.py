@@ -34,14 +34,14 @@ from .polycore import (
     product,
 )
 from .groebner import BudgetError
-from .quiver import Quiver, exchange_matrices, require_gauge_nodes
+from .quiver import InputError, Quiver, exchange_matrices, require_gauge_nodes
 
 
 class LaurentPhenomenonError(ArithmeticError):
     """Exchange-relation division failed; the seed data is inconsistent."""
 
 
-class SeedError(ValueError):
+class SeedError(InputError):
     """Seed data violates a structural invariant."""
 
 
@@ -117,7 +117,7 @@ def parse_path(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise ValueError(
+        raise InputError(
             f"mutation path must be comma-separated integers, got {text!r}"
         ) from None
 
@@ -355,11 +355,11 @@ def seed_layers(
     one list per depth, deduplicated up to simultaneous relabeling.
 
     The first depth that adds no seed is yielded as an empty list, and the
-    walk stops there.  A negative depth is a ValueError; more than
+    walk stops there.  A negative depth is an InputError; more than
     max_seeds seeds in all is a BudgetError.
     """
     if max_depth < 0:
-        raise ValueError(f"mutation depth must be >= 0, got {max_depth}")
+        raise InputError(f"mutation depth must be >= 0, got {max_depth}")
     seen = {s0.unlabeled_key()}
     layer = [s0]
     yield layer

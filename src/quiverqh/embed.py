@@ -39,6 +39,7 @@ from typing import Sequence
 
 from .polycore import MultiPoly, Variable, VarTable, poly_to_text, product
 from .quiver import (
+    InputError,
     Quiver,
     _chain_order,
     btilde_column,
@@ -174,7 +175,7 @@ def psi_of_cluster_variable(
 def require_exchange_node(q: Quiver, k: str) -> None:
     """The input error for a node outside the unified exchange form (theta <= 0)."""
     if q.theta(k) <= 0:
-        raise ValueError("unified exchange form implemented for theta > 0 only")
+        raise InputError("unified exchange form implemented for theta > 0 only")
 
 
 def exchange_image_diff(q: Quiver, k: str, table: VarTable) -> MultiPoly:
@@ -267,7 +268,7 @@ def type_a_chain(q: Quiver) -> list:
     the suite of `verify_type_a`; any other quiver is an input error."""
     why = type_a_failures(q)
     if why:
-        raise ValueError(f"quiver is not a type-A chain for this suite: {'; '.join(why)}")
+        raise InputError(f"quiver is not a type-A chain for this suite: {'; '.join(why)}")
     return _chain_order(q)
 
 

@@ -71,18 +71,21 @@ Packing is a bijection that preserves order, products and divisibility,
 the reducer visits the same terms with the same reducers in the same
 sequence as a tuple-keyed one, and results are unpacked to exponent
 tuples before the basis elements are built and fingerprinted, so
-bases, fingerprints, step counts and reports do not depend on it.
+bases, fingerprints, step counts and reports do not depend on it.  A
+basis's reducer rows are built from the packed result itself.
 
 Laurent variables are handled by adjoining an explicit inverse variable
 inv.v with the relation v * inv.v - 1 (Cox, Little & O'Shea, *Ideals,
 Varieties, and Algorithms*), never by fractional arithmetic inside the
 basis computation.  A polynomial enters the extended ring with each
 negative power v^-a written inv.v^a, which equals it modulo the
-relations; clearing denominators (``clear_laurent``) would give another
-generating set of the same ideal, so the same reduced basis, at more
-work.  ``laurent_contains`` reads the inverted variables from the
-basis's table.  Negative exponents are rejected by ``buchberger`` and
-``normal_form`` alike.
+relations; clearing denominators (the tests' reference route) would
+give another generating set of the same ideal, so the same reduced
+basis, at more work.  ``laurent_contains`` reads the inverted variables
+from the basis's table and packs its polynomial straight onto the
+basis's columns, writing each negative power of an inverted variable on
+its inv.* column while packing.  Negative exponents are rejected by
+``buchberger``, ``normal_form`` and ``ideal_contains`` alike.
 
 Membership in the ring of Weyl-symmetric polynomials is tested in the full
 polynomial ring: for a symmetric polynomial p and symmetric generators,
@@ -101,7 +104,7 @@ import heapq
 from fractions import Fraction
 from itertools import chain, islice
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polycore import (
     ContextError,
@@ -133,15 +136,6 @@ class MonomialOrder:
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-
-    def key_fn(self) -> Callable:
-        if self.kind == "grevlex":
-            def key(e: tuple) -> tuple:
-                out = [sum(e)]
-                out.extend(-x for x in reversed(e))
-                return tuple(out)
-            return key
-        return tuple
 
     def describe(self) -> str:
         return f"{self.kind}(<table>)"
@@ -459,26 +453,73 @@ def buchberger(
     for p in elements:
         fp.update(poly_to_text(p).encode())
         fp.update(b"\n")
-    return GroebnerBasis(table, order, tuple(elements), fp.hexdigest(),
-                         pk, _rows(elements, pk))
+    rows = sorted((pk.row(lead, list(tail.items())) for lead, tail in final), key=_reducer_key)
+    return GroebnerBasis(table, order, tuple(elements), fp.hexdigest(), pk, tuple(rows))
 
 
-def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -> MultiPoly:
-    """Unique remainder of p modulo the reduced basis.  A degree past the
-    basis width packs the basis and p again at a width that fits, for
-    this call only."""
-    if p.table is not gb.table:
-        raise ContextError("polynomial and basis bound to different tables")
+def _pack_input(p: MultiPoly, gb: GroebnerBasis, pk: _Packer, inverted: set) -> dict:
+    """p's terms packed by pk on the columns of gb.table by variable name,
+    each negative power v^-a of an inverted v written inv.v^a, in one
+    pass.  The errors are those of `convert`, then of `_Packer.pack`."""
+    table = gb.table
+    same = p.table is table
+    names = p.table.names
+    if not same and any(n not in table for n in names):
+        p.convert(table)  # raises unless the missing variables never occur
+    units = pk.units if same else tuple(pk.units[table.index(n)] if n in table else 0
+                                        for n in names)
+    # None where a negative power is an error: convert's, when the target
+    # variable is not Laurent, else pack's
+    inv_units = tuple(pk.units[table.index(_inverse_var(n).name)]
+                      if n in inverted and (same or table.var(n).laurent) else None
+                      for n in names)
+    vmax = pk.vmax
+    out: dict = {}
+    for e, c in p.terms.items():
+        if min(e, default=0) < 0:
+            d = m = 0
+            for x, u, v in zip(e, units, inv_units):
+                if x >= 0:
+                    m += x * u
+                    d += x
+                elif v is None:
+                    p.convert(table)
+                    raise ValueError("negative exponent: use laurent_basis and laurent_contains")
+                else:
+                    m -= x * v
+                    d -= x
+        else:
+            d = sum(e)
+            m = sum(map(mul, e, units))
+        if d > vmax:
+            raise _Overflow(d)
+        s = out.pop(m, 0) + c
+        if s:
+            out[m] = s if type(s) is int else _coeff(s)
+    return out
+
+
+def _remainder(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None,
+               inverted: set = frozenset()) -> tuple:
+    """(packer, packed remainder) of p modulo gb.  A degree past the basis
+    width packs the basis and p again at a width that fits, for this call
+    only."""
     budget = budget or Budget()
     pk, rows = gb.packer, gb.rows
     while True:
         try:
-            terms = {pk.pack(e): c for e, c in p.terms.items()}
-            r = _reduce(terms, rows, pk, [0], budget)
-            break
+            return pk, _reduce(_pack_input(p, gb, pk, inverted), rows, pk, [0], budget)
         except _Overflow as exc:
             pk = _Packer(gb.order, gb.table, _width_for(exc.degree))
             rows = _rows(gb.elements, pk)
+
+
+def normal_form(p: MultiPoly, gb: GroebnerBasis, budget: Budget | None = None) -> MultiPoly:
+    """Unique remainder of p modulo the reduced basis.  A degree past the
+    basis width repacks for this call only (`_remainder`)."""
+    if p.table is not gb.table:
+        raise ContextError("polynomial and basis bound to different tables")
+    pk, r = _remainder(p, gb, budget)
     return MultiPoly(p.table, {pk.unpack(m): c for m, c in r.items()})
 
 
@@ -511,27 +552,6 @@ def laurent_extension(
     return ext, rels
 
 
-def clear_laurent(p: MultiPoly, names: Sequence[str]) -> MultiPoly:
-    """Multiply by the smallest monomial in the listed variables making
-    every listed exponent nonnegative (a unit in the Laurent ring).
-
-    The reference route for the tests: `laurent_basis` and
-    `laurent_contains` write negative powers as inverses instead
-    (`_with_inverses`), and the tests check that both routes give the
-    same bases and the same memberships."""
-    idxs = [p.table.index(n) for n in names]
-    if not p.terms:
-        return p
-    shift = [0] * p.table.nvars
-    for i in idxs:
-        m = min(e[i] for e in p.terms)
-        if m < 0:
-            shift[i] = -m
-    if not any(shift):
-        return p
-    return p.shift(tuple(shift))
-
-
 def _with_inverses(p: MultiPoly, ext: VarTable, names: Sequence[str]) -> MultiPoly:
     """p rebound into the table ext of `laurent_extension`, each negative
     power v^-a of a listed variable written inv.v^a.  Modulo the
@@ -560,10 +580,10 @@ def laurent_basis(
     variables; membership against it decides Laurent-ring membership.
 
     Each generator enters with its negative powers written as inverses
-    (`_with_inverses`), beside the relations v * inv.v - 1.  The cleared
-    generators of `clear_laurent` span the same ideal, so the reduced
-    basis is the same, but Buchberger would first have to rediscover the
-    inverse forms from them."""
+    (`_with_inverses`), beside the relations v * inv.v - 1.  The
+    generators with their denominators cleared span the same ideal, so
+    the reduced basis is the same, but Buchberger would first have to
+    rediscover the inverse forms from them."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -576,9 +596,11 @@ def laurent_basis(
 def laurent_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = None) -> bool:
     """Membership of p in the Laurent extension (gb from laurent_basis):
     p with its negative powers of the variables gb inverts (those with an
-    inv.* variable in gb.table) written as inverses reduces to zero."""
-    names = [n for n in gb.table.names if _inverse_var(n).name in gb.table]
-    return ideal_contains(gb, _with_inverses(p, gb.table, names), budget)
+    inv.* variable in gb.table) written as inverses reduces to zero.  p
+    may live in any table whose variables gb.table holds; it is packed
+    straight onto gb's columns."""
+    names = {n for n in gb.table.names if _inverse_var(n).name in gb.table}
+    return not _remainder(p, gb, budget, names)[1]
 
 
 class LaurentComparison(NamedTuple):

@@ -77,6 +77,7 @@ from .polycore import (
     product,
 )
 from .quiver import (
+    InputError,
     Quiver,
     WeightData,
     cocharacter,
@@ -266,7 +267,7 @@ def qde_box_size(q: Quiver, box: int) -> int:
     coordinates.  A negative box is an input error, and a count over the
     default pair budget raises BudgetError."""
     if box < 0:
-        raise ValueError(f"degree box bound must be >= 0, got {box}")
+        raise InputError(f"degree box bound must be >= 0, got {box}")
     s = sum(n.dim for n in require_gauge_nodes(q))
     count = (box + 1) ** s * s
     budget = Budget()

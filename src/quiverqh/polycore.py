@@ -18,15 +18,21 @@ are rejected at every entry point that could introduce them.
 Two polynomials interoperate only if they share the same table object;
 :meth:`MultiPoly.convert` moves a polynomial between tables by variable
 name.
+
+Products use packed exponents: each operand's exponent tuples are packed
+once into ints with one byte field per variable (wider fields when the
+exponents need them), Laurent exponents first shifted to start at 0, so
+that adding two packed ints multiplies two monomials; each distinct
+product is unpacked once.  A one-term factor only shifts exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, lshift, sub
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
-Expvec = "tuple[int, ...]"
 
 CLASS_ORDER = ("xi", "u", "t", "h", "Q", "Qt", "zeta", "x", "y", "aux")
 _CLASS_RANK = {c: r for r, c in enumerate(CLASS_ORDER)}
@@ -48,6 +54,8 @@ class LaurentViolationError(ValueError):
 
 def _coeff(c: Coeff) -> Coeff:
     """Normalize a rational: integral Fractions collapse to int."""
+    if type(c) is int:  # skips the slower isinstance check against Fraction's ABC
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator
@@ -171,12 +179,29 @@ def grevlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 def _check_exp(table: VarTable, exp: tuple[int, ...]) -> None:
+    if min(exp, default=0) >= 0:
+        return
     mask = table.laurent_mask
     for i, e in enumerate(exp):
         if e < 0 and not mask[i]:
             raise LaurentViolationError(
                 f"negative exponent on non-Laurent variable {table.names[i]}"
             )
+
+
+def _exponent_fields(n: int, top: int) -> tuple:
+    """(pack, unpack) between tuples of n exponents in 0..top and ints of
+    n fields, first exponent lowest, each as many bytes wide as top needs:
+    packed tuples whose sums stay within top add without a carry."""
+    width = (top.bit_length() + 7) >> 3
+    if width == 1:
+        return (lambda e: int.from_bytes(bytes(e), "little"),
+                lambda m: tuple(m.to_bytes(n, "little")))
+    bits = 8 * width
+    offsets = range(0, bits * n, bits)
+    mask = (1 << bits) - 1
+    return (lambda e: sum(map(lshift, e, offsets)),
+            lambda m: tuple((m >> k) & mask for k in offsets))
 
 
 class MultiPoly:
@@ -304,20 +329,39 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) <= 1:  # a one-term factor shifts the other's exponents
+            if not a:
+                return MultiPoly(self.table, {})
+            (ea, ca), = a.items()
+            if not any(ea):
+                return MultiPoly(self.table, {e: _coeff(ca * c) for e, c in b.items()})
+            return MultiPoly(self.table, {tuple(map(add, ea, e)): _coeff(ca * c)
+                                          for e, c in b.items()})
+        # pack each operand's exponents once, shifted to start at 0 where a
+        # Laurent one is negative, so that adding packed ints multiplies
+        ka, kb = list(a), list(b)
+        shift = None
+        if min(map(min, ka)) < 0 or min(map(min, kb)) < 0:
+            la, lb = tuple(map(min, *ka)), tuple(map(min, *kb))
+            ka = [tuple(map(sub, e, la)) for e in ka]
+            kb = [tuple(map(sub, e, lb)) for e in kb]
+            shift = tuple(map(add, la, lb))
+        pack, unpack = _exponent_fields(self.table.nvars, max(map(max, ka)) + max(map(max, kb)))
+        pb = list(zip(map(pack, kb), b.values()))
         out: dict = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(int.__add__, ea, eb))
-                s = get(e, 0) + ca * cb
+        for ma, ca in zip(map(pack, ka), a.values()):
+            for mb, cb in pb:
+                m = ma + mb
+                s = get(m, 0) + ca * cb
                 if s:
-                    out[e] = s
+                    out[m] = s
                 else:
-                    out.pop(e, None)
-        for e, c in list(out.items()):
-            if isinstance(c, Fraction) and c.denominator == 1:
-                out[e] = c.numerator
-        return MultiPoly(self.table, out)
+                    del out[m]
+        exps = map(unpack, out)
+        if shift is not None:
+            exps = (tuple(map(add, e, shift)) for e in exps)
+        return MultiPoly(self.table, dict(zip(exps, map(_coeff, out.values()))))
 
     __rmul__ = __mul__
 

@@ -29,7 +29,12 @@ from .polycore import MultiPoly, Variable, VarTable, _label_key
 from .symfun import BlockStructure
 
 
-class QuiverFormatError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed file, flag or quiver, or a request outside
+    what a check covers.  The command line maps it, and only it, to exit 2."""
+
+
+class QuiverFormatError(InputError):
     """Malformed quiver description (structure, kinds, dims, stability)."""
 
 
@@ -199,7 +204,7 @@ def resolve_pmax(q: Quiver, p_max: int | None) -> int:
     if p_max is None:
         return default_pmax(q)
     if p_max < 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
+        raise InputError(f"p_max must be >= 0, got {p_max}")
     return p_max
 
 

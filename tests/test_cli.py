@@ -172,7 +172,8 @@ def test_vgit_on_two_different_quivers_is_one_line_input_error(capsys, quivers, 
 
 def test_vgit_side_that_validate_rejects_is_one_line_input_error(capsys, quivers, tmp_path):
     # gr24 at theta = -1 has no outflow, so validate rejects it
-    data = json.loads(open(quivers.path("gr24")).read())
+    with open(quivers.path("gr24")) as fh:
+        data = json.load(fh)
     data["nodes"][1]["theta"] = -1
     minus = tmp_path / "gr24_minus.json"
     minus.write_text(json.dumps(data))
@@ -305,13 +306,15 @@ def test_type_a_names_the_failing_condition(capsys, quivers, name, why):
     assert err == f"input error: quiver is not a type-A chain for this suite: {why}\n"
 
 
-@pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ZeroDivisionError,
-                                   TypeError, IndexError, DivisibilityError])
+@pytest.mark.parametrize("error", [ContextError, LaurentViolationError, ValueError,
+                                   ZeroDivisionError, TypeError, IndexError,
+                                   DivisibilityError])
 def test_internal_error_exit(capsys, monkeypatch, quivers, error):
-    # each is a bug, not bad input: the first two subclass ValueError, a
-    # ZeroDivisionError or DivisibilityError is an ArithmeticError, not a
-    # failed check, and an exception no exit code names exits 4 with one
-    # line, not 1 with a traceback
+    # each is a bug, not bad input: only quiver.InputError exits 2, so the
+    # first three, ValueErrors all, do not; a ZeroDivisionError or
+    # DivisibilityError is an ArithmeticError, not a failed check, and an
+    # exception no exit code names exits 4 with one line, not 1 with a
+    # traceback
     import quiverqh.cli
 
     def broken(q, table):
@@ -325,7 +328,7 @@ def test_internal_error_exit(capsys, monkeypatch, quivers, error):
 
 
 def test_key_error_is_an_internal_error(capsys, monkeypatch, quivers):
-    # input lookups raise ValueError, so a KeyError is a bug, not bad input
+    # input lookups raise quiver.InputError, so a KeyError is a bug, not bad input
     import quiverqh.cli
 
     def broken(ns):
@@ -715,6 +718,16 @@ def test_qde_text_report_golden(capsys, monkeypatch):
         ("groebner", "quivers/fl234.json", "--equivariant", "--json"),
         "221763a09a01a6541137abcd361bd5c05f2437fdc12901cdb1b61e52b7ec1566",
         id="groebner-fl234-eq-json",
+    ),
+    pytest.param(
+        ("groebner", "perfbench/fixtures/fl12345.json", "--json"),
+        "6cece4298ab7bfdd28896d0fb77136aacf0ff95fa05ee430e3fb366124eae792",
+        id="groebner-fl12345-json",
+    ),
+    pytest.param(
+        ("verify", "exchange", "perfbench/fixtures/fl12345.json", "--json"),
+        "84884088414a090ab63031095d3c249eb2112341b5a5c51a44e435950220bd3a",
+        id="exchange-fl12345-json",
     ),
     pytest.param(
         ("present", "quivers/fl234.json", "--equivariant", "--json"),

@@ -13,8 +13,15 @@ import pytest
 import quiverqh.embed
 from quiverqh.polycore import MultiPoly, poly_to_text, product
 from quiverqh.quiver import build_table, resolve_pmax
-from quiverqh.presentation import build_ideal, chern_poly
-from quiverqh.groebner import Budget, BudgetError, buchberger, laurent_contains
+from quiverqh.presentation import build_ideal, chern_poly, node_chern_quotient
+from quiverqh.groebner import (
+    Budget,
+    BudgetError,
+    _with_inverses,
+    buchberger,
+    laurent_contains,
+    normal_form,
+)
 from quiverqh.embed import (
     PsiImage,
     _substituted_ideal,
@@ -32,7 +39,7 @@ from quiverqh.embed import (
     zeta_substitution,
 )
 
-from conftest import cleared_laurent_basis, zeta_side_generators
+from conftest import clear_laurent, cleared_laurent_basis, zeta_side_generators
 
 
 def ztable(q, **kw):
@@ -266,3 +273,36 @@ def test_injectivity_witness(quivers):
         ("1", "zeta[1]", 3),
         ("2", "zeta[2]", 2),
     ]
+
+
+def zeta_side_coefficients(q, gb_z, t_z):
+    """The t-coefficients of every zeta-side difference that verify_type_a
+    hands to laurent_contains: img.num - rhs * img.den along the chain."""
+    chain = type_a_chain(q)
+    images = node_images(q, t_z)
+    out = []
+    for k in range(len(chain)):
+        for l in range(k + 1, len(chain)):
+            rhs = (MultiPoly.monomial(t_z, {f"zeta[{chain[k]}]": 1, f"zeta[{chain[l]}]": -1})
+                   * node_chern_quotient(q, chain[k], chain[l], t_z))
+            img = psi_of_cluster_variable(q, tuple(range(k + 1, l + 1)), l, images)
+            diff = img.num - rhs * img.den_poly(images)
+            out += [c for _, c in diff.coefficients_in("t")]
+    return out
+
+
+def test_one_pass_laurent_contains_matches_the_reference_routes(quivers):
+    # fl245 --equivariant: each coefficient, and each one corrupted by xi*t,
+    # gets the verdict of rewriting inverses then normal_form, and of
+    # clearing denominators then normal_form
+    q = quivers("fl245")
+    gb_z, t_z = _substituted_ideal(q, kaehler_basis(q, resolve_pmax(q, None), True), None)
+    names = t_z.of_class("zeta")
+    xi_t = MultiPoly.monomial(t_z, {t_z.of_class("xi")[0]: 1, "t": 1})
+    coeffs = zeta_side_coefficients(q, gb_z, t_z)
+    assert len(coeffs) == 12
+    for c in coeffs:
+        for p, member in ((c, True), (c + xi_t, False)):
+            ref = normal_form(_with_inverses(p, gb_z.table, names), gb_z).is_zero()
+            cleared = normal_form(clear_laurent(p, names).convert(gb_z.table), gb_z).is_zero()
+            assert laurent_contains(gb_z, p) == ref == cleared == member

@@ -11,14 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverqh.polycore import MultiPoly, VarTable, Variable, poly_to_text
+from quiverqh.polycore import (
+    ContextError,
+    LaurentViolationError,
+    MultiPoly,
+    VarTable,
+    Variable,
+    poly_to_text,
+)
 from quiverqh.groebner import (
     Budget,
     BudgetError,
     GroebnerBasis,
     MonomialOrder,
     buchberger,
-    clear_laurent,
     ideal_contains,
     ideal_equal_laurent,
     laurent_basis,
@@ -26,11 +32,11 @@ from quiverqh.groebner import (
     laurent_extension,
     normal_form,
 )
-from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for
+from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for, _with_inverses
 from quiverqh.presentation import build_ideal, spanning_ideal
 from quiverqh.quiver import build_table, quiver_from_dict, resolve_pmax
 
-from conftest import cleared_laurent_basis, zeta_side_generators
+from conftest import clear_laurent, cleared_laurent_basis, key_fn, zeta_side_generators
 
 T = VarTable([Variable.xi("1", 1), Variable.xi("1", 2), Variable.q("1")])
 X = MultiPoly.variable(T, "xi[1][1]")
@@ -97,7 +103,7 @@ def test_hand_example_reduced_basis():
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
 def test_buchberger_criterion_independently(kind):
     order = MonomialOrder(kind)
-    key = order.key_fn()
+    key = key_fn(order)
     gb = buchberger([X ** 3 - Q * Y, X * Y - Q, Y ** 2 - X], order)
     for i, f in enumerate(gb.elements):
         for g in gb.elements[i + 1:]:
@@ -251,6 +257,45 @@ def test_laurent_contains_inverts_only_the_basis_variables():
         laurent_contains(buchberger([XL * ZA - 1]), XL - ZA ** -1)
 
 
+def test_membership_errors_are_kept():
+    # laurent_contains packs p straight onto the basis columns; the
+    # errors stay those of the rebinding (`convert`) and of the packer
+    gb = laurent_basis([XL * ZA - 1], ["zeta[a]"])
+    wider = TL.extend([Variable.t()])
+    member = XL.convert(wider) - MultiPoly.variable(wider, "zeta[a]") ** -1
+    assert laurent_contains(gb, member)  # t is missing but never occurs
+    with pytest.raises(ContextError, match="missing from target table"):
+        laurent_contains(gb, member * MultiPoly.variable(wider, "t"))
+    with pytest.raises(ContextError, match="different tables"):
+        ideal_contains(gb, XL)
+    with pytest.raises(ContextError, match="different tables"):
+        ideal_contains(buchberger([XL * ZA - 1]), member)
+    with pytest.raises(ValueError, match="negative exponent"):
+        ideal_contains(buchberger([XL * ZA - 1]), XL - ZA ** -1)
+    # a variable the basis table holds as non-Laurent takes no negative
+    # power from another table, even when the basis inverts it
+    plain = VarTable([Variable.x(1, laurent=False), Variable.xi("1", 1)])
+    loose = VarTable([Variable.x(1), Variable.xi("1", 1)])
+    x = MultiPoly.variable(plain, "x[1]")
+    gb = laurent_basis([x * MultiPoly.variable(plain, "xi[1][1]") - 1], ["x[1]"])
+    assert laurent_contains(gb, x ** 2 * MultiPoly.variable(plain, "xi[1][1]") - x)
+    with pytest.raises(LaurentViolationError):
+        laurent_contains(gb, MultiPoly.variable(loose, "x[1]", -1))
+
+
+def test_laurent_contains_past_the_basis_width_leaves_the_basis_alone():
+    gb = laurent_basis([XL * ZA - 1], ["zeta[a]"])
+    packer, rows = gb.packer, gb.rows
+    names = ["zeta[a]"]
+    for big in (packer.vmax + 1, 3 * packer.vmax):
+        for p in (XL ** big - ZA ** -big, XL ** big - ZA ** -big + ZB, ZA ** -big * ZB - 1):
+            ref = normal_form(_with_inverses(p, gb.table, names), gb).is_zero()
+            cleared = normal_form(clear_laurent(p, names).convert(gb.table), gb).is_zero()
+            assert laurent_contains(gb, p) == ref == cleared
+            assert gb.packer is packer and gb.rows is rows
+    assert laurent_contains(gb, XL ** (packer.vmax + 1) - ZA ** -(packer.vmax + 1))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
                           st.integers(-3, 3)), min_size=1, max_size=3))
@@ -283,7 +328,7 @@ def _packer(order):
 @given(_exp, _exp, st.sampled_from(ORDERS))
 def test_packed_comparison_matches_key_fn(a, b, order):
     pk = _packer(order)
-    key = order.key_fn()
+    key = key_fn(order)
     assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b))
     assert (pk.pack(a) == pk.pack(b)) == (a == b)
 
@@ -331,7 +376,7 @@ def test_narrow_packing_is_linear_and_exact(case):
     for e in (a, b, ab):
         assert pk.unpack(pack(e)) == e
         assert pk.degree(pack(e)) == sum(e)
-    key = order.key_fn()
+    key = key_fn(order)
     for x, y in ((a, b), (a, ab), (b, ab)):
         assert (pack(x) < pack(y)) == (key(x) < key(y))
         assert (pack(x) == pack(y)) == (x == y)

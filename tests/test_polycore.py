@@ -191,3 +191,90 @@ def test_product_helper():
           MultiPoly.const(T, 2)]
     assert product(T, xs) == MultiPoly.monomial(T, {"x[1]": 1, "x[2]": 1}, 2)
     assert product(T, []) == MultiPoly.const(T, 1)
+
+
+# -- packed products against the tuple-sum reference ----------------------------------
+
+
+def tuple_sum_product(a, b):
+    """Reference product: every pair of terms summed as exponent tuples,
+    coefficients added in a dict, zeros dropped, integral Fractions
+    collapsed to int.  Kept apart from `MultiPoly.__mul__`, which packs
+    exponents into ints."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+            for e, c in out.items() if c}
+
+
+def typed(terms):
+    # 1 == Fraction(1): compare coefficient types as well as values
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+# 10 Laurent and 10 non-Laurent variables
+W = VarTable([Variable.x(i) for i in range(10)] + [Variable.y(i) for i in range(10)])
+# exponent tops whose sums sit at the byte (255/256) and two-byte (65535/65536)
+# field limits and past them, so every field width runs
+TOPS = (1, 3, 127, 128, 255, 256, 32767, 32768, 65535, 70000)
+COEFFS = st.one_of(
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]),
+    st.integers(-4, 4).filter(bool),
+)
+
+
+@st.composite
+def wide_polys(draw):
+    """Sparse polynomials over W: each term sets up to three variables, to
+    0, +-1 or +-top (negative on the Laurent x only), so products both
+    collide and reach the field limits."""
+    top = draw(st.sampled_from(TOPS))
+    p = MultiPoly.zero(W)
+    for _ in range(draw(st.integers(0, 5))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, W.nvars - 1))
+            lo = -top if W.vars[i].laurent else 0
+            exps[W.names[i]] = draw(st.sampled_from(sorted({lo, -1 if lo else 0, 0, 1, top})))
+        p = p + MultiPoly.monomial(W, exps, draw(COEFFS))
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_packed_product_matches_tuple_sums(a, b):
+    assert typed((a * b).terms) == typed(tuple_sum_product(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_polys(), wide_polys(), st.integers(0, 3))
+def test_packed_powers_and_products_match_tuple_sums(a, b, n):
+    ref = MultiPoly.const(W, 1)
+    for _ in range(n):
+        ref = MultiPoly(W, tuple_sum_product(ref, a))
+    assert typed((a ** n).terms) == typed(ref.terms)
+    ref = MultiPoly(W, tuple_sum_product(MultiPoly(W, tuple_sum_product(a, b)), a))
+    assert typed(product(W, [a, b, a]).terms) == typed(ref.terms)
+
+
+@pytest.mark.parametrize("top", [127, 128, 255, 256, 32767, 32768, 65535, 65536, 2 ** 40])
+def test_packed_product_at_the_field_limits(top):
+    # the product's largest exponent is exactly 2 * top or top + 1; a
+    # carry between fields would move some other variable's exponent
+    x0, x1, y0 = (MultiPoly.variable(W, n) for n in ("x[0]", "x[1]", "y[0]"))
+    a = x0 ** top + x1 * y0 ** top - x0 ** -top
+    b = x0 ** top - y0 + 1
+    for p, q in ((a, b), (b, b), (a, a), (a, x1 * y0 ** top)):
+        assert typed((p * q).terms) == typed(tuple_sum_product(p, q))
+
+
+def test_packed_product_cancels_terms_and_fractions():
+    x0, y0 = MultiPoly.variable(W, "x[0]"), MultiPoly.variable(W, "y[0]")
+    half = Fraction(1, 2)
+    p = (x0 * half + y0) * (x0 * 2 - y0 * 4)
+    assert p.terms == {(2,) + (0,) * 19: 1, (0,) * 10 + (2,) + (0,) * 9: -4}
+    assert all(type(c) is int for c in p.terms.values())
+    assert ((x0 - x0 ** -1) * (x0 + x0 ** -1)) == x0 ** 2 - x0 ** -2
