@@ -37,7 +37,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polycore import MultiPoly, Variable, VarTable, poly_to_text, product
+from .polycore import (
+    MultiPoly,
+    Variable,
+    VarTable,
+    _check_exp,
+    _coeff,
+    poly_to_text,
+    product,
+)
 from .quiver import (
     InputError,
     Quiver,
@@ -259,8 +267,42 @@ def _substituted_ideal(
     t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)
     t_z = t_qz.drop(gb_q.table.of_class("Q"))
     sub = zeta_substitution(q, t_qz)
-    gens = [g.convert(t_qz).substitute(sub).convert(t_z) for g in gb_q]
+    gens = [_eliminate_kaehler(g, sub, t_z) for g in gb_q]
     return laurent_basis(gens, t_z.of_class("zeta"), budget=budget), t_z
+
+
+def _eliminate_kaehler(g: MultiPoly, sub: dict, table: VarTable) -> MultiPoly:
+    """g with each Q[k] replaced by its image in sub (`zeta_substitution`,
+    one signed zeta monomial per Q[k]) and every other variable rebound
+    to table by name, in one pass over g's terms: the polynomial
+    g.convert(t).substitute(sub).convert(table), t the table of sub."""
+    src = g.table
+    n = table.nvars
+    keep = [(i, table.index(name)) for i, name in enumerate(src.names) if name not in sub]
+    images = []
+    for name, img in sub.items():
+        (e, sign), = img.terms.items()
+        cols = [(table.index(v), x) for v, x in zip(img.table.names, e) if x]
+        images.append((src.index(name), cols, sign))
+    out: dict = {}
+    for e, c in g.terms.items():
+        ne = [0] * n
+        for i, j in keep:
+            ne[j] = e[i]
+        for i, cols, sign in images:
+            p = e[i]
+            if p:
+                for j, x in cols:
+                    ne[j] += p * x
+                c = c * sign ** p
+        key = tuple(ne)
+        _check_exp(table, key)
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = _coeff(s)
+        else:
+            del out[key]
+    return MultiPoly(table, out)
 
 
 def type_a_chain(q: Quiver) -> list:

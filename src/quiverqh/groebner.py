@@ -69,10 +69,12 @@ at a width that fits, for that call only.
 
 Packing is a bijection that preserves order, products and divisibility,
 the reducer visits the same terms with the same reducers in the same
-sequence as a tuple-keyed one, and results are unpacked to exponent
-tuples before the basis elements are built and fingerprinted, so
-bases, fingerprints, step counts and reports do not depend on it.  A
-basis's reducer rows are built from the packed result itself.
+sequence as a tuple-keyed one, so bases, fingerprints, step counts and
+reports do not depend on it.  A basis keeps its packer and the reducer
+rows built from the packed result itself, which is all membership
+reads.  It unpacks its elements to exponent tuples and computes its
+fingerprint on first read, and loads ``hashlib`` only then: a run that
+only decides membership never formats or hashes a basis.
 
 Laurent variables are handled by adjoining an explicit inverse variable
 inv.v with the relation v * inv.v - 1 (Cox, Little & O'Shea, *Ideals,
@@ -99,11 +101,10 @@ one raises BudgetError rather than returning a partial answer.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import heapq
 from fractions import Fraction
 from itertools import chain, islice
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .polycore import (
@@ -399,23 +400,52 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
 
 
 class GroebnerBasis:
-    __slots__ = ("table", "order", "elements", "fingerprint", "packer", "rows")
+    """A reduced basis as its packer and monic reducer rows (reducer-key
+    order), which membership reads; the elements and the fingerprint are
+    built on first read and kept."""
 
-    def __init__(self, table: VarTable, order: MonomialOrder, elements: tuple,
-                 fingerprint: str, packer: _Packer, rows: tuple):
+    __slots__ = ("table", "order", "packer", "rows", "_elements", "_fingerprint")
+
+    def __init__(self, table: VarTable, order: MonomialOrder, packer: _Packer, rows: tuple):
         self.table = table
         self.order = order
-        self.elements = elements  # reduced, monic, sorted by increasing leading monomial
-        self.fingerprint = fingerprint
-        # reducer rows of the elements, packed once per basis by packer
         self.packer = packer
         self.rows = rows
+        self._elements = None
+        self._fingerprint = None
+
+    @property
+    def elements(self) -> tuple:
+        """The basis, reduced and monic, sorted by increasing leading monomial."""
+        if self._elements is None:
+            pk = self.packer
+            out = []
+            for lead, tail, _ in sorted(self.rows, key=itemgetter(0)):
+                terms = {pk.unpack(m): c for m, c in tail}
+                terms[pk.unpack(lead)] = 1
+                out.append(MultiPoly(self.table, terms))
+            self._elements = tuple(out)
+        return self._elements
+
+    @property
+    def fingerprint(self) -> str:
+        """sha256 over the order's description and each element's text
+        plus a newline, in lead order."""
+        if self._fingerprint is None:
+            import hashlib  # only a caller of the fingerprint loads OpenSSL
+
+            fp = hashlib.sha256(self.order.describe().encode())
+            for p in self.elements:
+                fp.update(poly_to_text(p).encode())
+                fp.update(b"\n")
+            self._fingerprint = fp.hexdigest()
+        return self._fingerprint
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.rows)
 
 
 def buchberger(
@@ -443,18 +473,8 @@ def buchberger(
         except _Overflow as exc:
             degree = exc.degree
 
-    elements = []
-    for lead, tail in final:
-        terms = {pk.unpack(m): c for m, c in tail.items()}
-        terms[pk.unpack(lead)] = 1
-        elements.append(MultiPoly(table, terms))
-    fp = hashlib.sha256()
-    fp.update(order.describe().encode())
-    for p in elements:
-        fp.update(poly_to_text(p).encode())
-        fp.update(b"\n")
     rows = sorted((pk.row(lead, list(tail.items())) for lead, tail in final), key=_reducer_key)
-    return GroebnerBasis(table, order, tuple(elements), fp.hexdigest(), pk, tuple(rows))
+    return GroebnerBasis(table, order, pk, tuple(rows))
 
 
 def _pack_input(p: MultiPoly, gb: GroebnerBasis, pk: _Packer, inverted: set) -> dict:

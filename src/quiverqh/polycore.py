@@ -453,7 +453,8 @@ class MultiPoly:
             idx_bind[table.index(name)] = v
         if not idx_bind:
             return self
-        out = MultiPoly.zero(table)
+        out: dict = {}
+        get = out.get
         pow_cache: dict[tuple[int, int], MultiPoly] = {}
         for e, c in self.terms.items():
             rest = list(e)
@@ -474,8 +475,13 @@ class MultiPoly:
             term = MultiPoly(table, {rest_t: c})
             for f in factors:
                 term = term * f
-            out = out + term
-        return out
+            for k, v in term.terms.items():
+                s = get(k, 0) + v
+                if s:
+                    out[k] = s if type(s) is int else _coeff(s)
+                else:
+                    del out[k]
+        return MultiPoly(table, out)
 
     def convert(self, new_table: VarTable) -> "MultiPoly":
         """Re-bind to another table by variable name (names must all exist)."""

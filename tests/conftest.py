@@ -37,6 +37,12 @@ def key_fn(order):
     return tuple
 
 
+def typed(terms):
+    """Terms with each coefficient paired with its type: 1 == Fraction(1),
+    so exact comparisons check the types as well as the values."""
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
 def clear_laurent(p, names):
     """Reference route to the inverse rewriting of `groebner.laurent_basis`
     and `laurent_contains`: multiply by the smallest monomial in the listed

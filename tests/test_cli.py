@@ -789,6 +789,37 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert not cli_import_loads("dataclasses")
 
 
+HASH_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)
+print(json.dumps(loaded()))
+import quiverqh.cli
+print(json.dumps(loaded()))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = quiverqh.cli.main(argv)
+    print(json.dumps([code] + loaded()))
+"""
+
+
+def test_membership_runs_leave_hashlib_unloaded():
+    # only a basis's fingerprint needs sha256, and it is built on first
+    # read: importing the CLI and running verify type-a (two bases, decided
+    # by membership) and verify qde (no basis) load no OpenSSL unless the
+    # interpreter had it before the import
+    runs = [["verify", "type-a", "quivers/fl245.json", "--equivariant", "--json"],
+            ["verify", "qde", "quivers/fl234.json", "--qorder", "2", "--json"]]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", HASH_PROBE, json.dumps(runs)], cwd=REPO_ROOT,
+                         env=env, capture_output=True, text=True, check=True)
+    bare, imported, *steps = (json.loads(line) for line in out.stdout.splitlines())
+    assert set(imported) <= set(bare)
+    assert len(steps) == len(runs)
+    for code, *mods in steps:
+        assert code == 0 and set(mods) <= set(bare)
+
+
 def test_json_schema_and_config_echo(capsys, quivers):
     code, rep, raw = jrun(capsys, "present", quivers.path("gr24"), "--pmax", "3")
     assert code == EXIT_OK

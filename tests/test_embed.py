@@ -8,10 +8,12 @@ Hand-derived goldens:
     its image is (zeta[0] t^4 + 1) over the node image at the gauge node.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import quiverqh.embed
-from quiverqh.polycore import MultiPoly, poly_to_text, product
+from quiverqh.polycore import MultiPoly, Variable, VarTable, poly_to_text, product
 from quiverqh.quiver import build_table, resolve_pmax
 from quiverqh.presentation import build_ideal, chern_poly, node_chern_quotient
 from quiverqh.groebner import (
@@ -24,6 +26,7 @@ from quiverqh.groebner import (
 )
 from quiverqh.embed import (
     PsiImage,
+    _eliminate_kaehler,
     _substituted_ideal,
     exchange_image_diff,
     injectivity_witness,
@@ -39,7 +42,7 @@ from quiverqh.embed import (
     zeta_substitution,
 )
 
-from conftest import clear_laurent, cleared_laurent_basis, zeta_side_generators
+from conftest import clear_laurent, cleared_laurent_basis, typed, zeta_side_generators
 
 
 def ztable(q, **kw):
@@ -247,6 +250,36 @@ def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
     assert [poly_to_text(g) for g in gb_z] == [poly_to_text(g) for g in want]
     if (name, equivariant) == ("fl245", True):
         assert (gb_q.fingerprint, gb_z.fingerprint) == FL245_EQ_FINGERPRINTS
+
+
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
+@pytest.mark.parametrize("name", ["fl234", "fl245"])
+def test_kaehler_elimination_matches_convert_substitute_convert(quivers, name, equivariant):
+    # one pass per Kaehler basis element gives the polynomials of the
+    # three-pass route through the t/Q/zeta table
+    q = quivers(name)
+    gb_q = kaehler_basis(q, resolve_pmax(q, None), equivariant)
+    t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)
+    t_z = t_qz.drop(gb_q.table.of_class("Q"))
+    sub = zeta_substitution(q, t_qz)
+    for g in gb_q:
+        got = _eliminate_kaehler(g, sub, t_z)
+        assert got.table is t_z
+        assert typed(got.terms) == typed(g.convert(t_qz).substitute(sub).convert(t_z).terms)
+
+
+def test_kaehler_elimination_sums_colliding_terms():
+    # two Kaehler variables with the same image: their terms land on one
+    # monomial, where halves add up to an int and opposite signs cancel
+    t_q = VarTable([Variable.xi("1", 1), Variable.q("1"), Variable.q("2")])
+    t_z = VarTable([Variable.xi("1", 1), Variable.zeta("0")])
+    zeta_inv = MultiPoly.variable(t_z, "zeta[0]", -1)
+    sub = {"Q[1]": zeta_inv, "Q[2]": -zeta_inv}
+    x, q1, q2 = (MultiPoly.variable(t_q, n) for n in t_q.names)
+    g = x * q1 * Fraction(1, 2) - x * q2 * Fraction(1, 2) + q1 ** 2 - q2 ** 2 + q1 * q2 + 3
+    got = _eliminate_kaehler(g, sub, t_z)
+    want = MultiPoly.variable(t_z, "xi[1][1]") * zeta_inv - zeta_inv ** 2 + 3
+    assert typed(got.terms) == typed(want.terms)
 
 
 def test_laurent_basis_step_count_is_pinned(quivers):

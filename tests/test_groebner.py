@@ -5,6 +5,7 @@ textbook reducer, so basis correctness does not rest on the same code
 path that produced the basis.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,31 @@ def test_idempotence_and_determinism():
     assert g1.fingerprint == g2.fingerprint
     again = buchberger(list(g1.elements))
     assert again.fingerprint == g1.fingerprint
+
+
+def test_elements_and_fingerprint_are_built_on_first_read(quivers):
+    # membership reads the packed rows only; the elements (in lead order)
+    # and the fingerprint (sha256 over the order's description and each
+    # element's text plus a newline) are built on first read and kept
+    q = quivers("fl234")
+    table = build_table(q, equivariant=False, with_q=True)
+    gens = spanning_ideal(q, resolve_pmax(q, None), table).generators
+    gb = buchberger(gens)
+    assert len(gb) == len(gb.rows)
+    assert all(ideal_contains(gb, g) for g in gens)
+    assert not ideal_contains(gb, MultiPoly.const(table, 1))
+    assert gb._elements is None and gb._fingerprint is None
+    fp = gb.fingerprint
+    want = hashlib.sha256(gb.order.describe().encode())
+    for g in gb.elements:
+        want.update(poly_to_text(g).encode())
+        want.update(b"\n")
+    assert fp == want.hexdigest()
+    assert gb.fingerprint is fp and gb.elements is gb.elements
+    key = key_fn(gb.order)
+    leads = [key(_lead(g, key)) for g in gb]
+    assert leads == sorted(leads) and len(gb.elements) == len(gb)
+    assert all(g.terms[_lead(g, key)] == 1 for g in gb)
 
 
 def test_normal_form_is_ideal_invariant():

@@ -19,6 +19,8 @@ from quiverqh.polycore import (
     product,
 )
 
+from conftest import typed
+
 T = VarTable([
     Variable.x(1), Variable.x(2),
     Variable.y(1), Variable.y(2),
@@ -210,11 +212,6 @@ def tuple_sum_product(a, b):
             for e, c in out.items() if c}
 
 
-def typed(terms):
-    # 1 == Fraction(1): compare coefficient types as well as values
-    return {e: (c, type(c)) for e, c in terms.items()}
-
-
 # 10 Laurent and 10 non-Laurent variables
 W = VarTable([Variable.x(i) for i in range(10)] + [Variable.y(i) for i in range(10)])
 # exponent tops whose sums sit at the byte (255/256) and two-byte (65535/65536)
@@ -258,6 +255,50 @@ def test_packed_powers_and_products_match_tuple_sums(a, b, n):
     assert typed((a ** n).terms) == typed(ref.terms)
     ref = MultiPoly(W, tuple_sum_product(MultiPoly(W, tuple_sum_product(a, b)), a))
     assert typed(product(W, [a, b, a]).terms) == typed(ref.terms)
+
+
+def termwise_substitute(p, bindings):
+    """Reference substitution: each term's image, built by products and
+    powers, added to a running `MultiPoly` sum one term at a time."""
+    table = p.table
+    out = MultiPoly.zero(table)
+    for e, c in p.terms.items():
+        term = MultiPoly(table, {tuple(0 if n in bindings else x
+                                       for n, x in zip(table.names, e)): c})
+        for n, x in zip(table.names, e):
+            if n in bindings and x:
+                term = term * bindings[n] ** x
+        out = out + term
+    return out
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial over T and bindings for some of its variables, each to
+    a one-term polynomial or to any polynomial over T; a Laurent x bound
+    to more than one term cannot take its negative powers."""
+    p = draw(polys())
+    bindings = {}
+    for name in draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            *exp, c = draw(mono_strategy())
+            bindings[name] = MultiPoly.monomial(T, dict(zip(NAMES, exp)), c or 1)
+        else:
+            bindings[name] = draw(polys())
+    return p, bindings
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions())
+def test_substitute_matches_termwise_sum(case):
+    p, bindings = case
+    try:
+        want = termwise_substitute(p, bindings)
+    except (DivisibilityError, LaurentViolationError) as exc:
+        with pytest.raises(type(exc)):
+            p.substitute(bindings)
+        return
+    assert typed(p.substitute(bindings).terms) == typed(want.terms)
 
 
 @pytest.mark.parametrize("top", [127, 128, 255, 256, 32767, 32768, 65535, 65536, 2 ** 40])
