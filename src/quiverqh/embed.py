@@ -41,8 +41,6 @@ from .polycore import (
     MultiPoly,
     Variable,
     VarTable,
-    _check_exp,
-    _coeff,
     poly_to_text,
     product,
 )
@@ -68,8 +66,8 @@ from .groebner import (
     Budget,
     GroebnerBasis,
     ideal_contains,
-    laurent_basis,
     laurent_contains,
+    laurent_image_basis,
 )
 from .cluster import mutate_path, seed_from_quiver
 from . import groebner
@@ -258,51 +256,20 @@ def _substituted_ideal(
     The zeta-side ideal is generated by the substituted elements of the
     Kaehler basis gb_q.  That is exact: Q[k] -> +-zeta-monomial is a ring
     homomorphism into the Laurent ring, so any two generating sets of the
-    Kaehler ideal map to generating sets of the same extended ideal, and
-    laurent_basis reaches the same reduced basis from either.  The
-    substituted elements carry negative zeta powers; laurent_basis
-    writes them as inverse variables, not as cleared multiples.  Both
-    tables come from gb_q's: it gains every node's zeta, then loses Q.
+    Kaehler ideal map to generating sets of the same extended ideal, with
+    the same reduced basis.  `groebner.laurent_image_basis` maps each
+    element in one pass, Q[k] to sign * zeta^pos * inv.zeta^neg.  When
+    (a) every image is nonconstant, (b) every lead is free of Q and zeta
+    and (c) every lead's image stays above the images of its element's
+    other terms, the images with the relations zeta * inv.zeta - 1 are a
+    Groebner basis already (Mora & Robbiano 1988; Cox, Little & O'Shea,
+    Ch. 2 Sec. 9 Thm 6; the `groebner` module docstring gives the
+    argument), so no S-pair among them is reduced.  The t/zeta table is
+    gb_q's without Q, with every node's zeta.
     """
-    t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)
-    t_z = t_qz.drop(gb_q.table.of_class("Q"))
-    sub = zeta_substitution(q, t_qz)
-    gens = [_eliminate_kaehler(g, sub, t_z) for g in gb_q]
-    return laurent_basis(gens, t_z.of_class("zeta"), budget=budget), t_z
-
-
-def _eliminate_kaehler(g: MultiPoly, sub: dict, table: VarTable) -> MultiPoly:
-    """g with each Q[k] replaced by its image in sub (`zeta_substitution`,
-    one signed zeta monomial per Q[k]) and every other variable rebound
-    to table by name, in one pass over g's terms: the polynomial
-    g.convert(t).substitute(sub).convert(table), t the table of sub."""
-    src = g.table
-    n = table.nvars
-    keep = [(i, table.index(name)) for i, name in enumerate(src.names) if name not in sub]
-    images = []
-    for name, img in sub.items():
-        (e, sign), = img.terms.items()
-        cols = [(table.index(v), x) for v, x in zip(img.table.names, e) if x]
-        images.append((src.index(name), cols, sign))
-    out: dict = {}
-    for e, c in g.terms.items():
-        ne = [0] * n
-        for i, j in keep:
-            ne[j] = e[i]
-        for i, cols, sign in images:
-            p = e[i]
-            if p:
-                for j, x in cols:
-                    ne[j] += p * x
-                c = c * sign ** p
-        key = tuple(ne)
-        _check_exp(table, key)
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = _coeff(s)
-        else:
-            del out[key]
-    return MultiPoly(table, out)
+    t_z = gb_q.table.drop(gb_q.table.of_class("Q")).extend(Variable.zeta(n.id) for n in q.nodes)
+    sub = zeta_substitution(q, t_z)
+    return laurent_image_basis(gb_q, sub, t_z, t_z.of_class("zeta"), budget), t_z
 
 
 def type_a_chain(q: Quiver) -> list:

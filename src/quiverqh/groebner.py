@@ -83,7 +83,41 @@ basis computation.  A polynomial enters the extended ring with each
 negative power v^-a written inv.v^a, which equals it modulo the
 relations; clearing denominators (the tests' reference route) would
 give another generating set of the same ideal, so the same reduced
-basis, at more work.  ``laurent_contains`` reads the inverted variables
+basis, at more work.  `_term_images` is the one map into the extended
+ring: it rebinds by name, may replace variables by signed monomials and
+writes each negative power on its inv.* column, with no merge between
+powers (Q -> zeta^-1 sends zeta * Q to zeta * inv.zeta).
+
+Transfer of a basis (``laurent_image_basis``).  Let G be a reduced basis
+and phi the map that sends each substituted variable Q to its image, a
+signed monomial zeta^pos * inv.zeta^neg, and fixes the other variables.
+Let E be phi(G) with the relations v * inv.v - 1.  Check, on the packed
+grevlex order that ``buchberger`` uses:
+
+(a) the image of every substituted variable is a nonconstant monomial
+    (with every negative power on an inv.* column);
+(b) the lead of each element of G holds no substituted variable and its
+    image no variable that an image or a relation holds;
+(c) the image of each element's lead is strictly greater than the image
+    of each of its other terms.
+
+Then E is a Groebner basis.  By (a), phi(m) > phi(m') with ties broken
+by G's order is a monomial order on the source; by (c) it gives G its
+old leads, so G is a Groebner basis for it too (a set whose leads agree
+under two orders is a Groebner basis for both: Mora & Robbiano, "The
+Groebner fan of an ideal", J. Symb. Comp. 6, 1988).  So every S-pair of
+G has a representation sum a_k g_k with every term below the lcm of the
+leads in that order; phi fixes the leads (b), so it maps that to a
+representation of the S-pair of the images whose terms are all below
+the lcm in grevlex, and by (b) none equals it.  An lcm representation
+for every pair makes a Groebner basis (Cox, Little & O'Shea, *Ideals,
+Varieties, and Algorithms*, Ch. 2 Sec. 9 Thm 6); the relations' leads
+v * inv.v are coprime to each other and, by (b), to the images' leads.
+``buchberger(..., settled=len(G))`` therefore forms no pair among the
+images.  When a check fails (the tests hold an example where skipping
+the pairs would drop an element) the same generators get a full run.
+
+``laurent_contains`` reads the inverted variables
 from the basis's table and packs its polynomial straight onto the
 basis's columns, writing each negative power of an inverted variable on
 its inv.* column while packing.  Negative exponents are rejected by
@@ -112,6 +146,7 @@ from .polycore import (
     MultiPoly,
     Variable,
     VarTable,
+    _check_exp,
     _coeff,
     poly_to_text,
 )
@@ -282,9 +317,10 @@ def _rows(elements: Iterable[MultiPoly], pk: _Packer) -> tuple:
     return tuple(sorted(rows, key=_reducer_key))
 
 
-def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
+def _packed_basis(polys: list, pk: _Packer, budget: Budget, settled: int = 0) -> list:
     """Reduced basis of packed term dicts as (lead, reduced tail dict)
-    pairs, sorted by increasing lead."""
+    pairs, sorted by increasing lead.  The first ``settled`` inputs form
+    no pairs among themselves (`buchberger`)."""
     steps = [0]
     rows: list = []       # monic rows (lead, tail, excess), in basis order
     exps: list = []       # leading exponent tuples, for lcms
@@ -296,7 +332,7 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
     active: list = []     # rows whose lead no later lead divides
     pairs: list = []      # heap of (sugar, lcm degree, i, j, lcm)
 
-    def add_poly(terms: dict, sugar: int) -> None:
+    def add_poly(terms: dict, sugar: int, form_pairs: bool = True) -> None:
         nonlocal pairs, active
         lead, tail = _monic(terms)
         row = pk.row(lead, tail)
@@ -331,7 +367,7 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
         # new pairs (i, packed lcm, coprime); a coprime lcm is the sum of
         # the packed leads
         new = []
-        for i in active:
+        for i in active if form_pairs else ():
             if masks[i] & mh:
                 new.append((i, pk.pack(tuple(map(max, exps[i], eh))), False))
             elif degs[i] + dh > pk.vmax:
@@ -351,11 +387,12 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget) -> list:
         heapq.heapify(pairs)
         active = [i for i in active if not pk.divides(lead, rows[i][0])] + [h]
 
-    # seed with interreduced input, in input order
-    for terms in polys:
+    # seed with interreduced input, in input order; a settled input comes
+    # before any other, so its only partners would be settled rows
+    for n, terms in enumerate(polys):
         r = _reduce(terms, reducers, pk, steps, budget)
         if r:
-            add_poly(r, max(pk.degree(m) for m in terms))
+            add_poly(r, max(pk.degree(m) for m in terms), n >= settled)
 
     processed = 0
     while pairs:
@@ -452,8 +489,15 @@ def buchberger(
     generators: Iterable[MultiPoly],
     order: MonomialOrder | None = None,
     budget: Budget | None = None,
+    *,
+    settled: int = 0,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the given polynomial generators."""
+    """Reduced Groebner basis of the given polynomial generators.
+
+    The first ``settled`` nonzero generators must already be a Groebner
+    basis under the order: they then form no S-pairs among themselves.
+    A wrong claim gives a wrong basis, so only `laurent_image_basis`
+    passes it, after proving it."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -468,7 +512,7 @@ def buchberger(
         pk = _Packer(order, table, _width_for(degree))
         try:
             polys = [{pk.pack(e): c for e, c in g.terms.items()} for g in gens]
-            final = _packed_basis(polys, pk, budget)
+            final = _packed_basis(polys, pk, budget, settled)
             break
         except _Overflow as exc:
             degree = exc.degree
@@ -572,23 +616,70 @@ def laurent_extension(
     return ext, rels
 
 
-def _with_inverses(p: MultiPoly, ext: VarTable, names: Sequence[str]) -> MultiPoly:
-    """p rebound into the table ext of `laurent_extension`, each negative
-    power v^-a of a listed variable written inv.v^a.  Modulo the
-    relations v * inv.v - 1 the result equals p."""
-    idx = [(ext.index(n), ext.index(_inverse_var(n).name)) for n in names]
-    out: dict = {}
-    for e, c in p.convert(ext).terms.items():
-        ne = list(e)
-        for i, j in idx:
-            if ne[i] < 0:
-                ne[j] -= ne[i]
-                ne[i] = 0
+def _term_images(p: MultiPoly, ext: VarTable, images: dict) -> list:
+    """One (exponent tuple in ext, coefficient) per term of p, in p's term
+    order and not summed, in one pass.  A variable named in images becomes
+    its image, one signed monomial in variables of ext; every other
+    variable is rebound to ext by name.  Each negative power v^-a, of p's
+    own variables or of an image's, is written inv.v^a where ext holds
+    inv.v for a Laurent v (`laurent_extension`), so modulo the relations
+    v * inv.v - 1 the terms sum to p with the images substituted.  Powers
+    are placed one by one, never merged first: with Q -> zeta^-1 the term
+    zeta * Q becomes zeta * inv.zeta.  The errors are those of `convert`."""
+
+    def place(name: str, x: int) -> tuple:
+        # (column, exponent there) of the power name^x
+        inv = _inverse_var(name).name
+        if x < 0 and inv in ext and ext.var(name).laurent:
+            return ext.index(inv), -x
+        return ext.index(name), x
+
+    src = p.table
+    rebound = []  # (index in p, column of v, column and exponent of v^-1)
+    mapped = []   # (index in p, [(column, exponent)] of the image, its sign)
+    missing = []  # variables of p that ext lacks
+    for i, name in enumerate(src.names):
+        if name in images:
+            (e, sign), = images[name].terms.items()
+            cols = [place(v, y) for v, y in zip(images[name].table.names, e) if y]
+            mapped.append((i, cols, sign))
+        elif name in ext:
+            rebound.append((i, ext.index(name)) + place(name, -1))
+        else:
+            missing.append(i)
+    n = ext.nvars
+    out = []
+    for e, c in p.terms.items():
+        if any(e[i] for i in missing):
+            p.convert(ext)  # raises: a variable missing from ext occurs
+        ne = [0] * n
+        for i, j, nj, a in rebound:
+            x = e[i]
+            if x > 0:
+                ne[j] += x
+            elif x:
+                ne[nj] -= x * a
+        for i, cols, sign in mapped:
+            x = e[i]
+            if x:
+                for j, a in cols:
+                    ne[j] += x * a
+                c = c * sign ** x
         key = tuple(ne)
-        s = out.pop(key, 0) + c
+        _check_exp(ext, key)
+        out.append((key, c))
+    return out
+
+
+def _poly(table: VarTable, terms: list) -> MultiPoly:
+    """The polynomial of (exponent tuple, coefficient) pairs, equal
+    exponents summed."""
+    out: dict = {}
+    for e, c in terms:
+        s = out.pop(e, 0) + c
         if s:
-            out[key] = _coeff(s)
-    return MultiPoly(ext, out)
+            out[e] = _coeff(s)
+    return MultiPoly(table, out)
 
 
 def laurent_basis(
@@ -600,17 +691,70 @@ def laurent_basis(
     variables; membership against it decides Laurent-ring membership.
 
     Each generator enters with its negative powers written as inverses
-    (`_with_inverses`), beside the relations v * inv.v - 1.  The
+    (`_term_images`), beside the relations v * inv.v - 1.  The
     generators with their denominators cleared span the same ideal, so
     the reduced basis is the same, but Buchberger would first have to
     rediscover the inverse forms from them."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
-    table = gens[0].table
-    ext, rels = laurent_extension(table, laurent_names)
-    conv = [_with_inverses(g, ext, laurent_names) for g in gens]
+    ext, rels = laurent_extension(gens[0].table, laurent_names)
+    conv = [_poly(ext, _term_images(g, ext, {})) for g in gens]
     return buchberger(conv + rels, budget=budget)
+
+
+def _leads_transfer(gb: GroebnerBasis, terms: list, images: dict, ext: VarTable) -> bool:
+    """Checks (a)-(c) of the module docstring for the images of gb's
+    elements, terms[i] being the `_term_images` of the i-th, on the order
+    `buchberger` uses in ext."""
+    src = gb.table
+    names = [n for n in images if n in src]
+    placed = [e for n in names for e, _ in _term_images(images[n], ext, {})]
+    # (a) every image is a nonconstant monomial of the extended ring
+    if not all(any(e) and min(e) >= 0 for e in placed):
+        return False
+    subst = [src.index(n) for n in names]
+    # the columns an image or a relation v * inv.v - 1 touches
+    touched = {j for e in placed for j, x in enumerate(e) if x}
+    for v in ext.names:
+        if _inverse_var(v).name in ext:
+            touched.update((ext.index(v), ext.index(_inverse_var(v).name)))
+    pk = _Packer(MonomialOrder(), ext, _width_for(max(sum(e) for t in terms for e, _ in t)))
+    leads = {gb.packer.unpack(row[0]) for row in gb.rows}
+    for g, t in zip(gb, terms):
+        k, lead = next((k, e) for k, e in enumerate(g.terms) if e in leads)
+        image = t[k][0]
+        # (b) the lead is fixed by the map and shares no variable with an
+        # image or a relation
+        if any(lead[i] for i in subst) or any(image[j] for j in touched):
+            return False
+        # (c) the lead's image is above every other term's
+        top = pk.pack(image)
+        if any(pk.pack(e) >= top for m, (e, _) in enumerate(t) if m != k):
+            return False
+    return True
+
+
+def laurent_image_basis(
+    gb: GroebnerBasis,
+    images: dict,
+    table: VarTable,
+    laurent_names: Sequence[str],
+    budget: Budget | None = None,
+) -> GroebnerBasis:
+    """`laurent_basis`, in table, of gb's elements with each variable named
+    in images replaced by its image (one signed monomial in table's
+    variables): the extended ideal of the image of gb's ideal.
+
+    Each element is mapped by `_term_images`.  When the checks of
+    `_leads_transfer` hold, the images are a Groebner basis already (the
+    module docstring says why), so `buchberger` forms no S-pairs among
+    them; otherwise it runs in full on the same generators."""
+    ext, rels = laurent_extension(table, laurent_names)
+    terms = [_term_images(g, ext, images) for g in gb]
+    mapped = [_poly(ext, t) for t in terms]
+    settled = len(mapped) if _leads_transfer(gb, terms, images, ext) else 0
+    return buchberger(mapped + rels, budget=budget, settled=settled)
 
 
 def laurent_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = None) -> bool:

@@ -4,6 +4,7 @@ import pytest
 
 from quiverqh.embed import zeta_substitution
 from quiverqh.groebner import buchberger, laurent_extension
+from quiverqh.polycore import MultiPoly, _coeff
 from quiverqh.presentation import build_ideal
 from quiverqh.quiver import build_table, load_quiver
 
@@ -53,6 +54,27 @@ def clear_laurent(p, names):
         i = p.table.index(n)
         shift[i] = max([0] + [-e[i] for e in p.terms])
     return p.shift(tuple(shift)) if any(shift) else p
+
+
+def with_inverses(p, ext):
+    """Reference route to `groebner._term_images`, as it stood before that
+    helper: rebind p to ext with `convert`, then move each negative power
+    v^-a of a variable that ext inverts onto inv.v^a.  A substitution
+    comes first, by `MultiPoly.substitute`.  Both routes give the same
+    polynomial when no term meets two powers of one variable."""
+    idx = [(ext.index(n), ext.index(f"inv.{n}")) for n in ext.names if f"inv.{n}" in ext]
+    out = {}
+    for e, c in p.convert(ext).terms.items():
+        ne = list(e)
+        for i, j in idx:
+            if ne[i] < 0:
+                ne[j] -= ne[i]
+                ne[i] = 0
+        key = tuple(ne)
+        s = out.pop(key, 0) + c
+        if s:
+            out[key] = _coeff(s)
+    return MultiPoly(ext, out)
 
 
 def cleared_laurent_basis(generators, laurent_names):

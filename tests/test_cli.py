@@ -538,7 +538,7 @@ def count_calls(monkeypatch, func):
 def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
     # the zeta-side basis starts from the Kaehler basis: one spanning_ideal
     # and no full build_ideal, one buchberger for the Kaehler side and one
-    # inside laurent_basis
+    # inside laurent_image_basis
     import quiverqh.groebner
     import quiverqh.presentation
 

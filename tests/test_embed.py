@@ -19,14 +19,15 @@ from quiverqh.presentation import build_ideal, chern_poly, node_chern_quotient
 from quiverqh.groebner import (
     Budget,
     BudgetError,
-    _with_inverses,
+    _poly,
+    _term_images,
     buchberger,
     laurent_contains,
+    laurent_extension,
     normal_form,
 )
 from quiverqh.embed import (
     PsiImage,
-    _eliminate_kaehler,
     _substituted_ideal,
     exchange_image_diff,
     injectivity_witness,
@@ -42,7 +43,13 @@ from quiverqh.embed import (
     zeta_substitution,
 )
 
-from conftest import clear_laurent, cleared_laurent_basis, typed, zeta_side_generators
+from conftest import (
+    clear_laurent,
+    cleared_laurent_basis,
+    typed,
+    with_inverses,
+    zeta_side_generators,
+)
 
 
 def ztable(q, **kw):
@@ -225,11 +232,16 @@ FL245_EQ_FINGERPRINTS = (
 )
 
 
+TYPE_A_FIXTURES = ["p2", "gr24", "fl234", "fl245"]
+
+
 @pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
-@pytest.mark.parametrize("name", ["fl234", "fl245"])
+@pytest.mark.parametrize("name", TYPE_A_FIXTURES)
 def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
     monkeypatch, quivers, name, equivariant
 ):
+    # the basis transferred from the Kaehler basis, with no S-pair
+    # reduced, is the one the raw generators give by the cleared route
     q = quivers(name)
     p_max = resolve_pmax(q, None)
     gb_q = kaehler_basis(q, p_max, equivariant)
@@ -240,11 +252,12 @@ def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
         return zeta_substitution(q, table)
 
     monkeypatch.setattr(quiverqh.embed, "zeta_substitution", recording)
-    gb_z, t_z = _substituted_ideal(q, gb_q, budget=None)
-    # both tables come from gb_q's and hold what build_table would give
+    gb_z, t_z = _substituted_ideal(q, gb_q, budget=Budget(max_pairs=0))
+    # the table comes from gb_q's and holds what build_table would give;
+    # the images are built in it
     kw = dict(equivariant=equivariant, with_t=True, with_zeta=True)
-    assert [t.names for t in seen] == [build_table(q, with_q=True, **kw).names]
     assert t_z.names == build_table(q, **kw).names
+    assert seen == [t_z]
     want = raw_generator_laurent_basis(q, p_max, equivariant)
     assert gb_z.fingerprint == want.fingerprint
     assert [poly_to_text(g) for g in gb_z] == [poly_to_text(g) for g in want]
@@ -252,44 +265,64 @@ def test_zeta_basis_from_kaehler_basis_matches_raw_generators(
         assert (gb_q.fingerprint, gb_z.fingerprint) == FL245_EQ_FINGERPRINTS
 
 
+def kaehler_images(q, gb_q):
+    """(extension table, inverse relations, image terms of each Kaehler
+    basis element): the generators of the zeta-side basis."""
+    t_z = gb_q.table.drop(gb_q.table.of_class("Q")).extend(Variable.zeta(n.id) for n in q.nodes)
+    ext, rels = laurent_extension(t_z, t_z.of_class("zeta"))
+    sub = zeta_substitution(q, t_z)
+    return ext, rels, [_term_images(g, ext, sub) for g in gb_q]
+
+
 @pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
 @pytest.mark.parametrize("name", ["fl234", "fl245"])
 def test_kaehler_elimination_matches_convert_substitute_convert(quivers, name, equivariant):
     # one pass per Kaehler basis element gives the polynomials of the
-    # three-pass route through the t/Q/zeta table
+    # old route: convert to the t/Q/zeta table, substitute, convert to
+    # the extension table and write negative zeta powers as inverses
     q = quivers(name)
     gb_q = kaehler_basis(q, resolve_pmax(q, None), equivariant)
+    ext, _, images = kaehler_images(q, gb_q)
     t_qz = gb_q.table.extend(Variable.zeta(n.id) for n in q.nodes)
-    t_z = t_qz.drop(gb_q.table.of_class("Q"))
     sub = zeta_substitution(q, t_qz)
-    for g in gb_q:
-        got = _eliminate_kaehler(g, sub, t_z)
-        assert got.table is t_z
-        assert typed(got.terms) == typed(g.convert(t_qz).substitute(sub).convert(t_z).terms)
+    for g, terms in zip(gb_q, images):
+        assert len(terms) == len(g.terms)
+        want = with_inverses(g.convert(t_qz).substitute(sub), ext)
+        assert typed(_poly(ext, terms).terms) == typed(want.terms)
 
 
 def test_kaehler_elimination_sums_colliding_terms():
     # two Kaehler variables with the same image: their terms land on one
     # monomial, where halves add up to an int and opposite signs cancel
-    t_q = VarTable([Variable.xi("1", 1), Variable.q("1"), Variable.q("2")])
-    t_z = VarTable([Variable.xi("1", 1), Variable.zeta("0")])
-    zeta_inv = MultiPoly.variable(t_z, "zeta[0]", -1)
-    sub = {"Q[1]": zeta_inv, "Q[2]": -zeta_inv}
-    x, q1, q2 = (MultiPoly.variable(t_q, n) for n in t_q.names)
+    t_qz = VarTable([Variable.xi("1", 1), Variable.q("1"), Variable.q("2"), Variable.zeta("0")])
+    t_z = t_qz.drop(["Q[1]", "Q[2]"])
+    ext, _ = laurent_extension(t_z, ["zeta[0]"])
+    x, q1, q2, zeta = (MultiPoly.variable(t_qz, n) for n in t_qz.names)
+    sub = {"Q[1]": zeta ** -1, "Q[2]": -zeta ** -1}
     g = x * q1 * Fraction(1, 2) - x * q2 * Fraction(1, 2) + q1 ** 2 - q2 ** 2 + q1 * q2 + 3
-    got = _eliminate_kaehler(g, sub, t_z)
-    want = MultiPoly.variable(t_z, "xi[1][1]") * zeta_inv - zeta_inv ** 2 + 3
-    assert typed(got.terms) == typed(want.terms)
+    inv = MultiPoly.variable(ext, "inv.zeta[0]")
+    want = MultiPoly.variable(ext, "xi[1][1]") * inv - inv ** 2 + 3
+    assert typed(_poly(ext, _term_images(g, ext, sub)).terms) == typed(want.terms)
+    assert typed(with_inverses(g.substitute(sub), ext).terms) == typed(want.terms)
+    # powers are placed one by one: zeta * Q[1] is zeta * inv.zeta, where
+    # the reference route merges it to 1
+    got = _poly(ext, _term_images(zeta * q1, ext, sub))
+    assert got == MultiPoly.variable(ext, "zeta[0]") * inv
+    assert with_inverses((zeta * q1).substitute(sub), ext) == MultiPoly.const(ext, 1)
 
 
-def test_laurent_basis_step_count_is_pinned(quivers):
-    # exact reduction steps of the zeta-side basis of fl245, equivariant,
-    # from the Kaehler basis, with negative zeta powers entering as inverses
+def test_zeta_side_basis_step_counts_are_pinned(quivers):
+    # fl245, equivariant: the transferred zeta-side basis reduces no
+    # S-pair and takes no reduction step; its generators through plain
+    # buchberger take exactly 1 182 steps
     q = quivers("fl245")
     gb_q = kaehler_basis(q, resolve_pmax(q, None), True)
-    _substituted_ideal(q, gb_q, budget=Budget(max_steps=1182))
+    gb_z, _ = _substituted_ideal(q, gb_q, budget=Budget(max_pairs=0, max_steps=0))
+    ext, rels, images = kaehler_images(q, gb_q)
+    gens = [_poly(ext, terms) for terms in images] + rels
+    assert buchberger(gens, budget=Budget(max_steps=1182)).fingerprint == gb_z.fingerprint
     with pytest.raises(BudgetError):
-        _substituted_ideal(q, gb_q, budget=Budget(max_steps=1181))
+        buchberger(gens, budget=Budget(max_steps=1181))
 
 
 @pytest.mark.parametrize("name,node", [
@@ -336,6 +369,6 @@ def test_one_pass_laurent_contains_matches_the_reference_routes(quivers):
     assert len(coeffs) == 12
     for c in coeffs:
         for p, member in ((c, True), (c + xi_t, False)):
-            ref = normal_form(_with_inverses(p, gb_z.table, names), gb_z).is_zero()
+            ref = normal_form(with_inverses(p, gb_z.table), gb_z).is_zero()
             cleared = normal_form(clear_laurent(p, names).convert(gb_z.table), gb_z).is_zero()
             assert laurent_contains(gb_z, p) == ref == cleared == member

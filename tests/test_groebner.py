@@ -33,11 +33,26 @@ from quiverqh.groebner import (
     laurent_extension,
     normal_form,
 )
-from quiverqh.groebner import _Overflow, _Packer, _packed_basis, _width_for, _with_inverses
+from quiverqh.groebner import (
+    _Overflow,
+    _Packer,
+    _leads_transfer,
+    _packed_basis,
+    _poly,
+    _term_images,
+    _width_for,
+    laurent_image_basis,
+)
 from quiverqh.presentation import build_ideal, spanning_ideal
 from quiverqh.quiver import build_table, quiver_from_dict, resolve_pmax
 
-from conftest import clear_laurent, cleared_laurent_basis, key_fn, zeta_side_generators
+from conftest import (
+    clear_laurent,
+    cleared_laurent_basis,
+    key_fn,
+    with_inverses,
+    zeta_side_generators,
+)
 
 T = VarTable([Variable.xi("1", 1), Variable.xi("1", 2), Variable.q("1")])
 X = MultiPoly.variable(T, "xi[1][1]")
@@ -309,13 +324,94 @@ def test_membership_errors_are_kept():
         laurent_contains(gb, MultiPoly.variable(loose, "x[1]", -1))
 
 
+def test_laurent_basis_keeps_the_errors_of_convert():
+    # generators enter the extension through `_term_images`, the same
+    # polynomials as the convert-then-invert route, with convert's errors
+    ext, _ = laurent_extension(TL, ["zeta[a]"])
+    for gens in LAURENT_IDEALS:
+        for g in gens:
+            assert _poly(ext, _term_images(g, ext, {})) == with_inverses(g, ext)
+    wider = TL.extend([Variable.t()])
+    g = XL.convert(wider) * MultiPoly.variable(wider, "zeta[a]") - 1
+    assert laurent_basis([XL * ZA - 1], ["zeta[a]"]).fingerprint == \
+        laurent_basis([g], ["zeta[a]"]).fingerprint  # t never occurs
+    with pytest.raises(ContextError, match="missing from target table"):
+        _term_images(g * MultiPoly.variable(wider, "t"), ext, {})
+    loose = VarTable([Variable.x(1), Variable.xi("1", 1)])
+    plain, _ = laurent_extension(VarTable([Variable.x(1, laurent=False), Variable.xi("1", 1)]),
+                                 ["xi[1][1]"])
+    with pytest.raises(LaurentViolationError):
+        _term_images(MultiPoly.variable(loose, "x[1]", -1), plain, {})
+    with pytest.raises(ValueError, match="negative exponent"):
+        laurent_basis([XL - ZB ** -1], ["zeta[a]"])
+
+
+# Kaehler-like ring Q[xi1..3, Q1, Q2] and its image ring Q[xi1..3, zeta_a, zeta_b]
+T5 = VarTable([Variable.xi("1", j) for j in (1, 2, 3)] + [Variable.q("1"), Variable.q("2")])
+TZ5 = T5.drop(["Q[1]", "Q[2]"]).extend([Variable.zeta("a"), Variable.zeta("b")])
+ZNAMES = ["zeta[a]", "zeta[b]"]
+_xi_lead = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda e: sum(e) >= 2)
+_lower_term = st.tuples(*[st.integers(0, 2)] * 5, st.integers(-3, 3))
+_image = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.sampled_from((1, -1))).filter(
+    lambda t: t[:2] != (0, 0))
+
+
+def transfer_routes(gb, images):
+    """(laurent_image_basis, its generators through plain buchberger, the
+    same with the images settled, whether the transfer checks hold)."""
+    ext, rels = laurent_extension(TZ5, ZNAMES)
+    terms = [_term_images(g, ext, images) for g in gb]
+    gens = [_poly(ext, t) for t in terms] + rels
+    return (laurent_image_basis(gb, images, TZ5, ZNAMES), buchberger(gens),
+            buchberger(gens, settled=len(gb)), _leads_transfer(gb, terms, images, ext))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_xi_lead, st.lists(_lower_term, min_size=1, max_size=3)),
+                min_size=1, max_size=3),
+       _image, _image)
+def test_transferred_basis_matches_a_full_run(spec, image1, image2):
+    # reduced bases from xi-led generators, random signed zeta images:
+    # whenever the checks hold, settling the images changes nothing, and
+    # laurent_image_basis always gives the full run's basis
+    gens = []
+    for lead, lower in spec:
+        terms = {lead + (0, 0): 1}
+        terms.update((e[:5], e[5]) for e in lower if sum(e[:5]) < sum(lead) and e[5])
+        gens.append(MultiPoly(T5, terms))
+    gb = buchberger(gens)
+    images = {q: MultiPoly.monomial(TZ5, {"zeta[a]": a, "zeta[b]": b}, sign)
+              for q, (a, b, sign) in zip(("Q[1]", "Q[2]"), (image1, image2))}
+    got, full, settled, holds = transfer_routes(gb, images)
+    assert got.fingerprint == full.fingerprint
+    if holds:
+        assert settled.fingerprint == full.fingerprint
+
+
+def test_transfer_falls_back_when_a_lead_image_is_overtaken():
+    # Q[2] -> -zeta_a*zeta_b lifts the image of xi1*Q[2] above xi2^2, the
+    # lead of the first element: check (c) fails, and skipping the pairs
+    # would give 7 elements where the basis has 8
+    x1, x2, x3, _, q2 = (MultiPoly.variable(T5, n) for n in T5.names)
+    g = [x2 ** 2 + x1 * q2 + x2 * q2 - x1 + 2 * x2, x1 * x2 * x3 + q2 - 1,
+         x1 ** 2 * x3 - x2 - q2 - 2]
+    gb = buchberger(g)
+    assert [poly_to_text(p) for p in gb] == [poly_to_text(p) for p in g]
+    images = {"Q[2]": -MultiPoly.monomial(TZ5, {"zeta[a]": 1, "zeta[b]": 1})}
+    got, full, settled, holds = transfer_routes(gb, images)
+    assert not holds
+    assert (len(got), len(full), len(settled)) == (8, 8, 7)
+    assert got.fingerprint == full.fingerprint
+
+
 def test_laurent_contains_past_the_basis_width_leaves_the_basis_alone():
     gb = laurent_basis([XL * ZA - 1], ["zeta[a]"])
     packer, rows = gb.packer, gb.rows
     names = ["zeta[a]"]
     for big in (packer.vmax + 1, 3 * packer.vmax):
         for p in (XL ** big - ZA ** -big, XL ** big - ZA ** -big + ZB, ZA ** -big * ZB - 1):
-            ref = normal_form(_with_inverses(p, gb.table, names), gb).is_zero()
+            ref = normal_form(with_inverses(p, gb.table), gb).is_zero()
             cleared = normal_form(clear_laurent(p, names).convert(gb.table), gb).is_zero()
             assert laurent_contains(gb, p) == ref == cleared
             assert gb.packer is packer and gb.rows is rows
