@@ -33,6 +33,9 @@ submission order, so reports do not depend on scheduling.  `groebner`,
 `verify exchange`, `verify type-a` and `embed` build one Groebner basis
 of the spanning ideal per run, in this process (`_basis`), and hand that
 object to every check; the type-A suite adds only its zeta-side basis.
+`verify vgit` builds no basis: it compares the spanning relations of
+its two quivers node by node (`presentation.compare_chambers`), so it
+takes no --pmax and no --budget-steps.
 """
 
 from __future__ import annotations
@@ -54,14 +57,13 @@ from .quiver import (
     validate,
     weights,
 )
-from .presentation import build_ideal, spanning_ideal
+from .presentation import build_ideal, compare_chambers, spanning_ideal
 from .groebner import (
     Budget,
     BudgetError,
     GroebnerBasis,
     MonomialOrder,
     buchberger,
-    ideal_equal_laurent,
 )
 from .ifunction import qde_box_pairs, qde_box_size, qde_rows
 from .cluster import (
@@ -364,30 +366,17 @@ def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
         rep = validate(q)
         if not (rep.acyclic and rep.feasible):
             raise InputError(f"{path} fails validate: {'; '.join(rep.notes)}")
-    pmax = max(resolve_pmax(qa, ns.pmax), resolve_pmax(qb, ns.pmax))
-    ia = build_ideal(qa, pmax, build_table(qa, equivariant=ns.equivariant, with_q=True))
-    ib = build_ideal(qb, pmax, build_table(qb, equivariant=ns.equivariant, with_q=True))
-    gens_b = [g.convert(ia.table) for g in ib.generators]
-    qnames = ia.table.of_class("Q")
-    cmp = ideal_equal_laurent(
-        list(ia.generators), gens_b, qnames, budget=_budget(ns)
-    )
-    report = {
-        "ok": cmp.equal,
-        "p_max": pmax,
-        "inverted": list(qnames),
-        "missing_from_first": list(cmp.missing_from_first),
-        "missing_from_second": list(cmp.missing_from_second),
-    }
-    lines = [f"ideal comparison over inverted Kaehler variables "
-             f"(p_max={pmax}): {first} vs {second}"]
-    for g in cmp.missing_from_first:
-        lines.append(f"  only in second: {g}")
-    for g in cmp.missing_from_second:
-        lines.append(f"  only in first: {g}")
-    lines.append(f"result: {_flag(cmp.equal)}")
+    tables = [build_table(q, equivariant=ns.equivariant, with_q=True) for q in (qa, qb)]
+    rows = compare_chambers(qa, qb, *tables)
+    ok = all(r["ok"] for r in rows)
+    report = {"ok": ok, "rows": rows}
+    lines = [f"node relations in two stability chambers: {first} vs {second}"]
+    for r in rows:
+        lines.append(f"  node {r['node']} theta {r['theta']} epsilon {r['epsilon']:+d}: "
+                     f"{_flag(r['ok'])}" + (f"  [{r['witness']}]" if r["witness"] else ""))
+    lines.append(f"result: {_flag(ok)}")
     _emit(ns, report, lines)
-    return EXIT_OK if cmp.equal else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _qde_box_rows(q, equivariant: bool, box: int, jobs: int) -> list:
@@ -637,9 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quiver")
     _add_common(p, pmax=True, equivariant=True, budget=True)
 
-    p = vsub.add_parser("vgit", help="two stability choices give one Laurent ideal")
-    p.add_argument("quiver", nargs=2, metavar=("PLUS", "MINUS"))
-    _add_common(p, pmax=True, equivariant=True, budget=True)
+    p = vsub.add_parser("vgit", help="two stability choices give one ideal")
+    # argparse cannot print a tuple metavar of a positional in --help
+    p.add_argument("quiver", nargs=2, metavar="QUIVER",
+                   help="two quiver files that differ in theta only")
+    _add_common(p, equivariant=True)
 
     p = vsub.add_parser("qde", help="degree-shift difference equations in a box")
     p.add_argument("quiver")

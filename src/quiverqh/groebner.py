@@ -766,27 +766,3 @@ def laurent_contains(gb: GroebnerBasis, p: MultiPoly, budget: Budget | None = No
     names = {n for n in gb.table.names if _inverse_var(n).name in gb.table}
     return not _remainder(p, gb, budget, names)[1]
 
-
-class LaurentComparison(NamedTuple):
-    equal: bool
-    missing_from_first: tuple  # canonical texts of second's generators not in first
-    missing_from_second: tuple
-
-
-def ideal_equal_laurent(
-    gens_a: Sequence[MultiPoly],
-    gens_b: Sequence[MultiPoly],
-    laurent_names: Sequence[str],
-    budget: Budget | None = None,
-) -> LaurentComparison:
-    """Mutual containment of two ideals after inverting the listed
-    variables; witnesses list the generators that fail membership."""
-    gb_a = laurent_basis(gens_a, laurent_names, budget)
-    gb_b = laurent_basis(gens_b, laurent_names, budget)
-    miss_a = tuple(
-        poly_to_text(g) for g in gens_b if not laurent_contains(gb_a, g, budget)
-    )
-    miss_b = tuple(
-        poly_to_text(g) for g in gens_a if not laurent_contains(gb_b, g, budget)
-    )
-    return LaurentComparison(not miss_a and not miss_b, miss_a, miss_b)

@@ -32,8 +32,8 @@ e_i(xi) = 0 for i > v), every p >= v gives, as expanded polynomials,
 so g_p lies in the ideal of g_(p-v), ..., g_(p-1) and, by induction, in
 the ideal of g_0, ..., g_(v-1).  `spanning_ideal` builds only those, for
 the callers that compute a Groebner basis: the ideal and so its reduced
-basis are the ones of `build_ideal`, whose full list `present` and
-`verify vgit` keep for their reports.
+basis are the ones of `build_ideal`, whose full list `present` keeps
+for its report.
 
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .polycore import MultiPoly, VarTable
+from .polycore import MultiPoly, VarTable, poly_to_text
 from .quiver import (
     Quiver,
     WeightData,
@@ -215,6 +215,30 @@ def spanning_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     insertion powers 0..min(p_max, v-1) at each node of dimension v; the
     others are redundant (see the module docstring)."""
     return _node_ideal(q, lambda v: min(p_max, v - 1), table)
+
+
+def compare_chambers(qa: Quiver, qb: Quiver, table_a: VarTable, table_b: VarTable) -> list:
+    """One row dict (node, theta, epsilon, ok, witness) per gauge node k of
+    qa, for qb the same quiver with other stability weights theta.
+
+    theta_k enters the g_p of k only through (ls, rs) of `node_relations`:
+    (1, -s) at theta_k > 0 and (s, -1) = s * (1, -s) below, s = (-1)^(v-1).
+    So a row passes when qb's g_0..g_(v-1) at k, moved to table_a, are
+    epsilon times qa's, one epsilon in {1, -1} read off the first p where
+    either is nonzero.  They span each side's ideal (module docstring), so
+    rows that all pass prove the two ideals equal, before Q is inverted,
+    with no Groebner basis.  A failed row's witness is its first p whose
+    relations differ and the text of g_B,p - epsilon * g_A,p."""
+    rows = []
+    for n in qa.gauge_nodes:
+        ga = node_relations(qa, n.id, n.dim - 1, table_a)
+        gb = [g.convert(table_a) for g in node_relations(qb, n.id, n.dim - 1, table_b)]
+        eps = next((-1 if b == -a else 1 for a, b in zip(ga, gb) if a or b), 1)
+        witness = next((f"p={p}: {poly_to_text(b - eps * a)}"
+                        for p, (a, b) in enumerate(zip(ga, gb)) if b != eps * a), None)
+        rows.append({"node": n.id, "theta": [qa.theta(n.id), qb.theta(n.id)],
+                     "epsilon": eps, "ok": witness is None, "witness": witness})
+    return rows
 
 
 def _node_ideal(q: Quiver, top: Callable[[int], int], table: VarTable) -> IdealPresentation:

@@ -20,10 +20,11 @@ from quiverqh.symfun import (
 from quiverqh.quiver import build_table, default_pmax, weights
 from quiverqh.presentation import (
     build_ideal,
+    compare_chambers,
     exchange_lhs_rhs,
     truncated_chern_quotient,
 )
-from quiverqh.groebner import buchberger, ideal_equal_laurent, normal_form
+from quiverqh.groebner import buchberger, laurent_contains, normal_form
 from quiverqh.cluster import (
     cluster_variables,
     coefficient_free_seed,
@@ -36,6 +37,8 @@ from quiverqh.cluster import (
 )
 from quiverqh.ifunction import qde_box_pairs, qde_rows
 from quiverqh.embed import psi_yhat_qfactor, verify_type_a
+
+from conftest import cleared_laurent_basis
 
 A2 = [[0, 1], [-1, 0]]
 
@@ -196,17 +199,24 @@ def test_ac08_qde_sweeps(quivers):
 
 
 def test_ac09_vgit_ideals_agree(quivers):
+    # the Groebner oracle, mutual membership over inverted Kaehler
+    # variables, agrees with the rows of the relation-by-relation check
     t0 = time.perf_counter()
     qa = quivers("vgit312_plus")
     qb = quivers("vgit312_minus")
-    ia = build_ideal(qa, 3, build_table(qa, equivariant=False, with_q=True))
-    ib = build_ideal(qb, 3, build_table(qb, equivariant=False, with_q=True))
-    table = ia.generators[0].table
-    gens_b = [g.convert(table) for g in ib.generators]
-    qnames = table.of_class("Q")
-    cmp = ideal_equal_laurent(list(ia.generators), gens_b, qnames)
-    assert cmp.equal, (cmp.missing_from_first, cmp.missing_from_second)
-    report("AC-9", t0, "theta = +1 and -1 ideals agree over inverted Kaehler variables")
+    for equivariant in (False, True):
+        ta = build_table(qa, equivariant=equivariant, with_q=True)
+        tb = build_table(qb, equivariant=equivariant, with_q=True)
+        gens_a = list(build_ideal(qa, default_pmax(qa), ta).generators)
+        gens_b = [g.convert(ta) for g in build_ideal(qb, default_pmax(qb), tb).generators]
+        qnames = ta.of_class("Q")
+        gb_a = cleared_laurent_basis(gens_a, qnames)
+        gb_b = cleared_laurent_basis(gens_b, qnames)
+        assert all(laurent_contains(gb_a, g) for g in gens_b)
+        assert all(laurent_contains(gb_b, g) for g in gens_a)
+        rows = compare_chambers(qa, qb, ta, tb)
+        assert [(r["node"], r["ok"]) for r in rows] == [("1", True)], rows
+    report("AC-9", t0, "theta = +1 and -1 ideals agree, plain and equivariant")
 
 
 def test_ac10_gvector_suite(quivers):

@@ -26,7 +26,9 @@ from quiverqh.cli import (
     main,
     to_json,
 )
-from quiverqh.polycore import ContextError, DivisibilityError, LaurentViolationError
+from quiverqh.polycore import (
+    ContextError, DivisibilityError, LaurentViolationError, MultiPoly, poly_to_text,
+)
 from quiverqh.presentation import build_ideal
 from quiverqh.quiver import build_table, default_pmax
 
@@ -158,10 +160,11 @@ def test_exchange_node_selection_is_one_line_input_error(capsys, quivers, argv, 
 
 
 @pytest.mark.parametrize("first, second", [
-    ("vgit312_plus", "gr24"),  # the basis work fails on a variable of one table only
-    ("gr24", "p2"),  # the basis work compares two unrelated ideals
+    ("vgit312_plus", "gr24"),  # other node sets
+    ("gr24", "p2"),  # one node set, other dims
 ], ids=["different-nodes", "unrelated-quivers"])
 def test_vgit_on_two_different_quivers_is_one_line_input_error(capsys, quivers, first, second):
+    # the shape check rejects both pairs before any relation is built
     a, b = quivers.path(first), quivers.path(second)
     code, out, err = run(capsys, "verify", "vgit", a, b)
     assert code == EXIT_INPUT
@@ -261,9 +264,8 @@ def test_budget_exhaustion_exit(capsys, quivers, command):
     (["groebner"], ["gr24"]),
     (["verify", "exchange"], ["gr24"]),
     (["verify", "type-a"], ["gr24"]),
-    (["verify", "vgit"], ["vgit312_plus", "vgit312_minus"]),
     (["embed"], ["gr24"]),
-], ids=["present", "groebner", "verify-exchange", "verify-type-a", "verify-vgit", "embed"])
+], ids=["present", "groebner", "verify-exchange", "verify-type-a", "embed"])
 def test_negative_pmax_is_input_error(capsys, quivers, command, names):
     code, out, err = run(
         capsys, *command, *map(quivers.path, names), "--pmax", "-1"
@@ -271,6 +273,15 @@ def test_negative_pmax_is_input_error(capsys, quivers, command, names):
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "input error: p_max must be >= 0, got -1\n"
+
+
+def test_vgit_help_lists_no_basis_flags(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "vgit", "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert "QUIVER QUIVER" in out and "--equivariant" in out
+    assert "--pmax" not in out and "--budget-steps" not in out
 
 
 def test_unknown_command_exits_two(capsys):
@@ -552,6 +563,60 @@ def test_one_kaehler_ideal_per_type_a_run(capsys, monkeypatch, quivers):
     assert (len(full), len(ideals), len(bases)) == (0, 1, 2)
 
 
+def test_vgit_builds_no_groebner_basis(capsys, monkeypatch, quivers):
+    # the two chambers are compared relation by relation
+    import quiverqh.groebner
+
+    bases = count_calls(monkeypatch, quiverqh.groebner.buchberger)
+    laurent = count_calls(monkeypatch, quiverqh.groebner.laurent_basis)
+    for flags in ([], ["--equivariant"]):
+        code, rep, _ = jrun(capsys, "verify", "vgit", quivers.path("vgit312_plus"),
+                            quivers.path("vgit312_minus"), *flags)
+        assert code == EXIT_OK and rep["ok"]
+    assert (len(bases), len(laurent)) == (0, 0)
+
+
+def test_vgit_names_the_node_and_power_of_a_dropped_q_term(capsys, monkeypatch, tmp_path):
+    # a theta < 0 normalization that loses one Q term of g_1 fails its node
+    # at p = 1, so the check does not pass by construction.  Frame 3 -> V1
+    # (dim 2) -> frame 2 passes validate at theta = +1 and -1
+    import quiverqh.presentation
+
+    paths = []
+    for theta in (1, -1):
+        path = tmp_path / f"v322_{theta}.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": "0", "kind": "frozen", "dim": 3},
+                      {"id": "1", "kind": "gauge", "dim": 2, "theta": theta},
+                      {"id": "2", "kind": "frozen", "dim": 2}],
+            "edges": [{"src": "0", "dst": "1"}, {"src": "1", "dst": "2"}]}))
+        paths.append(str(path))
+    relations = quiverqh.presentation.node_relations
+    dropped = []
+
+    def dropping(q, k, top, table):
+        out = relations(q, k, top, table)
+        if q.theta(k) < 0:
+            qk = table.index(f"Q[{k}]")
+            terms = dict(out[1].terms)
+            e = next(e for e in terms if e[qk])
+            dropped.append(MultiPoly(table, {e: terms.pop(e)}))
+            out[1] = MultiPoly(table, terms)
+        return out
+
+    monkeypatch.setattr(quiverqh.presentation, "node_relations", dropping)
+    code, rep, _ = jrun(capsys, "verify", "vgit", *paths)
+    assert code == EXIT_FAIL and not rep["ok"]
+    assert rep["rows"] == [{"node": "1", "theta": [1, -1], "epsilon": -1, "ok": False,
+                            "witness": f"p=1: {poly_to_text(-dropped[0])}"}]
+    code, out, _ = run(capsys, "verify", "vgit", *paths)
+    assert code == EXIT_FAIL
+    assert out.splitlines()[1:] == [
+        f"  node 1 theta [1, -1] epsilon -1: FAIL  [p=1: {poly_to_text(-dropped[1])}]",
+        "result: FAIL",
+    ]
+
+
 def test_type_a_builds_each_delta_once(capsys, monkeypatch, quivers):
     # every delta_t(V_a, V_b) of the suite is built once per table; the
     # psi images build their own c_t through presentation.chern_poly, so
@@ -646,14 +711,14 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
     pytest.param(
         ("verify", "vgit", "quivers/vgit312_plus.json", "quivers/vgit312_minus.json"),
         EXIT_OK,
-        "f91eb81ba64db3926ef0cf8db0d5ea1ab8079c7ba08c69b86717096411836028",
+        "7c572e4c68f6d2272b90e26b3aea43402b60e8cc25f223a3f67d791dff8e477d",
         id="vgit312",
     ),
     pytest.param(
         ("verify", "vgit", "quivers/vgit312_plus.json", "quivers/vgit312_minus.json",
          "--equivariant"),
         EXIT_OK,
-        "1b3d521830148fafad5033856472ff8fabf06d47bce697320fb659ad5116ee30",
+        "4bf7639309959ec861e07c19a873bc2839fb1e61f856c6293f3493994c6ee29f",
         id="vgit312-eq",
     ),
 ])
@@ -910,7 +975,6 @@ def test_verify_vgit(capsys, quivers):
     code, _, _ = run(
         capsys, "verify", "vgit",
         quivers.path("vgit312_plus"), quivers.path("vgit312_minus"),
-        "--pmax", "3",
     )
     assert code == EXIT_OK
 

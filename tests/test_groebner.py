@@ -27,7 +27,6 @@ from quiverqh.groebner import (
     MonomialOrder,
     buchberger,
     ideal_contains,
-    ideal_equal_laurent,
     laurent_basis,
     laurent_contains,
     laurent_extension,
@@ -220,17 +219,6 @@ def test_laurent_membership():
     assert laurent_contains(gb, x - z ** -1)
     assert laurent_contains(gb, x ** 2 - z ** -2)
     assert not laurent_contains(gb, x - 1)
-
-
-def test_ideal_equal_laurent():
-    tl = VarTable([Variable.zeta("a"), Variable.xi("1", 1)])
-    z = MultiPoly.variable(tl, "zeta[a]")
-    x = MultiPoly.variable(tl, "xi[1][1]")
-    same = ideal_equal_laurent([x * z - 1], [x - z ** -1], ["zeta[a]"])
-    assert same.equal
-    diff = ideal_equal_laurent([x * z - 1], [x - 1], ["zeta[a]"])
-    assert not diff.equal
-    assert diff.missing_from_first or diff.missing_from_second
 
 
 @pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])

@@ -6,6 +6,7 @@ presentations, quotient values from expanding c_t(U)/c_t(U') as a series
 and truncating at nonnegative powers.
 """
 
+import itertools
 import os
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ import pytest
 
 from quiverqh.polycore import MultiPoly, poly_to_text, product
 from quiverqh.quiver import (
-    build_table, default_pmax, kaehler_sign, load_quiver, validate, weights,
+    build_table, default_pmax, kaehler_sign, load_quiver, quiver_from_dict,
+    quiver_to_dict, validate, weights,
 )
 from quiverqh.presentation import (
     abelian_relation,
     build_ideal,
     chern_division,
+    compare_chambers,
     chern_poly,
     exchange_lhs_rhs,
     inflow_roots,
@@ -329,6 +332,31 @@ def test_node_relations_past_the_dimension_are_redundant(quivers, name, equivari
                 term = elementary(table, xi, i) * g[p - i]
                 total = total + (term if i % 2 == 0 else -term)
             assert total.is_zero(), (n.id, p)
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", [n for n in SPAN_FIXTURES if n != "fl12345"])
+def test_theta_flip_multiplies_the_node_relations_by_a_sign(quivers, name, equivariant):
+    # for every sign pattern on the gauge nodes: a node whose theta flips
+    # has its spanning relations multiplied by (-1)^(v-1), the others keep
+    # theirs (module docstring), and compare_chambers reads off that sign
+    q = quivers(name)
+    table = build_table(q, equivariant=equivariant, with_q=True)
+    before = {n.id: node_relations(q, n.id, n.dim - 1, table) for n in q.gauge_nodes}
+    for signs in itertools.product((1, -1), repeat=len(q.gauge_nodes)):
+        flip = {n.id: s for n, s in zip(q.gauge_nodes, signs)}
+        data = quiver_to_dict(q)
+        for nd in data["nodes"]:
+            if nd["id"] in flip:
+                nd["theta"] *= flip[nd["id"]]
+        flipped = quiver_from_dict(data)
+        eps = {n.id: (-1) ** (n.dim - 1) if flip[n.id] < 0 else 1 for n in q.gauge_nodes}
+        for n in q.gauge_nodes:
+            after = node_relations(flipped, n.id, n.dim - 1, table)
+            assert after == [eps[n.id] * g for g in before[n.id]], (signs, n.id)
+        rows = compare_chambers(q, flipped, table, table)
+        assert [(r["node"], r["epsilon"], r["ok"]) for r in rows] == [
+            (n.id, eps[n.id], True) for n in q.gauge_nodes], signs
 
 
 # lex bases of fl12345 and of the equivariant fl234 and fl245 take from
