@@ -31,11 +31,11 @@ picklable arguments and rebuild their own state (each regenerates its own
 contiguous slice of the box's pairs), results are collected in
 submission order, so reports do not depend on scheduling.  `groebner`,
 `verify exchange`, `verify type-a` and `embed` build one Groebner basis
-of the spanning ideal per run, in this process (`_basis`), and hand that
-object to every check; the type-A suite adds only its zeta-side basis.
-`verify vgit` builds no basis: it compares the spanning relations of
-its two quivers node by node (`presentation.compare_chambers`), so it
-takes no --pmax and no --budget-steps.
+of the presentation ideal per run, in this process (`_basis`), and hand
+that object to every check; the type-A suite adds only its zeta-side
+basis.  Only `present` takes --pmax.  `verify vgit` builds no basis: it
+compares the spanning relations of its two quivers node by node
+(`presentation.compare_chambers`), so it takes no --budget-steps.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def _budget(ns: argparse.Namespace) -> Budget:
     return Budget(max_steps=ns.budget_steps)
 
 
-def _basis(ns: argparse.Namespace, q, pmax: int, table) -> GroebnerBasis:
-    """The run's one reduced basis: the spanning ideal of q in table, in
-    the --order of `groebner` (grevlex elsewhere), under --budget-steps.
+def _basis(ns: argparse.Namespace, q, table) -> GroebnerBasis:
+    """The run's one reduced basis: the presentation ideal of q in table,
+    in the --order of `groebner` (grevlex elsewhere), under --budget-steps.
     Every check of the run is handed this object."""
     order = MonomialOrder(vars(ns).get("order", "grevlex"))
-    return buchberger(spanning_ideal(q, pmax, table).generators, order, _budget(ns))
+    return buchberger(spanning_ideal(q, table).generators, order, _budget(ns))
 
 
 def _config(ns: argparse.Namespace) -> dict:
@@ -283,17 +283,16 @@ def _cmd_present(ns: argparse.Namespace) -> int:
 
 def _cmd_groebner(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
-    pmax = resolve_pmax(q, ns.pmax)
-    gb = _basis(ns, q, pmax, build_table(q, equivariant=ns.equivariant, with_q=True))
+    require_gauge_nodes(q)
+    gb = _basis(ns, q, build_table(q, equivariant=ns.equivariant, with_q=True))
     elems = [poly_to_text(g) for g in gb.elements]
     report = {
         "ok": True,
-        "p_max": pmax,
         "order": gb.order.kind,
         "basis": elems,
         "fingerprint": gb.fingerprint,
     }
-    lines = [f"reduced basis of {ns.quiver} (p_max={pmax}, order={gb.order.kind})"]
+    lines = [f"reduced basis of {ns.quiver} (order={gb.order.kind})"]
     lines += [f"  {g}" for g in elems]
     lines.append(f"{len(elems)} elements, fingerprint {gb.fingerprint}")
     _emit(ns, report, lines)
@@ -303,7 +302,7 @@ def _cmd_groebner(ns: argparse.Namespace) -> int:
 def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     path = ns.quiver
     q = load_quiver(path)
-    pmax = resolve_pmax(q, ns.pmax)
+    require_gauge_nodes(q)
     ids = {n.id for n in q.nodes}
     for k in ns.node:  # a bad node fails before any basis work
         if k not in ids:
@@ -316,14 +315,14 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     table = build_table(
         q, equivariant=ns.equivariant, with_t=True, with_q=not ns.classical
     )
-    results = verify_exchange_image(q, _basis(ns, q, pmax, table), nodes, budget=_budget(ns))
+    results = verify_exchange_image(q, _basis(ns, q, table), nodes, budget=_budget(ns))
     rows = [
         {"node": k, "ok": ok, "witness": wit}
         for k, (ok, wit) in zip(nodes, results)
     ]
     ok = all(r["ok"] for r in rows)
-    report = {"ok": ok, "p_max": pmax, "rows": rows}
-    lines = [f"exchange relation in the presentation ideal: {path} (p_max={pmax})"]
+    report = {"ok": ok, "rows": rows}
+    lines = [f"exchange relation in the presentation ideal: {path}"]
     for r in rows:
         lines.append(f"  node {r['node']}: {_flag(r['ok'])}"
                      + (f"  [{r['witness']}]" if r["witness"] else ""))
@@ -335,8 +334,9 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
 def _cmd_verify_type_a(ns: argparse.Namespace) -> int:
     q = load_quiver(ns.quiver)
     type_a_chain(q)  # a quiver that is not a chain fails before any basis work
+    require_gauge_nodes(q)
     table = build_table(q, equivariant=ns.equivariant, with_t=True, with_q=True)
-    gb = _basis(ns, q, resolve_pmax(q, ns.pmax), table)
+    gb = _basis(ns, q, table)
     rows = verify_type_a(q, gb, budget=_budget(ns))
     ok = all(r["ok"] for r in rows)
     report = {"ok": ok, "rows": rows}
@@ -366,8 +366,8 @@ def _cmd_verify_vgit(ns: argparse.Namespace) -> int:
         rep = validate(q)
         if not (rep.acyclic and rep.feasible):
             raise InputError(f"{path} fails validate: {'; '.join(rep.notes)}")
-    tables = [build_table(q, equivariant=ns.equivariant, with_q=True) for q in (qa, qb)]
-    rows = compare_chambers(qa, qb, *tables)
+    # _shape gave both quivers the same nodes and dims, so one table holds both
+    rows = compare_chambers(qa, qb, build_table(qa, equivariant=ns.equivariant, with_q=True))
     ok = all(r["ok"] for r in rows)
     report = {"ok": ok, "rows": rows}
     lines = [f"node relations in two stability chambers: {first} vs {second}"]
@@ -487,11 +487,11 @@ def _cmd_cluster_enumerate(ns: argparse.Namespace) -> int:
 def _cmd_embed(ns: argparse.Namespace) -> int:
     path = ns.quiver
     q = load_quiver(path)
-    pmax = resolve_pmax(q, ns.pmax)
+    require_gauge_nodes(q)
     if ns.at is not None and not ns.path:
         raise InputError("--at needs --path")
     eq = ns.equivariant
-    lines = [f"cluster-to-cohomology embedding data: {path} (p_max={pmax})"]
+    lines = [f"cluster-to-cohomology embedding data: {path}"]
 
     tq = build_table(q, equivariant=eq, with_t=True, with_q=True)
     tqz = build_table(q, equivariant=eq, with_t=True, with_q=True, with_zeta=True)
@@ -532,7 +532,7 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     if ns.type_a:  # a quiver that is not a chain fails before any basis work
         type_a_chain(q)
     # one basis for both checks, built only when one of them reads it
-    gb = _basis(ns, q, pmax, tq) if nodes or ns.type_a else None
+    gb = _basis(ns, q, tq) if nodes or ns.type_a else None
     checks = []
     results = verify_exchange_image(q, gb, nodes, budget=budget)
     for k, (ok, wit) in zip(nodes, results):
@@ -561,7 +561,6 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     lines.append(f"result: {_flag(ok)}")
     report = {
         "ok": ok,
-        "p_max": pmax,
         "substitution": subst,
         "images": images,
         "injectivity": witness,
@@ -575,13 +574,9 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, pmax=False, equivariant=False,
-                budget=False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, equivariant=False, budget=False) -> None:
     p.add_argument("--json", action="store_true", dest="json_out",
                    help="machine-readable JSON report (schema %d)" % SCHEMA)
-    if pmax:
-        p.add_argument("--pmax", type=int, default=None,
-                       help="power-sum cutoff (default: max gauge dim + 2)")
     if equivariant:
         p.add_argument("--equivariant", action="store_true",
                        help="keep frozen-node equivariant parameters")
@@ -604,12 +599,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("present", help="ideal generators of the presentation")
     p.add_argument("quiver")
-    _add_common(p, pmax=True, equivariant=True)
+    p.add_argument("--pmax", type=int, default=None,
+                   help="power-sum cutoff (default: max gauge dim + 2)")
+    _add_common(p, equivariant=True)
 
     p = sub.add_parser("groebner", help="reduced basis of the presentation ideal")
     p.add_argument("quiver")
     p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-    _add_common(p, pmax=True, equivariant=True, budget=True)
+    _add_common(p, equivariant=True, budget=True)
 
     v = sub.add_parser("verify", help="exact verification suites")
     vsub = v.add_subparsers(dest="verify_command", required=True)
@@ -620,11 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gauge node id (repeatable; default: all with theta>0)")
     p.add_argument("--classical", action="store_true",
                    help="check the Kaehler-free slice instead")
-    _add_common(p, pmax=True, equivariant=True, budget=True)
+    _add_common(p, equivariant=True, budget=True)
 
     p = vsub.add_parser("type-a", help="chain closed forms and quotient identities")
     p.add_argument("quiver")
-    _add_common(p, pmax=True, equivariant=True, budget=True)
+    _add_common(p, equivariant=True, budget=True)
 
     p = vsub.add_parser("vgit", help="two stability choices give one ideal")
     # argparse cannot print a tuple metavar of a positional in --help
@@ -668,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster position for --path (default: last step)")
     p.add_argument("--type-a", action="store_true", dest="type_a",
                    help="include the chain closed-form suite")
-    _add_common(p, pmax=True, equivariant=True, budget=True)
+    _add_common(p, equivariant=True, budget=True)
 
     return ap
 

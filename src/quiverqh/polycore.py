@@ -441,7 +441,9 @@ class MultiPoly:
 
         A variable with a negative exponent can only be bound to an
         invertible monomial; anything else raises DivisibilityError.
-        Results are validated against the Laurent permissions.
+        Results are validated against the Laurent permissions. Bound
+        variables are expanded in table order, so a term that cannot be
+        substituted raises the same error whatever the order of `bindings`.
         """
         table = self.table
         idx_bind: dict[int, MultiPoly] = {}
@@ -453,6 +455,7 @@ class MultiPoly:
             idx_bind[table.index(name)] = v
         if not idx_bind:
             return self
+        idx_bind = dict(sorted(idx_bind.items()))
         out: dict = {}
         get = out.get
         pow_cache: dict[tuple[int, int], MultiPoly] = {}

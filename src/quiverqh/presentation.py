@@ -30,10 +30,10 @@ e_i(xi) = 0 for i > v), every p >= v gives, as expanded polynomials,
     sum_{i=0}^{v} (-1)^i e_i(xi) g_(p-i) = 0,
 
 so g_p lies in the ideal of g_(p-v), ..., g_(p-1) and, by induction, in
-the ideal of g_0, ..., g_(v-1).  `spanning_ideal` builds only those, for
-the callers that compute a Groebner basis: the ideal and so its reduced
-basis are the ones of `build_ideal`, whose full list `present` keeps
-for its report.
+the ideal of g_0, ..., g_(v-1).  `spanning_ideal` builds only those:
+they generate the presentation ideal, which every Groebner basis of the
+CLI is computed from.  `build_ideal` lists g_0..g_p_max for `present`,
+redundant relations included; its ideal is the same for p_max >= v-1.
 
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
@@ -210,20 +210,21 @@ def build_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
     return _node_ideal(q, lambda v: p_max, table)
 
 
-def spanning_ideal(q: Quiver, p_max: int, table: VarTable) -> IdealPresentation:
-    """The ideal of `build_ideal`, generated by the relations with
-    insertion powers 0..min(p_max, v-1) at each node of dimension v; the
-    others are redundant (see the module docstring)."""
-    return _node_ideal(q, lambda v: min(p_max, v - 1), table)
+def spanning_ideal(q: Quiver, table: VarTable) -> IdealPresentation:
+    """The presentation ideal, generated by the relations with insertion
+    powers 0..v-1 at each node of dimension v; every higher power lies in
+    their ideal (see the module docstring)."""
+    return _node_ideal(q, lambda v: v - 1, table)
 
 
-def compare_chambers(qa: Quiver, qb: Quiver, table_a: VarTable, table_b: VarTable) -> list:
+def compare_chambers(qa: Quiver, qb: Quiver, table: VarTable) -> list:
     """One row dict (node, theta, epsilon, ok, witness) per gauge node k of
     qa, for qb the same quiver with other stability weights theta.
 
     theta_k enters the g_p of k only through (ls, rs) of `node_relations`:
     (1, -s) at theta_k > 0 and (s, -1) = s * (1, -s) below, s = (-1)^(v-1).
-    So a row passes when qb's g_0..g_(v-1) at k, moved to table_a, are
+    Both quivers have the same nodes and dims, so one table holds both
+    sides' relations.  A row passes when qb's g_0..g_(v-1) at k are
     epsilon times qa's, one epsilon in {1, -1} read off the first p where
     either is nonzero.  They span each side's ideal (module docstring), so
     rows that all pass prove the two ideals equal, before Q is inverted,
@@ -231,8 +232,8 @@ def compare_chambers(qa: Quiver, qb: Quiver, table_a: VarTable, table_b: VarTabl
     relations differ and the text of g_B,p - epsilon * g_A,p."""
     rows = []
     for n in qa.gauge_nodes:
-        ga = node_relations(qa, n.id, n.dim - 1, table_a)
-        gb = [g.convert(table_a) for g in node_relations(qb, n.id, n.dim - 1, table_b)]
+        ga = node_relations(qa, n.id, n.dim - 1, table)
+        gb = node_relations(qb, n.id, n.dim - 1, table)
         eps = next((-1 if b == -a else 1 for a, b in zip(ga, gb) if a or b), 1)
         witness = next((f"p={p}: {poly_to_text(b - eps * a)}"
                         for p, (a, b) in enumerate(zip(ga, gb)) if b != eps * a), None)

@@ -200,21 +200,21 @@ def test_ac08_qde_sweeps(quivers):
 
 def test_ac09_vgit_ideals_agree(quivers):
     # the Groebner oracle, mutual membership over inverted Kaehler
-    # variables, agrees with the rows of the relation-by-relation check
+    # variables, agrees with the rows of the relation-by-relation check;
+    # the two quivers differ in theta only, so one table holds both ideals
     t0 = time.perf_counter()
     qa = quivers("vgit312_plus")
     qb = quivers("vgit312_minus")
     for equivariant in (False, True):
         ta = build_table(qa, equivariant=equivariant, with_q=True)
-        tb = build_table(qb, equivariant=equivariant, with_q=True)
         gens_a = list(build_ideal(qa, default_pmax(qa), ta).generators)
-        gens_b = [g.convert(ta) for g in build_ideal(qb, default_pmax(qb), tb).generators]
+        gens_b = list(build_ideal(qb, default_pmax(qb), ta).generators)
         qnames = ta.of_class("Q")
         gb_a = cleared_laurent_basis(gens_a, qnames)
         gb_b = cleared_laurent_basis(gens_b, qnames)
         assert all(laurent_contains(gb_a, g) for g in gens_b)
         assert all(laurent_contains(gb_b, g) for g in gens_a)
-        rows = compare_chambers(qa, qb, ta, tb)
+        rows = compare_chambers(qa, qb, ta)
         assert [(r["node"], r["ok"]) for r in rows] == [("1", True)], rows
     report("AC-9", t0, "theta = +1 and -1 ideals agree, plain and equivariant")
 

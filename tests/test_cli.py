@@ -4,6 +4,7 @@ Everything runs in-process through main(argv); stdout is captured with
 capsys so byte-level determinism of --json reports can be asserted.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from quiverqh.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
+    build_parser,
     clamp_jobs,
     main,
     to_json,
@@ -252,36 +254,57 @@ def test_qde_box_over_the_pair_budget_exits_before_building(capsys, quivers):
                          ids=["groebner", "verify-exchange", "embed"])
 def test_budget_exhaustion_exit(capsys, quivers, command):
     code, _, err = run(
-        capsys, *command, quivers.path("fl234"), "--pmax", "5",
-        "--budget-steps", "10",
+        capsys, *command, quivers.path("fl234"), "--budget-steps", "10",
     )
     assert code == EXIT_BUDGET
     assert "budget" in err
 
 
-@pytest.mark.parametrize("command,names", [
-    (["present"], ["gr24"]),
-    (["groebner"], ["gr24"]),
-    (["verify", "exchange"], ["gr24"]),
-    (["verify", "type-a"], ["gr24"]),
-    (["embed"], ["gr24"]),
-], ids=["present", "groebner", "verify-exchange", "verify-type-a", "embed"])
-def test_negative_pmax_is_input_error(capsys, quivers, command, names):
-    code, out, err = run(
-        capsys, *command, *map(quivers.path, names), "--pmax", "-1"
-    )
+@pytest.mark.parametrize("command", [["present"]], ids=["present"])
+def test_negative_pmax_is_input_error(capsys, quivers, command):
+    code, out, err = run(capsys, *command, quivers.path("gr24"), "--pmax", "-1")
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "input error: p_max must be >= 0, got -1\n"
 
 
-def test_vgit_help_lists_no_basis_flags(capsys):
+def _subcommands(parser, prefix=()):
+    """Every leaf subcommand of parser, as its argv prefix."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield prefix
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _subcommands(sub, (*prefix, name))
+
+
+SUBCOMMANDS = list(_subcommands(build_parser()))
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids="-".join)
+def test_help_of_every_subcommand(capsys, command):
+    # argparse formats the usage of every argument only under --help, so a
+    # metavar it cannot print crashes there; --pmax lists redundant
+    # relations in `present`, and every basis elsewhere is of the whole ideal
     with pytest.raises(SystemExit) as e:
-        main(["verify", "vgit", "--help"])
+        main([*command, "--help"])
     assert e.value.code == 0
     out = capsys.readouterr().out
-    assert "QUIVER QUIVER" in out and "--equivariant" in out
-    assert "--pmax" not in out and "--budget-steps" not in out
+    assert out.startswith("usage: quiverqh " + " ".join(command))
+    assert ("--pmax" in out) == (command == ("present",))
+    if command == ("verify", "vgit"):
+        assert "QUIVER QUIVER" in out and "--equivariant" in out
+        assert "--budget-steps" not in out
+
+
+@pytest.mark.parametrize("command", [
+    ["groebner"], ["verify", "exchange"], ["verify", "type-a"], ["embed"],
+], ids=["groebner", "verify-exchange", "verify-type-a", "embed"])
+def test_pmax_is_refused_off_present(capsys, quivers, command):
+    with pytest.raises(SystemExit) as e:
+        main([*command, quivers.path("fl234"), "--pmax", "3"])
+    assert e.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --pmax 3" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two(capsys):
@@ -412,8 +435,8 @@ def test_to_json_refuses_other_types(obj):
 
 
 def test_groebner_report_is_byte_identical(capsys, quivers):
-    _, first = jrun(capsys, "groebner", quivers.path("gr24"), "--pmax", "3")[1:]
-    _, second = jrun(capsys, "groebner", quivers.path("gr24"), "--pmax", "3")[1:]
+    _, first = jrun(capsys, "groebner", quivers.path("gr24"))[1:]
+    _, second = jrun(capsys, "groebner", quivers.path("gr24"))[1:]
     assert first == second
 
 
@@ -456,12 +479,10 @@ def test_clamp_jobs(monkeypatch, requested, items, cpus, expected):
     assert clamp_jobs(requested, items) == expected
 
 
-@pytest.mark.parametrize("command", [
-    ["present"], ["groebner"], ["verify", "exchange"], ["embed"],
-], ids=["present", "groebner", "verify-exchange", "embed"])
+@pytest.mark.parametrize("command", [["present"]], ids=["present"])
 def test_pmax_zero_is_used_and_echoed(capsys, quivers, command):
     code, rep, _ = jrun(capsys, *command, quivers.path("gr24"), "--pmax", "0")
-    assert code in (EXIT_OK, EXIT_FAIL)
+    assert code == EXIT_OK
     assert rep["p_max"] == 0
     assert rep["config"]["pmax"] == 0
 
@@ -668,50 +689,55 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
     assert len(calls) == 0
 
 
-@pytest.mark.parametrize("argv, exit_code, sha", [
+@pytest.mark.parametrize("argv, exit_code, sha, top", [
     pytest.param(
         ("verify", "type-a", "quivers/fl245.json", "--equivariant"), EXIT_OK,
         "e0d2b4acaa130d6830fff3cfeec6ec7a29a70b4e615ae1c35c46149562ac0c2b",
+        None,
         id="type-a-fl245-eq",
     ),
     pytest.param(
         ("embed", "quivers/fl245.json", "--type-a", "--equivariant"), EXIT_OK,
-        "3e2f98739e1ad3f66b7a4dda1713a0eecfebb619a0d452e1c827e6759b48987e",
+        "ff3a2dcc6ea3aa39c59687eaf0668b2ba930539dd471f2a00e676fd3119d8744",
+        None,
         id="embed-type-a-fl245-eq",
     ),
     pytest.param(
-        ("verify", "exchange", "quivers/fl245.json", "--pmax", "2", "--equivariant"),
-        EXIT_FAIL,
-        "3a8d52a7a26e34dcca72da97d4bcbfa7b19637431acf7063a10566f03acf534c",
+        ("verify", "exchange", "quivers/fl245.json", "--equivariant"), EXIT_FAIL,
+        "555fdad34951f2fc93dcbaed013532631a7daa44f66e7ed84bdb30207b00994d",
+        2,
         id="exchange-fl245-p2-eq",
     ),
     pytest.param(
-        ("verify", "exchange", "quivers/fl245.json", "--classical", "--pmax", "1"),
-        EXIT_FAIL,
-        "72e59429c48e79c32066a15935a44ccf93fb0ba75811f680ab48ff4bc9414054",
+        ("verify", "exchange", "quivers/fl245.json", "--classical"), EXIT_FAIL,
+        "897199e5fcf8813d884b0324bc6f38f60cdffea9fc3cf5a34503784bb44b2ec2",
+        1,
         id="exchange-fl245-p1-classical",
     ),
     pytest.param(
-        ("verify", "type-a", "quivers/fl234.json", "--pmax", "0", "--equivariant"),
-        EXIT_FAIL,
-        "536ec32232f026755609a808b93a8f68ae74dac82077ce917b863201214320c8",
+        ("verify", "type-a", "quivers/fl234.json", "--equivariant"), EXIT_FAIL,
+        "2d5bf7974daacda18fa0e1476286edc34949d0787004f2d15171da90c51df857",
+        0,
         id="type-a-fl234-p0-eq",
     ),
     pytest.param(
         ("verify", "qde", "quivers/fl234.json", "--qorder", "3"), EXIT_OK,
         "d0ebd5bdae51a9cf05d3cf3174ae0571ded868ade741616b389fcc448e846ab2",
+        None,
         id="qde-fl234-q3",
     ),
     pytest.param(
         ("verify", "qde", "quivers/fl234.json", "--qorder", "2", "--equivariant"),
         EXIT_OK,
         "d6729e10ae354403c4a46f32d53f824a7dd3d54f377e1c810444fc8033ba6d00",
+        None,
         id="qde-fl234-q2-eq",
     ),
     pytest.param(
         ("verify", "vgit", "quivers/vgit312_plus.json", "quivers/vgit312_minus.json"),
         EXIT_OK,
         "7c572e4c68f6d2272b90e26b3aea43402b60e8cc25f223a3f67d791dff8e477d",
+        None,
         id="vgit312",
     ),
     pytest.param(
@@ -719,11 +745,20 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
          "--equivariant"),
         EXIT_OK,
         "4bf7639309959ec861e07c19a873bc2839fb1e61f856c6293f3493994c6ee29f",
+        None,
         id="vgit312-eq",
     ),
 ])
-def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha):
+def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha, top):
+    # a top other than None puts the relations g_0..g_top of every node in
+    # place of the presentation ideal; below v-1 that ideal is smaller, so
+    # some rows fail with their witness
+    import quiverqh.cli
+
     monkeypatch.chdir(REPO_ROOT)
+    if top is not None:
+        monkeypatch.setattr(quiverqh.cli, "spanning_ideal",
+                            lambda q, table: build_ideal(q, top, table))
     code, _, raw = jrun(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(raw.encode()).hexdigest() == sha
@@ -741,17 +776,17 @@ def test_qde_text_report_golden(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, sha", [
     pytest.param(
         ("embed", "quivers/fl234.json", "--type-a"),
-        "521741b6893f21a3f4617b13b558eb1b85fbe08323f7fdfd0afa03663d0ee1f4",
+        "67d4386a85d707894e8074b9b712d717c5136703b07d47a091c3ed4197b64c2f",
         id="embed-type-a-fl234",
     ),
     pytest.param(
         ("embed", "quivers/fl234.json", "--path", "1,2", "--equivariant"),
-        "ab2b076ab7bbb195f179d2cd4f9b81e581ff804afd473ad7ae3dd05632b64a7b",
+        "eb229bd908404222525f8515e4b59f431dfe4454461a8c93570a0997084d4ae3",
         id="embed-path-fl234-eq",
     ),
     pytest.param(
         ("embed", "quivers/gr24.json", "--path", "1", "--json"),
-        "4d75514aecd4c9133d9042eb80558af3f5e51d1e3cd3aa41c04c4338c30dca54",
+        "9cee7cc591bf8e2e91676289e7265c32b8833e6f83481e5442847aa77b7fc4e9",
         id="embed-path-gr24-json",
     ),
     pytest.param(
@@ -776,22 +811,22 @@ def test_qde_text_report_golden(capsys, monkeypatch):
     ),
     pytest.param(
         ("groebner", "quivers/fl234.json", "--order", "lex", "--json"),
-        "d4ebc4afa513e291df0cdb8fce7dcb418adfbf9bd12bfdbcb1b7683aedff58c4",
+        "65b5da7e4368305b166df6daa01758c23dbb14a08ddb97750cda9fef6f71fc19",
         id="groebner-fl234-lex-json",
     ),
     pytest.param(
         ("groebner", "quivers/fl234.json", "--equivariant", "--json"),
-        "221763a09a01a6541137abcd361bd5c05f2437fdc12901cdb1b61e52b7ec1566",
+        "d617544d23c59566a12f17197b1734c32550fe97f0a688fcd6b17d3d073985fe",
         id="groebner-fl234-eq-json",
     ),
     pytest.param(
         ("groebner", "perfbench/fixtures/fl12345.json", "--json"),
-        "6cece4298ab7bfdd28896d0fb77136aacf0ff95fa05ee430e3fb366124eae792",
+        "b5915700ea69587d01f2ad52d9b8bd5c2fbc4fa2966f43da3dbc82c6b6f303da",
         id="groebner-fl12345-json",
     ),
     pytest.param(
         ("verify", "exchange", "perfbench/fixtures/fl12345.json", "--json"),
-        "84884088414a090ab63031095d3c249eb2112341b5a5c51a44e435950220bd3a",
+        "d2310a18def9e7d15f00cae27be821875f23425b9694bb8cdedd0795fe7f8bef",
         id="exchange-fl12345-json",
     ),
     pytest.param(
@@ -901,16 +936,14 @@ def test_json_schema_and_config_echo(capsys, quivers):
     (["present", "gr24", "--equivariant"],
      {"command": "present", "equivariant": True, "jobs": 1}),
     (["groebner", "gr24"], {"command": "groebner", "order": "grevlex", "jobs": 1}),
-    (["groebner", "gr24", "--order", "lex", "--pmax", "2", "--budget-steps", "100000"],
-     {"command": "groebner", "order": "lex", "pmax": 2, "budget_steps": 100000,
-      "jobs": 1}),
+    (["groebner", "gr24", "--order", "lex", "--budget-steps", "100000"],
+     {"command": "groebner", "order": "lex", "budget_steps": 100000, "jobs": 1}),
     (["verify", "exchange", "gr24"], {"command": "verify exchange", "jobs": 1}),
     (["verify", "exchange", "fl234", "--node", "2", "--node", "1", "--node", "2",
       "--classical", "--equivariant"],
      {"command": "verify exchange", "node": ["2", "1", "2"], "classical": True,
       "equivariant": True, "jobs": 1}),
-    (["verify", "type-a", "gr24", "--pmax", "3"],
-     {"command": "verify type-a", "pmax": 3, "jobs": 1}),
+    (["verify", "type-a", "gr24"], {"command": "verify type-a", "jobs": 1}),
     (["verify", "vgit", "vgit312_plus", "vgit312_minus"],
      {"command": "verify vgit", "jobs": 1}),
     (["verify", "qde", "gr24"], {"command": "verify qde", "qorder": 2, "jobs": 1}),
@@ -946,21 +979,21 @@ def test_present_lists_generators(capsys, quivers):
 
 
 def test_groebner_prints_fingerprint(capsys, quivers):
-    code, rep, _ = jrun(capsys, "groebner", quivers.path("gr24"), "--pmax", "3")
+    code, rep, _ = jrun(capsys, "groebner", quivers.path("gr24"))
     assert code == EXIT_OK
     assert rep["fingerprint"]
     assert rep["basis"]
 
 
 def test_verify_exchange(capsys, quivers):
-    code, rep, _ = jrun(capsys, "verify", "exchange", quivers.path("gr24"), "--pmax", "3")
+    code, rep, _ = jrun(capsys, "verify", "exchange", quivers.path("gr24"))
     assert code == EXIT_OK
     assert all(r["ok"] for r in rep["rows"])
 
 
 def test_verify_exchange_classical(capsys, quivers):
     code, _, _ = run(
-        capsys, "verify", "exchange", quivers.path("gr24"), "--pmax", "3", "--classical"
+        capsys, "verify", "exchange", quivers.path("gr24"), "--classical"
     )
     assert code == EXIT_OK
 
@@ -1005,15 +1038,14 @@ def test_cluster_mutate(capsys, quivers):
 
 
 def test_embed_report(capsys, quivers):
-    code, out, _ = run(capsys, "embed", quivers.path("gr24"), "--pmax", "3")
+    code, out, _ = run(capsys, "embed", quivers.path("gr24"))
     assert code == EXIT_OK
     assert "zeta" in out
 
 
 def test_embed_with_path(capsys, quivers):
     code, out, _ = run(
-        capsys, "embed", quivers.path("gr24"), "--pmax", "3",
-        "--path", "1", "--at", "1",
+        capsys, "embed", quivers.path("gr24"), "--path", "1", "--at", "1",
     )
     assert code == EXIT_OK
     assert "zeta[0]" in out

@@ -142,7 +142,7 @@ def test_elements_and_fingerprint_are_built_on_first_read(quivers):
     # element's text plus a newline) are built on first read and kept
     q = quivers("fl234")
     table = build_table(q, equivariant=False, with_q=True)
-    gens = spanning_ideal(q, resolve_pmax(q, None), table).generators
+    gens = spanning_ideal(q, table).generators
     gb = buchberger(gens)
     assert len(gb) == len(gb.rows)
     assert all(ideal_contains(gb, g) for g in gens)
@@ -579,8 +579,7 @@ def test_coprime_pairs_pack_no_lcm(monkeypatch):
         + [{"id": str(i), "kind": "gauge", "dim": 1, "theta": 1} for i in range(1, n)],
         "edges": [{"src": str(i), "dst": str(i + 1)} for i in range(n - 1)],
     })
-    gens = spanning_ideal(q, resolve_pmax(q, None), build_table(q, equivariant=False,
-                                                                with_t=True, with_q=True))
+    gens = spanning_ideal(q, build_table(q, equivariant=False, with_t=True, with_q=True))
     calls = []
     pack = _Packer.pack
     monkeypatch.setattr(_Packer, "pack", lambda pk, e: calls.append(e) or pack(pk, e))

@@ -354,7 +354,7 @@ def test_theta_flip_multiplies_the_node_relations_by_a_sign(quivers, name, equiv
         for n in q.gauge_nodes:
             after = node_relations(flipped, n.id, n.dim - 1, table)
             assert after == [eps[n.id] * g for g in before[n.id]], (signs, n.id)
-        rows = compare_chambers(q, flipped, table, table)
+        rows = compare_chambers(q, flipped, table)
         assert [(r["node"], r["epsilon"], r["ok"]) for r in rows] == [
             (n.id, eps[n.id], True) for n in q.gauge_nodes], signs
 
@@ -370,9 +370,8 @@ def test_theta_flip_multiplies_the_node_relations_by_a_sign(quivers, name, equiv
 ])
 def test_spanning_ideal_has_the_full_basis(quivers, name, equivariant, kind):
     q = _span_fixture(quivers, name)
-    pmax = default_pmax(q)
-    full = build_ideal(q, pmax, build_table(q, equivariant=equivariant, with_q=True))
-    span = spanning_ideal(q, pmax, build_table(q, equivariant=equivariant, with_q=True))
+    full = build_ideal(q, default_pmax(q), build_table(q, equivariant=equivariant, with_q=True))
+    span = spanning_ideal(q, build_table(q, equivariant=equivariant, with_q=True))
     assert span.table.names == full.table.names
     assert span.degrees == full.degrees
     texts = {poly_to_text(g) for g in full.generators}
