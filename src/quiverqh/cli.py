@@ -30,12 +30,16 @@ input error.  Workers receive
 picklable arguments and rebuild their own state (each regenerates its own
 contiguous slice of the box's pairs), results are collected in
 submission order, so reports do not depend on scheduling.  `groebner`,
-`verify exchange`, `verify type-a` and `embed` build one Groebner basis
-of the presentation ideal per run, in this process (`_basis`), and hand
-that object to every check; the type-A suite adds only its zeta-side
-basis.  Only `present` takes --pmax.  `verify vgit` builds no basis: it
-compares the spanning relations of its two quivers node by node
-(`presentation.compare_chambers`), so it takes no --budget-steps.
+`verify type-a` and `embed --type-a` build one Groebner basis of the
+presentation ideal per run, in this process (`_basis`), and hand that
+object to every check that reads one; the type-A suite adds only its
+zeta-side basis.  Only `present` takes --pmax.  `verify exchange` builds
+no basis: it proves each node's exchange relation by its closed-form
+cofactors in the node's spanning relations
+(`presentation.exchange_cofactor_sum`), as `embed` does for its
+exchange rows.  `verify vgit` builds none either: it compares the
+spanning relations of its two quivers node by node
+(`presentation.compare_chambers`).  Neither takes --budget-steps.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def _budget(ns: argparse.Namespace) -> Budget:
 def _basis(ns: argparse.Namespace, q, table) -> GroebnerBasis:
     """The run's one reduced basis: the presentation ideal of q in table,
     in the --order of `groebner` (grevlex elsewhere), under --budget-steps.
-    Every check of the run is handed this object."""
+    Every check of the run that reads a basis is handed this object."""
     order = MonomialOrder(vars(ns).get("order", "grevlex"))
     return buchberger(spanning_ideal(q, table).generators, order, _budget(ns))
 
@@ -304,7 +308,7 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     q = load_quiver(path)
     require_gauge_nodes(q)
     ids = {n.id for n in q.nodes}
-    for k in ns.node:  # a bad node fails before any basis work
+    for k in ns.node:  # a bad node fails before any relation is built
         if k not in ids:
             raise InputError(f"unknown node {k!r}")
         require_exchange_node(q, k)
@@ -315,7 +319,7 @@ def _cmd_verify_exchange(ns: argparse.Namespace) -> int:
     table = build_table(
         q, equivariant=ns.equivariant, with_t=True, with_q=not ns.classical
     )
-    results = verify_exchange_image(q, _basis(ns, q, table), nodes, budget=_budget(ns))
+    results = verify_exchange_image(q, table, nodes)
     rows = [
         {"node": k, "ok": ok, "witness": wit}
         for k, (ok, wit) in zip(nodes, results)
@@ -531,10 +535,8 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     budget = _budget(ns)
     if ns.type_a:  # a quiver that is not a chain fails before any basis work
         type_a_chain(q)
-    # one basis for both checks, built only when one of them reads it
-    gb = _basis(ns, q, tq) if nodes or ns.type_a else None
     checks = []
-    results = verify_exchange_image(q, gb, nodes, budget=budget)
+    results = verify_exchange_image(q, tq, nodes)
     for k, (ok, wit) in zip(nodes, results):
         checks.append({"check": "exchange-image", "node": k, "ok": ok, "witness": wit})
         linked = transformation_link_check(q, k, tqz)
@@ -547,8 +549,8 @@ def _cmd_embed(ns: argparse.Namespace) -> int:
     checks.append({"check": "injectivity-witness", "node": None, "ok": True,
                    "witness": None})
 
-    if ns.type_a:
-        for r in verify_type_a(q, gb, budget=budget):
+    if ns.type_a:  # the one check that reads a basis
+        for r in verify_type_a(q, _basis(ns, q, tq), budget=budget):
             checks.append({"check": f"type-a-{r['kind']}", "node": f"{r['k']},{r['l']}",
                            "ok": r["ok"], "witness": r["witness"]})
 
@@ -617,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gauge node id (repeatable; default: all with theta>0)")
     p.add_argument("--classical", action="store_true",
                    help="check the Kaehler-free slice instead")
-    _add_common(p, equivariant=True, budget=True)
+    _add_common(p, equivariant=True)
 
     p = vsub.add_parser("type-a", help="chain closed forms and quotient identities")
     p.add_argument("quiver")
@@ -665,7 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster position for --path (default: last step)")
     p.add_argument("--type-a", action="store_true", dest="type_a",
                    help="include the chain closed-form suite")
-    _add_common(p, equivariant=True, budget=True)
+    _add_common(p, equivariant=True)
+    p.add_argument("--budget-steps", type=int, default=None,
+                   help="reduction-step budget for the bases of the --type-a suite only")
 
     return ap
 

@@ -11,13 +11,16 @@ becomes a statement in the polynomial ring in the Chern roots, t and
 Laurent zeta variables.  No image is ever inverted: identities about
 fractions are cross-multiplied into polynomial form and decided by ideal
 membership (zeta inverses are adjoined as explicit auxiliary variables).
+The exchange relation at a theta > 0 node needs no Groebner basis: it is
+proved by its closed-form cofactors in the node's spanning relations
+(`presentation.exchange_cofactor_sum`); only the type-A suite reads one.
 
 Each formula has one definition: the sign is `quiver.kaehler_sign`, the
 column b_(.k) is `quiver.btilde_column`, the image of one Q[k] is
 `kaehler_image` (a check at node k substitutes only that one; the whole
 map is `zeta_substitution`), the node image zeta_i * c_t(V_i) is
-`node_image`, and every t-coefficient membership check with its witness
-goes through `_t_witness`.
+`node_image`, and every t-coefficient check with its witness goes
+through `_t_witness`.
 
 Every mode is read from the table the caller built: a frozen node's
 roots are its u variables when the table holds them and zeros otherwise
@@ -55,6 +58,7 @@ from .quiver import (
 )
 from .presentation import (
     chern_poly,
+    exchange_cofactor_sum,
     exchange_lhs_rhs,
     inflow_roots,
     node_chern_quotient,
@@ -198,19 +202,23 @@ def exchange_image_diff(q: Quiver, k: str, table: VarTable) -> MultiPoly:
 
 
 def verify_exchange_image(
-    q: Quiver, gb: GroebnerBasis, nodes: Sequence[str], *, budget: Budget | None = None
+    q: Quiver, table: VarTable, nodes: Sequence[str]
 ) -> list[tuple[bool, str | None]]:
-    """One (ok, witness) per node: every t-coefficient of the unified
-    exchange difference at the node must reduce to zero modulo the ideal
-    of gb, the caller's reduced basis, which every node shares.  The
-    differences are built in gb's table, which must hold t; a basis built
-    in a table without Q gives the classical Whitney slice Q -> 0."""
+    """One (ok, witness) per node: the unified exchange difference at the
+    node must equal its closed-form cofactor sum
+    (`presentation.exchange_cofactor_sum`) as expanded polynomials, which
+    writes each of its t-coefficients in the node's spanning relations,
+    so a pass proves the relation in the presentation ideal with explicit
+    cofactors and no Groebner basis.  Both are built in table, which must
+    hold t; a table without Q gives the classical Whitney slice Q -> 0.
+    The witness is the first t-coefficient, highest power first, of the
+    difference minus the sum.  A failed node means that these cofactors
+    do not give the difference; it does not decide membership."""
     out = []
     for k in nodes:
+        residue = exchange_image_diff(q, k, table) - exchange_cofactor_sum(q, k, table)
         witness = _t_witness(
-            exchange_image_diff(q, k, gb.table),
-            lambda c: ideal_contains(gb, c, budget),
-            "t^%d coefficient does not reduce: %s",
+            residue, MultiPoly.is_zero, "t^%d coefficient is not its cofactor sum: %s"
         )
         out.append((witness is None, witness))
     return out

@@ -34,6 +34,8 @@ the ideal of g_0, ..., g_(v-1).  `spanning_ideal` builds only those:
 they generate the presentation ideal, which every Groebner basis of the
 CLI is computed from.  `build_ideal` lists g_0..g_p_max for `present`,
 redundant relations included; its ideal is the same for p_max >= v-1.
+The same identity gives the exchange relation at a theta > 0 node as an
+explicit combination of g_0, ..., g_(v-1) (`exchange_cofactor_sum`).
 
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
@@ -355,3 +357,30 @@ def exchange_lhs_rhs(q: Quiver, k: str, table: VarTable) -> tuple:
     if q.theta(k) > 0:
         return left, sign * qk * right
     return sign * left, qk * right
+
+
+def exchange_cofactor_sum(q: Quiver, k: str, table: VarTable) -> MultiPoly:
+    """The exchange difference rhs - lhs of `exchange_lhs_rhs` at a theta > 0
+    node k, written in the node's spanning relations g_j =
+    `node_relations(q, k, v - 1, table)[j]`, v = dim V_k:
+
+        s * sum_{i=0}^{v-1} t^(v-1-i) sum_{j=0}^{i} (-1)^j e_(i-j)(xi) g_j
+
+    with s = `quiver.kaehler_sign(q, k)`.  The cofactors s (-1)^j e_(i-j)(xi)
+    come from H(t) E(-t) = 1 (Macdonald I.2), as the redundancy of the
+    g_p for p >= v does (module docstring).  When this sum equals the
+    difference as expanded polynomials, every t-coefficient of the
+    difference is an explicit combination of g_0..g_(v-1), so the
+    exchange relation lies in the presentation ideal.  The table must
+    hold t; in a table without Q it is the classical slice."""
+    v = q.dim(k)
+    g = node_relations(q, k, v - 1, table)
+    e = elementaries(table, node_roots(q, table, k))
+    coeffs = []
+    for i in range(v):
+        c = MultiPoly.zero(table)
+        for j in range(i + 1):
+            if e[i - j] and g[j]:
+                c = c + (-1) ** j * (e[i - j] * g[j])
+        coeffs.append(c)
+    return kaehler_sign(q, k) * _t_poly(table, coeffs, v - 1)

@@ -250,8 +250,10 @@ def test_qde_box_over_the_pair_budget_exits_before_building(capsys, quivers):
                    "over the pair budget (500000 pairs)\n")
 
 
-@pytest.mark.parametrize("command", [["groebner"], ["verify", "exchange"], ["embed"]],
-                         ids=["groebner", "verify-exchange", "embed"])
+# verify exchange builds no basis and takes no --budget-steps; embed builds
+# one only for its type-A suite
+@pytest.mark.parametrize("command", [["groebner"], ["embed", "--type-a"]],
+                         ids=["groebner", "embed"])
 def test_budget_exhaustion_exit(capsys, quivers, command):
     code, _, err = run(
         capsys, *command, quivers.path("fl234"), "--budget-steps", "10",
@@ -285,7 +287,8 @@ SUBCOMMANDS = list(_subcommands(build_parser()))
 def test_help_of_every_subcommand(capsys, command):
     # argparse formats the usage of every argument only under --help, so a
     # metavar it cannot print crashes there; --pmax lists redundant
-    # relations in `present`, and every basis elsewhere is of the whole ideal
+    # relations in `present`, and every basis elsewhere is of the whole ideal;
+    # verify vgit and verify exchange build no basis, so they take no budget
     with pytest.raises(SystemExit) as e:
         main([*command, "--help"])
     assert e.value.code == 0
@@ -294,7 +297,10 @@ def test_help_of_every_subcommand(capsys, command):
     assert ("--pmax" in out) == (command == ("present",))
     if command == ("verify", "vgit"):
         assert "QUIVER QUIVER" in out and "--equivariant" in out
+    if command in (("verify", "vgit"), ("verify", "exchange")):
         assert "--budget-steps" not in out
+    if command == ("embed",):
+        assert "the bases of the --type-a suite only" in " ".join(out.split())
 
 
 @pytest.mark.parametrize("command", [
@@ -305,6 +311,13 @@ def test_pmax_is_refused_off_present(capsys, quivers, command):
         main([*command, quivers.path("fl234"), "--pmax", "3"])
     assert e.value.code == EXIT_INPUT
     assert "unrecognized arguments: --pmax 3" in capsys.readouterr().err
+
+
+def test_budget_steps_is_refused_by_verify_exchange(capsys, quivers):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "exchange", quivers.path("fl234"), "--budget-steps", "10"])
+    assert e.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --budget-steps 10" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two(capsys):
@@ -494,18 +507,20 @@ def test_qorder_zero_is_echoed(capsys, quivers):
     assert rep["config"]["qorder"] == 0
 
 
-@pytest.mark.parametrize("command, name, flags, bases", [
-    (["verify", "exchange"], "fl234", [], 1),
-    (["verify", "exchange"], "fl234", ["--classical"], 1),
-    (["embed"], "fl234", [], 1),
-    # the type-A suite reads the exchange basis and adds only its zeta side
-    (["embed"], "fl245", ["--type-a", "--equivariant"], 2),
-    # no gauge node with theta > 0 and no type-A suite: no check reads a basis
-    (["embed"], "vgit312_minus", [], 0),
-], ids=["verify-exchange", "verify-exchange-classical", "embed", "embed-type-a",
-        "embed-no-exchange-node"])
-def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, command, name, flags, bases):
-    # every gauge node with theta > 0 is checked against one shared basis
+@pytest.mark.parametrize("command, name, flags, nodes, bases", [
+    (["verify", "exchange"], "fl234", [], ["1", "2"], 0),
+    (["verify", "exchange"], "fl234", ["--equivariant"], ["1", "2"], 0),
+    (["verify", "exchange"], "fl234", ["--classical"], ["1", "2"], 0),
+    (["embed"], "fl234", [], ["1", "2"], 0),
+    # the type-A suite builds the Kaehler basis and its zeta side
+    (["embed"], "fl245", ["--type-a", "--equivariant"], ["1", "2"], 2),
+    (["embed"], "vgit312_minus", [], [], 0),
+], ids=["verify-exchange", "verify-exchange-equivariant", "verify-exchange-classical", "embed",
+        "embed-type-a", "embed-no-exchange-node"])
+def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, command, name, flags, nodes,
+                                    bases):
+    # every gauge node with theta > 0 is proved by its cofactor sum, with no
+    # basis; only the type-A suite reads one
     import quiverqh.groebner
 
     calls = count_calls(monkeypatch, quiverqh.groebner.buchberger)
@@ -514,7 +529,7 @@ def test_one_basis_per_exchange_run(capsys, monkeypatch, quivers, command, name,
     rows = rep["rows"] if "rows" in rep else [
         c for c in rep["checks"] if c["check"] == "exchange-image"
     ]
-    assert [r["node"] for r in rows] == (["1", "2"] if bases else [])
+    assert [r["node"] for r in rows] == nodes
     assert len(calls) == bases
 
 
@@ -704,13 +719,13 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
     ),
     pytest.param(
         ("verify", "exchange", "quivers/fl245.json", "--equivariant"), EXIT_FAIL,
-        "555fdad34951f2fc93dcbaed013532631a7daa44f66e7ed84bdb30207b00994d",
+        "8c3479ee88b9393b54380dde10ba2e8ac10bee678bff39ce2eb374d39a466a89",
         2,
         id="exchange-fl245-p2-eq",
     ),
     pytest.param(
         ("verify", "exchange", "quivers/fl245.json", "--classical"), EXIT_FAIL,
-        "897199e5fcf8813d884b0324bc6f38f60cdffea9fc3cf5a34503784bb44b2ec2",
+        "202dcccb650a587331850586617faee338e7a9a3e8aa1e6ab38a838639e77df7",
         1,
         id="exchange-fl245-p1-classical",
     ),
@@ -750,15 +765,20 @@ def test_build_ideal_builds_no_weights(monkeypatch, quivers):
     ),
 ])
 def test_type_a_report_golden(capsys, monkeypatch, argv, exit_code, sha, top):
-    # a top other than None puts the relations g_0..g_top of every node in
-    # place of the presentation ideal; below v-1 that ideal is smaller, so
-    # some rows fail with their witness
-    import quiverqh.cli
+    # a top other than None (the pN of a pin's id) keeps only the relations
+    # g_0..g_top of every node, g_p = 0 for p > top: the exchange check's
+    # cofactor sums miss terms, and the type-A suite's basis is of an ideal
+    # smaller than the presentation ideal below v-1, so some rows fail with
+    # their witness
+    import quiverqh.presentation
 
     monkeypatch.chdir(REPO_ROOT)
     if top is not None:
-        monkeypatch.setattr(quiverqh.cli, "spanning_ideal",
-                            lambda q, table: build_ideal(q, top, table))
+        relations = quiverqh.presentation.node_relations
+        monkeypatch.setattr(
+            quiverqh.presentation, "node_relations",
+            lambda q, k, last, table: [g if p <= top else MultiPoly.zero(table)
+                                       for p, g in enumerate(relations(q, k, last, table))])
     code, _, raw = jrun(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(raw.encode()).hexdigest() == sha

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import quiverqh.embed
+import quiverqh.presentation
 from quiverqh.polycore import MultiPoly, Variable, VarTable, poly_to_text, product
-from quiverqh.quiver import build_table, resolve_pmax
+from quiverqh.quiver import build_table, kaehler_sign, resolve_pmax
 from quiverqh.presentation import build_ideal, chern_poly, node_chern_quotient
 from quiverqh.groebner import (
     Budget,
@@ -147,36 +148,79 @@ def test_exchange_image_diff_requires_positive_stability(quivers):
         exchange_image_diff(q, "1", table)
 
 
+def exchange_table(q, equivariant=False, with_q=True):
+    return build_table(q, equivariant=equivariant, with_t=True, with_q=with_q)
+
+
 def test_verify_exchange_image_one_node(quivers):
     q = quivers("gr24")
-    gb = kaehler_basis(q, 3, False)
-    assert verify_exchange_image(q, gb, ["1"]) == [(True, None)]
-    # the classical slice Q -> 0: the basis built in a table without Q
-    table = build_table(q, equivariant=False, with_t=True)
-    classical = buchberger(build_ideal(q, 3, table).generators)
-    assert verify_exchange_image(q, classical, ["1"]) == [(True, None)]
+    assert verify_exchange_image(q, exchange_table(q), ["1"]) == [(True, None)]
+    # the classical slice Q -> 0: a table without Q
+    assert verify_exchange_image(q, exchange_table(q, with_q=False), ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_equivariant(quivers):
     q = quivers("gr24")
-    gb = kaehler_basis(q, 3, True)
-    assert verify_exchange_image(q, gb, ["1"]) == [(True, None)]
+    table = exchange_table(q, equivariant=True)
+    assert verify_exchange_image(q, table, ["1"]) == [(True, None)]
 
 
 def test_verify_exchange_image_one_row_per_node(quivers):
     q = quivers("fl234")
-    gb = kaehler_basis(q, 5, False)
-    assert verify_exchange_image(q, gb, ["2", "1", "2"]) == [(True, None)] * 3
-    assert verify_exchange_image(q, gb, []) == []
+    table = exchange_table(q)
+    assert verify_exchange_image(q, table, ["2", "1", "2"]) == [(True, None)] * 3
+    assert verify_exchange_image(q, table, []) == []
 
 
-def test_verify_exchange_image_witness(quivers):
-    # p_max = 0 truncates the ideal below the exchange relation's degree
+def zero_relations_past(monkeypatch, top):
+    """Make every node_relations call return g_p = 0 for p > top."""
+    relations = quiverqh.presentation.node_relations
+
+    def truncated(q, k, last, table):
+        return [g if p <= top else MultiPoly.zero(table)
+                for p, g in enumerate(relations(q, k, last, table))]
+
+    monkeypatch.setattr(quiverqh.presentation, "node_relations", truncated)
+
+
+def test_verify_exchange_image_witness(quivers, monkeypatch):
+    # with g_1 zeroed the cofactor sum of the dim-2 node misses its g_1 term
     q = quivers("gr24")
-    gb = kaehler_basis(q, 0, False)
-    [(ok, witness)] = verify_exchange_image(q, gb, ["1"])
+    zero_relations_past(monkeypatch, 0)
+    [(ok, witness)] = verify_exchange_image(q, exchange_table(q), ["1"])
     assert not ok
-    assert witness.startswith("t^")
+    assert witness.startswith("t^0 coefficient is not its cofactor sum: ")
+
+
+@pytest.mark.parametrize("node, top", [("1", 0), ("1", 1), ("1", 2), ("2", 0)])
+def test_exchange_image_fails_without_a_spanning_relation(quivers, monkeypatch, node, top):
+    # zeroing g_p for p > top takes s (-1)^j e_(i-j)(xi) g_j, j > top, out
+    # of the sum; the highest t power it reaches is t^(v-2-top), where the
+    # missing term is s (-1)^(top+1) g_(top+1), with s the Kaehler sign
+    q = quivers("fl245")
+    table = exchange_table(q, equivariant=True)
+    v = q.dim(node)
+    g = quiverqh.presentation.node_relations(q, node, v - 1, table)
+    missing = kaehler_sign(q, node) * (-1) ** (top + 1) * g[top + 1]
+    assert missing
+    zero_relations_past(monkeypatch, top)
+    assert verify_exchange_image(q, table, [node]) == [(False, (
+        f"t^{v - 2 - top} coefficient is not its cofactor sum: {poly_to_text(missing)}"))]
+
+
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "equivariant"])
+@pytest.mark.parametrize("node", ["1", "2"])
+def test_exchange_image_fails_with_the_q_term_flipped(quivers, monkeypatch, node, equivariant):
+    # rhs -> -rhs in exchange_lhs_rhs moves the difference by -2 rhs, whose
+    # highest t-coefficient the witness names
+    q = quivers("fl245")
+    table = exchange_table(q, equivariant=equivariant)
+    sides = quiverqh.embed.exchange_lhs_rhs
+    monkeypatch.setattr(quiverqh.embed, "exchange_lhs_rhs",
+                        lambda q, k, table: (sides(q, k, table)[0], -sides(q, k, table)[1]))
+    power, coeff = (-2 * sides(q, node, table)[1]).coefficients_in("t")[0]
+    assert verify_exchange_image(q, table, [node]) == [(False, (
+        f"t^{power} coefficient is not its cofactor sum: {poly_to_text(coeff)}"))]
 
 
 @pytest.mark.parametrize("name,node", [

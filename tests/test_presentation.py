@@ -23,6 +23,7 @@ from quiverqh.presentation import (
     chern_division,
     compare_chambers,
     chern_poly,
+    exchange_cofactor_sum,
     exchange_lhs_rhs,
     inflow_roots,
     node_chern_quotient,
@@ -293,6 +294,39 @@ def test_exchange_sides_reduce_in_ideal(quivers):
     diff = lhs - rhs
     for _, coeff in diff.coefficients_in("t"):
         assert normal_form(coeff, gb).is_zero()
+
+
+# past the Fano range: frame 2 -> V1 (dim 1, theta 1) -> frame 2 or 3,
+# inflow excess 0 (v212) and -1 (v213)
+PAST_FANO = {
+    f"v21{m}": quiver_from_dict({
+        "nodes": [{"id": "0", "kind": "frozen", "dim": 2},
+                  {"id": "1", "kind": "gauge", "dim": 1, "theta": 1},
+                  {"id": "2", "kind": "frozen", "dim": m}],
+        "edges": [{"src": "0", "dst": "1"}, {"src": "1", "dst": "2"}]})
+    for m in (2, 3)
+}
+EXCHANGE_MODES = {"plain": (False, True), "equivariant": (True, True), "classical": (False, False)}
+
+
+@pytest.mark.parametrize("mode", EXCHANGE_MODES)
+# vgit312_minus has no node with theta > 0
+@pytest.mark.parametrize("name", [n for n in SPAN_FIXTURES if n != "vgit312_minus"]
+                         + list(PAST_FANO))
+def test_exchange_difference_is_its_cofactor_sum(quivers, name, mode):
+    # at every theta > 0 node, rhs - lhs equals the cofactor sum over
+    # g_0..g_(v-1) as expanded polynomials; Groebner membership of every
+    # t-coefficient in the presentation ideal is the oracle that agrees
+    q = PAST_FANO[name] if name in PAST_FANO else _span_fixture(quivers, name)
+    equivariant, with_q = EXCHANGE_MODES[mode]
+    table = build_table(q, equivariant=equivariant, with_t=True, with_q=with_q)
+    gb = buchberger(spanning_ideal(q, table).generators)
+    nodes = [n.id for n in q.gauge_nodes if n.theta > 0]
+    assert nodes
+    for k in nodes:
+        lhs, rhs = exchange_lhs_rhs(q, k, table)
+        assert rhs - lhs == exchange_cofactor_sum(q, k, table), k
+        assert all(normal_form(c, gb).is_zero() for _, c in (rhs - lhs).coefficients_in("t")), k
 
 
 def test_negative_stability_relation_is_polynomial(quivers):
