@@ -33,7 +33,10 @@ submission order, so reports do not depend on scheduling.  `groebner`,
 `verify type-a` and `embed --type-a` build one Groebner basis of the
 presentation ideal per run, in this process (`_basis`), and hand that
 object to every check that reads one; the type-A suite adds only its
-zeta-side basis.  Only `present` takes --pmax.  `verify exchange` builds
+zeta-side basis.  `_basis` passes Buchberger the rank that
+`presentation.free_rank` proves for the quotient, when it proves one, so
+pairing stops once the leads leave exactly that many xi-monomials; the
+basis is the same.  Only `present` takes --pmax.  `verify exchange` builds
 no basis: it proves each node's exchange relation by its closed-form
 cofactors in the node's spanning relations
 (`presentation.exchange_cofactor_sum`), as `embed` does for its
@@ -61,7 +64,7 @@ from .quiver import (
     validate,
     weights,
 )
-from .presentation import build_ideal, compare_chambers, spanning_ideal
+from .presentation import build_ideal, compare_chambers, free_rank, spanning_ideal
 from .groebner import (
     Budget,
     BudgetError,
@@ -117,9 +120,14 @@ def _budget(ns: argparse.Namespace) -> Budget:
 def _basis(ns: argparse.Namespace, q, table) -> GroebnerBasis:
     """The run's one reduced basis: the presentation ideal of q in table,
     in the --order of `groebner` (grevlex elsewhere), under --budget-steps.
-    Every check of the run that reads a basis is handed this object."""
+    Every check of the run that reads a basis is handed this object.  When
+    `presentation.free_rank` proves the quotient free over the non-xi
+    variables, Buchberger stops pairing once its leads leave exactly that
+    many xi-monomials (`groebner.buchberger`'s ``free_rank``)."""
     order = MonomialOrder(vars(ns).get("order", "grevlex"))
-    return buchberger(spanning_ideal(q, table).generators, order, _budget(ns))
+    rank = free_rank(q, table)
+    return buchberger(spanning_ideal(q, table).generators, order, _budget(ns),
+                      free_rank=None if rank is None else (rank, table.of_class("xi")))
 
 
 def _config(ns: argparse.Namespace) -> dict:

@@ -37,6 +37,30 @@ criterion).  Elements whose lead a later lead divides get no new pairs;
 those that remain at the end form the minimal basis whose tails are
 inter-reduced.
 
+Rank-certified stop (``buchberger(..., free_rank=(n, names))``), after
+Traverso ("Hilbert functions and the Buchberger algorithm", J. Symb.
+Comp. 22, 1996).  The caller asserts that the generators lie in an ideal
+I and that R/I is a free module of rank n over A, the polynomial ring in
+the variables not named.  Each time a row joins, the engine checks two
+things: every active lead is a monomial in the named variables only, and
+exactly n such monomials are divisible by no active lead.  When both
+hold it drops the remaining pairs and inter-reduces.  This is sound.
+The leads hold no variable of A, so division by the rows leaves a
+remainder in the A-span of those n monomials: the A-linear map from A^n
+to R/I that sends the unit vectors to them is onto, and R/I is
+isomorphic to A^n.  A surjective endomorphism of a finitely generated
+module is an isomorphism (Matsumura, *Commutative Ring Theory*, Thm
+2.4), so the map is injective and every element f of I reduces to 0 by
+the rows.  Division meets the lead of f first, so a row's lead divides
+it: the rows are a Groebner basis of I (Cox, Little & O'Shea, Ch. 2
+Sec. 5 Def. 5).  Every row lies in the ideal of the generators, so they
+generate I.  Hence generators of a strictly smaller ideal never stop
+early: their rows cannot generate I.  The count needs a pure-power lead
+in every named variable (read off the lead masks); `_standard_count`
+slices the box by the first variable and is memoised, and the check runs
+once per joined row.  The reduced basis is unique, so the stop changes
+the work done, never a basis.
+
 Packed monomials: the engine works on one Python int per monomial, after
 Monagan & Pearce ("Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007).  For n variables and a field width
@@ -317,10 +341,29 @@ def _rows(elements: Iterable[MultiPoly], pk: _Packer) -> tuple:
     return tuple(sorted(rows, key=_reducer_key))
 
 
-def _packed_basis(polys: list, pk: _Packer, budget: Budget, settled: int = 0) -> list:
+def _standard_count(leads: frozenset, memo: dict) -> int:
+    """How many monomials no exponent tuple of leads divides, when each
+    variable has a pure power among them.  Slices by the first exponent j:
+    the tails of the leads whose first exponent is at most j divide the
+    rest, and the slice changes only at those first exponents."""
+    if leads not in memo:
+        if not leads or () in leads:  # no variable left
+            memo[leads] = 0 if leads else 1
+        else:
+            top = min(e[0] for e in leads if not any(e[1:]))
+            cuts = sorted({e[0] for e in leads if e[0] < top} | {0}) + [top]
+            memo[leads] = sum(
+                (b - a) * _standard_count(frozenset(e[1:] for e in leads if e[0] <= a), memo)
+                for a, b in zip(cuts, cuts[1:]))
+    return memo[leads]
+
+
+def _packed_basis(polys: list, pk: _Packer, budget: Budget, settled: int = 0,
+                  free_rank: tuple | None = None) -> list:
     """Reduced basis of packed term dicts as (lead, reduced tail dict)
     pairs, sorted by increasing lead.  The first ``settled`` inputs form
-    no pairs among themselves (`buchberger`)."""
+    no pairs among themselves; ``free_rank`` is (n, column indices) of the
+    rank-certified stop (`buchberger`)."""
     steps = [0]
     rows: list = []       # monic rows (lead, tail, excess), in basis order
     exps: list = []       # leading exponent tuples, for lcms
@@ -394,8 +437,24 @@ def _packed_basis(polys: list, pk: _Packer, budget: Budget, settled: int = 0) ->
         if r:
             add_poly(r, max(pk.degree(m) for m in terms), n >= settled)
 
+    rank, cols = free_rank or (0, ())
+    named = sum(1 << c for c in cols)
+    memo: dict = {}
+    counted = [-1, False]  # the number of rows at the last check, its answer
+
+    def certified() -> bool:
+        # the rank-certified stop (module docstring), checked once per row
+        if counted[0] != len(rows):
+            ms = {masks[i] for i in active}
+            counted[:] = len(rows), (
+                all(not m & ~named for m in ms)
+                and sum(m for m in ms if not m & (m - 1)) == named
+                and _standard_count(frozenset(tuple(exps[i][c] for c in cols) for i in active),
+                                    memo) == rank)
+        return counted[1]
+
     processed = 0
-    while pairs:
+    while pairs and not (free_rank and certified()):
         sugar, dl, i, j, l = heapq.heappop(pairs)
         processed += 1
         if processed > budget.max_pairs:
@@ -491,13 +550,22 @@ def buchberger(
     budget: Budget | None = None,
     *,
     settled: int = 0,
+    free_rank: tuple | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the given polynomial generators.
 
     The first ``settled`` nonzero generators must already be a Groebner
     basis under the order: they then form no S-pairs among themselves.
     A wrong claim gives a wrong basis, so only `laurent_image_basis`
-    passes it, after proving it."""
+    passes it, after proving it.
+
+    ``free_rank=(n, names)`` asserts that the generators lie in an ideal
+    I whose quotient is a free module of rank n over the polynomial ring
+    in the variables not in names; Buchberger then stops pairing once its
+    leads are monomials in names that leave exactly n of them (module
+    docstring).  A wrong claim gives a wrong basis, so only `cli._basis`
+    passes it, with the rank `presentation.free_rank` proves.  None runs
+    every pair."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -508,11 +576,13 @@ def buchberger(
     order = order or MonomialOrder()
     budget = budget or Budget()
     degree = max(sum(e) for g in gens for e in g.terms)
+    if free_rank is not None:
+        free_rank = free_rank[0], [table.index(n) for n in free_rank[1]]
     while True:
         pk = _Packer(order, table, _width_for(degree))
         try:
             polys = [{pk.pack(e): c for e, c in g.terms.items()} for g in gens]
-            final = _packed_basis(polys, pk, budget, settled)
+            final = _packed_basis(polys, pk, budget, settled, free_rank)
             break
         except _Overflow as exc:
             degree = exc.degree

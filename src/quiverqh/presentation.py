@@ -37,6 +37,32 @@ redundant relations included; its ideal is the same for p_max >= v-1.
 The same identity gives the exchange relation at a theta > 0 node as an
 explicit combination of g_0, ..., g_(v-1) (`exchange_cofactor_sum`).
 
+Triangular family and free rank: for i = 1..v let
+
+    G_(k,i) = sum_m c_m h_(m-v+i)(xi_(k,i), ..., xi_(k,v))
+            = sum_j (-1)^j e_j(xi_(k,1), ..., xi_(k,i-1)) g_(i-1-j),
+
+the second form by H(t) of xi_(k,i..v) = H(t) E(-t) of xi_(k,1..v) and
+xi_(k,1..i-1) (Macdonald I.2).  It is unitriangular in g_0..g_(v-1), so the
+G_(k,i) (`triangular_family`) generate the same ideal I.  Order the
+monomials by grevlex with the gauge nodes' roots first, a node after
+every node it has an arrow to (sinks first), each node's roots in index
+order, then every other variable.  At a node of inflow excess
+v- - v+ >= 1, G_(k,i) has the lead +-xi_(k,i)^(v- - v + i): its terms
+without Q have that degree and hold, besides xi_(k,i), only later
+variables (the node's later roots, the roots of nodes with an arrow into
+it, u), and its Q terms have at most that degree and hold Q, which comes
+after every root.  `free_rank` checks these leads rather than assume
+them.  When they hold they are pure powers in distinct variables, so the
+family is a Groebner basis (Cox, Little & O'Shea, *Ideals, Varieties,
+and Algorithms*, Ch. 2 Sec. 9 Prop. 4).  Its standard monomials are the
+products of a monomial in the box prod xi_(k,i)^(< a_(k,i)) and a
+monomial of A, the polynomial ring in every variable but the xi; they
+are a basis of R/I over the field, so the box is a basis of R/I over A,
+and R/I is free over A of rank prod_k v-!/(v- - v)!.  At a node of
+excess <= 0 a Q term leads (v212: (1 - Q) xi^2) and `free_rank` gives
+None.  `groebner.buchberger` reads that rank to stop pairing early.
+
 The same relations arise as Weyl antisymmetrizations of the abelianized
 relation times the staircase monomial; `nonabelian_relation` computes that
 route directly and the two are cross-checked in the test suite.
@@ -164,22 +190,15 @@ def nonabelian_relation(
     return antisymmetrize(table, blocks, exps, prefactor)
 
 
-def node_relations(
-    q: Quiver,
-    k: str,
-    top: int,
-    table: VarTable,
-) -> list:
-    """Relation generators [g_0, ..., g_top] of gauge node k, g_p with
-    insertion power p (see module docstring for both stability signs);
-    in a table without Q they are the classical relations at Q[k] = 0."""
-    v = q.dim(k)
+def _relation_coefficients(q: Quiver, k: str, table: VarTable) -> list:
+    """[c_0, ..., c_M] of gauge node k, M = max(v-, v+): the coefficients,
+    independent of p, of g_p = sum_m c_m h_(m+p-v+1)(xi) (module
+    docstring), read by `node_relations` and `triangular_family`."""
     e_in = elementaries(table, inflow_roots(q, k, table))
     e_out = elementaries(table, outflow_roots(q, k, table))
     vm, vp = len(e_in) - 1, len(e_out) - 1
     qk = kaehler_variable(table, k)
-    vsign = -1 if (v - 1) % 2 else 1
-    # g_p = sum_m c_m h_(m+p-v+1)(xi) with
+    vsign = -1 if (q.dim(k) - 1) % 2 else 1
     # c_m = ls (-1)^(v- - m) e_(v- - m)(mu) + rs (-1)^m Q_k e_(v+ - m)(nu)
     ls, rs = (1, -vsign) if q.theta(k) > 0 else (vsign, -1)
     coeffs = []
@@ -190,6 +209,20 @@ def node_relations(
         if m <= vp and e_out[vp - m]:
             c = c + rs * (-1) ** m * (qk * e_out[vp - m])
         coeffs.append(c)
+    return coeffs
+
+
+def node_relations(
+    q: Quiver,
+    k: str,
+    top: int,
+    table: VarTable,
+) -> list:
+    """Relation generators [g_0, ..., g_top] of gauge node k, g_p with
+    insertion power p (see module docstring for both stability signs);
+    in a table without Q they are the classical relations at Q[k] = 0."""
+    v = q.dim(k)
+    coeffs = _relation_coefficients(q, k, table)
     h = completes(table, node_roots(q, table, k), len(coeffs) + top - v)
     out = []
     for p in range(top + 1):
@@ -217,6 +250,77 @@ def spanning_ideal(q: Quiver, table: VarTable) -> IdealPresentation:
     powers 0..v-1 at each node of dimension v; every higher power lies in
     their ideal (see the module docstring)."""
     return _node_ideal(q, lambda v: v - 1, table)
+
+
+def triangular_family(q: Quiver, table: VarTable) -> dict:
+    """{name of xi_(k,i): G_(k,i)} over every gauge node k and i = 1..v,
+    v = dim V_k, in node order:
+
+        G_(k,i) = sum_m c_m h_(m-v+i)(xi_(k,i), ..., xi_(k,v))
+
+    with the c_m of `node_relations`.  G_(k,1) = g_0, and the family spans
+    the ideal of `spanning_ideal` (module docstring)."""
+    out = {}
+    for n in q.gauge_nodes:
+        v = n.dim
+        c = _relation_coefficients(q, n.id, table)
+        roots = node_roots(q, table, n.id)
+        for i in range(1, v + 1):
+            h = completes(table, roots[i - 1:], len(c) - 1 - v + i)
+            g = MultiPoly.zero(table)
+            for m in range(v - i, len(c)):
+                if c[m] and h[m - v + i]:
+                    g = g + c[m] * h[m - v + i]
+            out[f"xi[{n.id}][{i}]"] = g
+    return out
+
+
+def _sinks_first(q: Quiver) -> list:
+    """Gauge node ids, each after every gauge node it has an arrow to, ties
+    in node order; when an oriented cycle leaves no node ready, the rest
+    follow in node order."""
+    gauge = {n.id for n in q.gauge_nodes}
+    order: list = []
+    rest = [n.id for n in q.gauge_nodes]
+    while rest:
+        ready = [k for k in rest
+                 if all(e.dst in order or e.dst not in gauge for e in q.out_edges(k))]
+        order += ready or rest
+        rest = [k for k in rest if k not in order]
+    return order
+
+
+def free_rank(q: Quiver, table: VarTable) -> int | None:
+    """The rank n of the presentation ideal's quotient R/I as a free module
+    over A, the polynomial ring in the variables of table other than xi,
+    when `triangular_family` proves it, and None otherwise.
+
+    The leads of the family are taken under their own key, not the table
+    order: grevlex with the gauge nodes' roots first, sinks first
+    (`_sinks_first`), each node's roots in index order, then every other
+    variable in table order.  When each G_(k,i) has the lead
+    +-xi_(k,i)^(a_(k,i)), a_(k,i) >= 1, the rank is n = prod a_(k,i): see
+    the module docstring.  That holds at every node of inflow excess
+    v- - v+ >= 1, with a_(k,i) = v- - v + i; at a node of excess <= 0 a Q
+    term leads and the answer is None."""
+    cols = [table.index(f"xi[{k}][{j}]") for k in _sinks_first(q)
+            for j in range(1, q.dim(k) + 1)]
+    cols += [i for i in range(table.nvars) if i not in cols]
+    last_first = cols[::-1]
+
+    def key(e: tuple) -> tuple:
+        return sum(e), tuple(-e[i] for i in last_first)
+
+    n = 1
+    for name, g in triangular_family(q, table).items():
+        if not g:
+            return None
+        lead = max(g.terms, key=key)
+        a = lead[table.index(name)]
+        if a < 1 or sum(lead) != a or g.terms[lead] not in (1, -1):
+            return None
+        n *= a
+    return n
 
 
 def compare_chambers(qa: Quiver, qb: Quiver, table: VarTable) -> list:

@@ -1,12 +1,14 @@
 import os
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from quiverqh.embed import zeta_substitution
 from quiverqh.groebner import buchberger, laurent_extension
 from quiverqh.polycore import MultiPoly, _coeff
 from quiverqh.presentation import build_ideal
-from quiverqh.quiver import build_table, load_quiver
+from quiverqh.quiver import build_table, load_quiver, quiver_from_dict
 
 QUIVER_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "quivers")
 
@@ -95,3 +97,41 @@ def zeta_side_generators(q, p_max, equivariant):
     sub = zeta_substitution(q, t_qz)
     gens = [g.substitute(sub).convert(t_z) for g in build_ideal(q, p_max, table=t_qz).generators]
     return gens, t_z.of_class("zeta")
+
+
+@st.composite
+def framed_quivers(draw, max_gauge_dim=5):
+    """Valid framed acyclic quivers: two to four nodes in a random
+    topological order, which the ids do not follow, with 0, 1 or 2 arrows
+    from each node to each later one; at least one frozen and one gauge
+    node (two in three nodes gauge), dims 1-3, total gauge dim at most
+    max_gauge_dim.  Each gauge node gets a theta that `validate` calls
+    feasible (inflow >= dim for +1, outflow >= dim for -1), -1 about one
+    time in four where both are.  Nodes of inflow excess below 1 come up
+    often."""
+    n = draw(st.integers(2, 4))
+    ids = draw(st.permutations([str(i) for i in range(n)]))
+    kinds = draw(st.lists(st.sampled_from(["gauge", "gauge", "frozen"]), min_size=n, max_size=n))
+    assume("gauge" in kinds and "frozen" in kinds)
+    room = max_gauge_dim - kinds.count("gauge")  # dims past 1 left to give
+    dims = []
+    for kind in kinds:
+        extra = draw(st.integers(0, min(2, room) if kind == "gauge" else 2))
+        room -= extra if kind == "gauge" else 0
+        dims.append(1 + extra)
+    arrows = {(a, b): c for a in range(n) for b in range(a + 1, n)
+              if (c := draw(st.sampled_from([0, 1, 1, 2])))}
+    nodes = []
+    for a, kind in enumerate(kinds):
+        node = {"id": ids[a], "kind": kind, "dim": dims[a]}
+        if kind == "gauge":
+            inflow = sum(c * dims[s] for (s, d), c in arrows.items() if d == a)
+            outflow = sum(c * dims[d] for (s, d), c in arrows.items() if s == a)
+            thetas = [1, 1, 1, -1] if inflow >= dims[a] else [-1]
+            thetas = [t for t in thetas if t > 0 or outflow >= dims[a]]
+            assume(thetas)
+            node["theta"] = draw(st.sampled_from(thetas))
+        nodes.append(node)
+    return quiver_from_dict({
+        "nodes": nodes,
+        "edges": [{"src": ids[s], "dst": ids[d], "count": c} for (s, d), c in arrows.items()]})

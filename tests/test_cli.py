@@ -845,6 +845,11 @@ def test_qde_text_report_golden(capsys, monkeypatch):
         id="groebner-fl12345-json",
     ),
     pytest.param(
+        ("groebner", "perfbench/fixtures/fl12345.json", "--equivariant", "--json"),
+        "52e489662ae87eb204069cd766882f56f88a0e1609e1ebfff60c6eb5b0c1419d",
+        id="groebner-fl12345-eq-json",
+    ),
+    pytest.param(
         ("verify", "exchange", "perfbench/fixtures/fl12345.json", "--json"),
         "d2310a18def9e7d15f00cae27be821875f23425b9694bb8cdedd0795fe7f8bef",
         id="exchange-fl12345-json",

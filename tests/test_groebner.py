@@ -6,6 +6,7 @@ path that produced the basis.
 """
 
 import hashlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -38,12 +39,13 @@ from quiverqh.groebner import (
     _leads_transfer,
     _packed_basis,
     _poly,
+    _standard_count,
     _term_images,
     _width_for,
     laurent_image_basis,
 )
-from quiverqh.presentation import build_ideal, spanning_ideal
-from quiverqh.quiver import build_table, quiver_from_dict, resolve_pmax
+from quiverqh.presentation import build_ideal, free_rank, spanning_ideal
+from quiverqh.quiver import build_table, load_quiver, quiver_from_dict, resolve_pmax
 
 from conftest import (
     clear_laurent,
@@ -585,3 +587,85 @@ def test_coprime_pairs_pack_no_lcm(monkeypatch):
     monkeypatch.setattr(_Packer, "pack", lambda pk, e: calls.append(e) or pack(pk, e))
     assert len(buchberger(gens.generators)) == n - 1
     assert len(calls) < 10 * n
+
+
+FL12345 = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "fixtures", "fl12345.json"
+)
+
+
+def _fixture(quivers, name):
+    return load_quiver(FL12345) if name == "fl12345" else quivers(name)
+
+
+def _certified(q, equivariant, with_t=False):
+    """(spanning generators, ``free_rank`` argument of `buchberger`) of q."""
+    table = build_table(q, equivariant=equivariant, with_q=True, with_t=with_t)
+    rank = free_rank(q, table)
+    return (spanning_ideal(q, table).generators,
+            None if rank is None else (rank, table.of_class("xi")))
+
+
+# every bundled fixture but a3_frozen (its relations alone take seconds to
+# build), and the 4-step chain; a2 has no certificate, so both runs are full
+@pytest.mark.parametrize("with_t", [False, True])
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", [
+    "a2", "fl123", "fl234", "fl245", "gr24", "p2", "principal_rank1",
+    "vgit312_minus", "vgit312_plus", "fl12345",
+])
+def test_certified_basis_matches_a_full_run(quivers, name, equivariant, with_t):
+    gens, cert = _certified(_fixture(quivers, name), equivariant, with_t)
+    full = buchberger(gens)
+    certified = buchberger(gens, free_rank=cert)
+    assert certified.fingerprint == full.fingerprint
+    assert len(certified) == len(full)
+
+
+@pytest.mark.parametrize("name,equivariant,steps", [
+    ("fl234", False, 51),
+    ("fl245", True, 305),
+    ("fl12345", True, 6716),
+])
+def test_certified_step_count_is_pinned(quivers, name, equivariant, steps):
+    # uncertified, fl234 plain takes 155 steps, fl245 equivariant 1 442 and
+    # fl12345 equivariant 76 277; the stop drops the pairs that reduce to 0
+    gens, cert = _certified(_fixture(quivers, name), equivariant)
+    buchberger(gens, budget=Budget(max_steps=steps), free_rank=cert)
+    with pytest.raises(BudgetError):
+        buchberger(gens, budget=Budget(max_steps=steps - 1), free_rank=cert)
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", ["fl123", "gr24", "fl234"])
+def test_certificate_of_a_larger_ideal_never_stops_early(quivers, name, equivariant):
+    # with one spanning generator dropped the generators span a smaller
+    # ideal than the one whose rank is passed; the stop must not fire
+    # before the basis of the smaller ideal is complete
+    gens, cert = _certified(quivers(name), equivariant)
+    for d in range(len(gens)):
+        sub = gens[:d] + gens[d + 1:]
+        assert buchberger(sub, free_rank=cert).fingerprint == buchberger(sub).fingerprint, d
+
+
+def test_stop_counts_only_leads_in_the_named_variables():
+    # I = (x^2 - Q*y, y^2 - Q*x) has the coprime leads x^2, y^2, so k[x, y, Q]/I
+    # is free of rank 4 over k[Q]; these combinations of its generators
+    # reach leads that hold Q, which must not count, or the run stops on
+    # a basis that is not yet a Groebner basis
+    gens = [-X**2 - 2 * Y**2 + 2 * X * Q + Y * Q,
+            -Y**3 * Q + X * Y * Q**2 + 2 * X**2 * Y - 2 * Y**2 * Q + 2 * X**2 - 2 * Y * Q,
+            -2 * X**3 * Y + 2 * X * Y**2 * Q]
+    full = buchberger(gens)
+    assert buchberger(gens, free_rank=(4, ("xi[1][1]", "xi[1][2]"))).fingerprint == full.fingerprint
+
+
+def test_standard_count_matches_enumeration():
+    # leads x^3, y^2, z^2, x^2*y, x*z: 3*2*2 = 12 in the box, less those
+    # divisible by x^2*y (x^2*y*z^0..1: 2) or by x*z (x^1..2 * y^0..1 * z: 4),
+    # one of them (x^2*y*z) counted twice
+    leads = frozenset({(3, 0, 0), (0, 2, 0), (0, 0, 2), (2, 1, 0), (1, 0, 1)})
+    box = [(a, b, c) for a in range(3) for b in range(2) for c in range(2)]
+    alive = [m for m in box if not any(all(x >= y for x, y in zip(m, l)) for l in leads)]
+    assert _standard_count(leads, {}) == len(alive) == 7
+    assert _standard_count(frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}), {}) == 0

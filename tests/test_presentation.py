@@ -25,6 +25,7 @@ from quiverqh.presentation import (
     chern_poly,
     exchange_cofactor_sum,
     exchange_lhs_rhs,
+    free_rank,
     inflow_roots,
     node_chern_quotient,
     node_roots,
@@ -32,6 +33,7 @@ from quiverqh.presentation import (
     node_relations,
     outflow_roots,
     spanning_ideal,
+    triangular_family,
     truncated_chern_quotient,
 )
 from quiverqh.symfun import chern_from_roots, complete, elementary
@@ -413,3 +415,65 @@ def test_spanning_ideal_has_the_full_basis(quivers, name, equivariant, kind):
     order = MonomialOrder(kind)
     assert (buchberger(span.generators, order).fingerprint
             == buchberger(full.generators, order).fingerprint)
+
+
+# the rank of the quotient over the non-xi variables, prod_k v-!/(v- - v)!
+FREE_RANKS = {"p2": 3, "principal_rank1": 1, "gr24": 12, "fl123": 12, "fl234": 144,
+              "fl245": 1440, "fl12345": 34560, "vgit312_plus": 3, "vgit312_minus": 3}
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("with_t", [False, True])
+def test_free_rank_is_pinned(quivers, equivariant, with_t):
+    for name, rank in FREE_RANKS.items():
+        q = _span_fixture(quivers, name)
+        table = build_table(q, equivariant=equivariant, with_q=True, with_t=with_t)
+        assert free_rank(q, table) == rank, name
+        # the classical slice Q -> 0 has the same leads
+        assert free_rank(q, build_table(q, equivariant=equivariant)) == rank, name
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+def test_free_rank_is_none_past_the_fano_range(quivers, equivariant):
+    # a2 has no frame (node 1 of excess -1); v212 and v213 have one node of
+    # excess 0 and -1, where a Q term leads
+    for q in [quivers("a2"), *PAST_FANO.values()]:
+        assert free_rank(q, build_table(q, equivariant=equivariant, with_q=True)) is None
+
+
+def test_free_rank_ends_on_an_oriented_cycle():
+    # frame -> 1 -> 2 -> 3 -> 1: no node is a sink, so the key takes the
+    # cycle in node order; node 2 has excess 0
+    q = quiver_from_dict({
+        "nodes": [{"id": "0", "kind": "frozen", "dim": 1}]
+        + [{"id": i, "kind": "gauge", "dim": 1, "theta": 1} for i in "123"],
+        "edges": [{"src": s, "dst": d} for s, d in ("01", "12", "23", "31")]})
+    assert free_rank(q, build_table(q, equivariant=False, with_q=True)) is None
+
+
+def test_free_rank_does_not_depend_on_the_table_order(quivers):
+    # relabel fl234 so that its sink sorts first in the table, then last
+    data = quiver_to_dict(quivers("fl234"))
+    for ids in ({"0": "c", "1": "b", "2": "a"}, {"0": "a", "1": "b", "2": "c"}):
+        q = quiver_from_dict({
+            "nodes": [dict(n, id=ids[n["id"]]) for n in data["nodes"]],
+            "edges": [dict(e, src=ids[e["src"]], dst=ids[e["dst"]]) for e in data["edges"]]})
+        for eq in (False, True):
+            assert free_rank(q, build_table(q, equivariant=eq, with_q=True)) == 144
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("name", ["gr24", "fl123", "fl234", "fl245", "vgit312_minus"])
+def test_triangular_family_spans_the_presentation_ideal(quivers, name, equivariant):
+    q = quivers(name)
+    table = build_table(q, equivariant=equivariant, with_q=True)
+    family = triangular_family(q, table)
+    assert list(family) == list(table.of_class("xi"))
+    span = spanning_ideal(q, table).generators
+    assert buchberger(family.values()).fingerprint == buchberger(span).fingerprint
+    for n in q.gauge_nodes:
+        v = n.dim
+        assert family[f"xi[{n.id}][1]"] == node_relations(q, n.id, v - 1, table)[0]
+        # G_(k,v) is a polynomial in the last root alone among the node's roots
+        last = family[f"xi[{n.id}][{v}]"]
+        assert all(last.degree(f"xi[{n.id}][{j}]") == 0 for j in range(1, v))
